@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -10,8 +11,6 @@ import numpy as np
 
 from . import io_formats as io
 from .models.cascade import CascadeConfig
-from .models.rf import RFConfig
-from .models.sdae import SDAEConfig
 from .pipeline import (
     E2EConfig,
     auto_zpr,
@@ -114,40 +113,17 @@ def _read_config_overrides(path) -> dict:
 def _cmd_gen(args) -> int:
     from .phantom import default_config_sampler
 
+    mode = Mode.parse(args.mode)
     if args.mode_mix:
         mix = _parse_mode_mix(args.mode_mix)
-        entries = []
-        # a shared sampler would fix the mode; sample per mode instead
-        rest = dict(mix)
-        out = Path(args.out)
-        all_entries = []
-        seed = args.seed
-        from .pipeline import write_manifest
-
-        idx_offset = 0
-        for mode_name, count in rest.items():
-            if count == 0:
-                continue
-            mode = Mode.parse(mode_name)
-            sampler = default_config_sampler(
-                mode, width=args.width, height=args.height, n_frames=args.frames
-            )
-            sub_entries = make_dataset(
-                out / mode_name.lower(), mode_mix={mode_name: count},
-                config_sampler=sampler, seed=seed + idx_offset,
-            )
-            all_entries.extend(sub_entries)
-            idx_offset += count
-        write_manifest(out / "manifest.txt", all_entries)
-        print(f"wrote {len(all_entries)} sequences to {out}")
-        return 0
-    n = args.n if args.n is not None else 1
-    mode = Mode.parse(args.mode)
+    else:
+        mix = {mode.value: args.n if args.n is not None else 1}
+    # make_dataset sets each sampled config's mode, so one sampler serves all
     sampler = default_config_sampler(
         mode, width=args.width, height=args.height, n_frames=args.frames
     )
-    entries = make_dataset(args.out, mode_mix={mode.value: n},
-                           config_sampler=sampler, seed=args.seed)
+    entries = make_dataset(args.out, mode_mix=mix, config_sampler=sampler,
+                           seed=args.seed)
     print(f"wrote {len(entries)} sequences to {args.out}")
     return 0
 
@@ -164,27 +140,36 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
+# `--config` keys: "rf.n_trees" sets CascadeConfig.rf.n_trees and so on;
+# pixels_per_seq is train_from_manifest's max_pixels_per_seq
+_CONFIG_KEYS = (
+    "rf.n_trees", "rf.max_depth", "rf.min_leaf",
+    "sdae.corruption", "sdae.lr", "sdae.finetune_epochs",
+    "max_train_pixels", "pixels_per_seq",
+)
+
+
+def _override(obj, path: list[str], text: str):
+    """Copy of dataclass `obj` with the field at `path` parsed from `text` as
+    the type of the value it replaces."""
+    old = getattr(obj, path[0])
+    new = _override(old, path[1:], text) if path[1:] else type(old)(text)
+    return dataclasses.replace(obj, **{path[0]: new})
+
+
 def _cmd_train(args) -> int:
     mode = Mode.parse(args.mode)
     overrides = _read_config_overrides(args.config) if args.config else {}
-    rf = RFConfig(
-        n_trees=int(overrides.get("rf.n_trees", 100)),
-        max_depth=int(overrides.get("rf.max_depth", 12)),
-        min_leaf=int(overrides.get("rf.min_leaf", 5)),
-    )
-    sdae = SDAEConfig(
-        corruption=float(overrides.get("sdae.corruption", 0.2)),
-        lr=float(overrides.get("sdae.lr", 0.05)),
-        finetune_epochs=int(overrides.get("sdae.finetune_epochs", 200)),
-    )
-    config = CascadeConfig(
-        backend=args.backend, rf=rf, sdae=sdae,
-        max_train_pixels=int(overrides.get("max_train_pixels", 20000)),
-    )
-    model = train_from_manifest(
-        args.manifest, mode, config, seed=args.seed,
-        max_pixels_per_seq=int(overrides.get("pixels_per_seq", 0)),
-    )
+    config = CascadeConfig(backend=args.backend)
+    kwargs = {}
+    for key, text in overrides.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}; known: {', '.join(_CONFIG_KEYS)}")
+        if key == "pixels_per_seq":
+            kwargs["max_pixels_per_seq"] = int(text)
+        else:
+            config = _override(config, key.split("."), text)
+    model = train_from_manifest(args.manifest, mode, config, seed=args.seed, **kwargs)
     io.write_model(args.model_out, model,
                    header_extra={"mode": mode.value, "seed": args.seed})
     print(f"wrote model to {args.model_out}")

@@ -136,6 +136,3 @@ def fit_standardizer(train_matrix) -> Standardizer:
     scale = np.maximum(x.std(axis=0), 1e-12)
     return Standardizer(mean=mean, scale=scale)
 
-
-def apply_standardizer(s: Standardizer, x) -> np.ndarray:
-    return s.apply(x)

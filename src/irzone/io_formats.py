@@ -5,6 +5,7 @@ model persistence, and PPM overlay rendering. All writes are atomic
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 import tempfile
@@ -148,17 +149,23 @@ def read_mask(path) -> tuple[ZoneMask, Mode]:
     if bad:
         raise FormatError(f"{path}: undefined label codes {sorted(bad)}")
     meta_path = str(path) + ".meta"
-    pixel_size = 250e-6
-    mode = Mode.ON
+    meta = {}
     try:
         for line in Path(meta_path).read_text().splitlines():
             key, _, val = line.partition(" ")
-            if key == "pixel_size_m":
-                pixel_size = float(val)
-            elif key == "mode":
-                mode = Mode.parse(val)
+            meta[key] = val
     except FileNotFoundError:
         raise FormatError(f"{path}: missing sidecar {meta_path}")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{meta_path}: sidecar is not text") from e
+    for key in ("pixel_size_m", "mode"):
+        if key not in meta:
+            raise FormatError(f"{meta_path}: missing {key}")
+    try:
+        pixel_size = float(meta["pixel_size_m"])
+        mode = Mode.parse(meta["mode"])
+    except ValueError as e:
+        raise FormatError(f"{meta_path}: {e}") from e
     mask = ZoneMask(labels.copy(), pixel_size)
     mask.check_mode(mode)
     return mask, mode
@@ -198,50 +205,64 @@ def _pack(obj) -> bytes:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
+def _take(raw: bytes, off: int, n: int):
+    """The n bytes at `off` and the offset after them; FormatError past the end."""
+    if n < 0 or off + n > len(raw):
+        raise FormatError(f"parameter block ends inside a value at offset {off}")
+    return raw[off : off + n], off + n
+
+
+def _scalar(fmt: str, raw: bytes, off: int):
+    chunk, off = _take(raw, off, struct.calcsize(fmt))
+    return struct.unpack(fmt, chunk)[0], off
+
+
 def _unpack(raw: bytes, off: int = 0):
-    tag = raw[off : off + 1]
-    off += 1
+    tag, off = _take(raw, off, 1)
     if tag == b"N":
         return None, off
     if tag == b"B":
-        return raw[off] == 1, off + 1
+        flag, off = _take(raw, off, 1)
+        return flag == b"\x01", off
     if tag == b"I":
-        return struct.unpack_from("<q", raw, off)[0], off + 8
+        return _scalar("<q", raw, off)
     if tag == b"F":
-        return struct.unpack_from("<d", raw, off)[0], off + 8
+        return _scalar("<d", raw, off)
     if tag == b"S":
-        n = struct.unpack_from("<I", raw, off)[0]
-        off += 4
-        return raw[off : off + n].decode(), off + n
+        n, off = _scalar("<I", raw, off)
+        text, off = _take(raw, off, n)
+        try:
+            return text.decode(), off
+        except UnicodeDecodeError as e:
+            raise FormatError(f"bad string at offset {off - n}") from e
     if tag == b"A":
-        n = struct.unpack_from("<I", raw, off)[0]
-        off += 4
-        dt = np.dtype(raw[off : off + n].decode())
-        off += n
-        ndim = struct.unpack_from("<I", raw, off)[0]
-        off += 4
+        n, off = _scalar("<I", raw, off)
+        dt, off = _take(raw, off, n)
+        ndim, off = _scalar("<I", raw, off)
         shape = []
         for _ in range(ndim):
-            shape.append(struct.unpack_from("<q", raw, off)[0])
-            off += 8
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = dt.itemsize * count
-        arr = np.frombuffer(raw[off : off + nbytes], dtype=dt).reshape(shape).copy()
-        return arr, off + nbytes
+            size, off = _scalar("<q", raw, off)
+            shape.append(size)
+        try:  # a dtype or shape numpy rejects; FormatError is a ValueError
+            dt = np.dtype(dt.decode())
+            body, off = _take(raw, off, dt.itemsize * math.prod(shape))
+            return np.frombuffer(body, dtype=dt).reshape(shape).copy(), off
+        except (TypeError, ValueError) as e:
+            raise FormatError(f"bad array at offset {off}: {e}") from e
     if tag == b"L":
-        n = struct.unpack_from("<I", raw, off)[0]
-        off += 4
+        n, off = _scalar("<I", raw, off)
         out = []
         for _ in range(n):
             v, off = _unpack(raw, off)
             out.append(v)
         return out, off
     if tag == b"D":
-        n = struct.unpack_from("<I", raw, off)[0]
-        off += 4
+        n, off = _scalar("<I", raw, off)
         out = {}
         for _ in range(n):
             k, off = _unpack(raw, off)
+            if not isinstance(k, str):
+                raise FormatError(f"non-string key before offset {off}")
             v, off = _unpack(raw, off)
             out[k] = v
         return out, off
@@ -275,7 +296,12 @@ def read_model_state(path) -> dict:
         raise FormatError(f"{path}: missing params or checksum")
     if hashlib.sha256(block).hexdigest() != checksum:
         raise ChecksumError(f"{path}: checksum mismatch")
-    state, _ = _unpack(block)
+    try:
+        state, end = _unpack(block)
+    except RecursionError as e:
+        raise FormatError(f"{path}: parameter block nested too deeply") from e
+    if end != len(block):
+        raise FormatError(f"{path}: {len(block) - end} bytes after the parameter block")
     return state
 
 
@@ -283,7 +309,7 @@ def load_cascade(path):
     from .models.cascade import CascadeModel
 
     state = read_model_state(path)
-    if state.get("kind") != "cascade":
+    if not isinstance(state, dict) or state.get("kind") != "cascade":
         raise FormatError(f"{path}: not a cascade model file")
     return CascadeModel.from_state(state)
 

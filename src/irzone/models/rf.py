@@ -4,7 +4,7 @@ random feature subsets, deterministic under a fixed seed."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class RFModel:
     trees: list[Tree]
     n_features: int
     seed: int
-    oob_indices: list[np.ndarray] = field(default_factory=list)
     single_class: bool = False  # degenerate training set flag
 
     def to_state(self) -> dict:
@@ -202,19 +201,16 @@ def train_rf(X, y, config: RFConfig = RFConfig(), seed: int = 0) -> RFModel:
     rng = np.random.default_rng(seed)
     n = X.shape[0]
     trees = []
-    oob = []
     for _ in range(config.n_trees):
         boot = rng.integers(0, n, size=n)
         builder = _TreeBuilder(X, y, config, k, rng)
         builder.build(boot, 0)
         trees.append(builder.to_tree())
-        oob.append(np.setdiff1d(np.arange(n), boot))
     return RFModel(
         config=config,
         trees=trees,
         n_features=d,
         seed=seed,
-        oob_indices=oob,
         single_class=bool(y.min() == y.max()),
     )
 
@@ -235,18 +231,3 @@ def rf_predict_proba(model: RFModel, X) -> np.ndarray:
     p /= len(model.trees)
     return float(p[0]) if single else p
 
-
-def oob_accuracy(model: RFModel, X, y) -> float:
-    """Out-of-bag accuracy on the training set the forest was grown from."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    votes = np.zeros(X.shape[0])
-    counts = np.zeros(X.shape[0])
-    for t, oob in zip(model.trees, model.oob_indices):
-        if len(oob) == 0:
-            continue
-        votes[oob] += t.predict_proba(X[oob])
-        counts[oob] += 1
-    has = counts > 0
-    pred = (votes[has] / counts[has]) >= 0.5
-    return float(np.mean(pred == y[has].astype(bool)))

@@ -8,11 +8,11 @@ unshifted base grid.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .preprocess import bilinear_sample
 from .zones import Mode, ZoneLabel, ZoneMask
 
 INSTRUMENT_TEMP_C = 25.0  # occluder temperature for damaged frames
@@ -302,31 +302,6 @@ def build_zone_mask(config: PhantomConfig) -> tuple[ZoneMask, list]:
     return ZoneMask(labels, config.pixel_size), overrides
 
 
-def bilinear_shift(frame, dx, dy):
-    """Sample frame at (y - dy, x - dx), i.e. translate content by (+dx, +dy).
-
-    Edge-clamped; matches the bilinear resampling the registration stage uses.
-    """
-    h, w = frame.shape
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    xs = np.clip(xx - dx, 0, w - 1)
-    ys = np.clip(yy - dy, 0, h - 1)
-    x0 = np.floor(xs).astype(int)
-    y0 = np.floor(ys).astype(int)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = ys - y0
-    f = frame.astype(np.float64)
-    out = (
-        f[y0, x0] * (1 - fx) * (1 - fy)
-        + f[y0, x1] * fx * (1 - fy)
-        + f[y1, x0] * (1 - fx) * fy
-        + f[y1, x1] * fx * fy
-    )
-    return out
-
-
 def generate_phantom(config: PhantomConfig, seed: int):
     """Deterministic (config, seed) -> (ThermalSequence, ZoneMask, report)."""
     config.validate()
@@ -343,7 +318,7 @@ def generate_phantom(config: PhantomConfig, seed: int):
         ideal = t_base - dt * np.exp(-t / tau)
         sdx, sdy = schedule[i]
         if sdx != 0.0 or sdy != 0.0:
-            ideal = bilinear_shift(ideal, sdx, sdy)
+            ideal = bilinear_sample(ideal, -sdx, -sdy)[0]  # content moves by (+sdx, +sdy)
         if config.noise_sigma > 0:
             ideal = ideal + rng.normal(0.0, config.noise_sigma, size=ideal.shape)
         if i in config.damaged_frames:
@@ -414,6 +389,3 @@ def default_config_sampler(mode: Mode, recovery=None, *, width=320, height=240,
 
     return sampler
 
-
-def replace_config(config: PhantomConfig, **changes) -> PhantomConfig:
-    return dataclasses.replace(config, **changes)

@@ -4,7 +4,7 @@ inference to a final zone mask."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ import numpy as np
 from . import io_formats as io
 from .features import extract_features_batch
 from .models.cascade import CascadeConfig, CascadeModel, cascade_predict, cascade_train
-from .phantom import PhantomConfig, ThermalSequence, generate_phantom
+from .phantom import ThermalSequence, generate_phantom
 from .postprocess import (
     DecisionThresholds,
     fit_thresholds,
@@ -117,12 +117,15 @@ class SequenceFeatures:
 
 
 # preprocessing is deterministic per file; training, calibration, and
-# inference all need the same features, so cache by path
-_FEATURE_CACHE: dict[str, SequenceFeatures] = {}
+# inference all need the same features, so cache by path. Size and mtime are
+# part of the key so that a file rewritten in place is preprocessed again.
+_FEATURE_CACHE: dict[tuple[str, int, int], SequenceFeatures] = {}
 
 
 def load_features(seq_path) -> SequenceFeatures:
-    key = str(Path(seq_path).resolve())
+    path = Path(seq_path).resolve()
+    st = path.stat()
+    key = (str(path), st.st_size, st.st_mtime_ns)
     if key not in _FEATURE_CACHE:
         if len(_FEATURE_CACHE) > 256:
             _FEATURE_CACHE.clear()
@@ -191,6 +194,15 @@ def zpr_from_reference(mask: ZoneMask) -> ZoneMask:
     return ZoneMask(labels, mask.pixel_size)
 
 
+def smoothed_probs(model: CascadeModel, sf: SequenceFeatures, radius: int) -> dict:
+    """Cascade leaf probabilities as (h, w) maps after probabilistic smoothing:
+    the distribution that threshold calibration fits and the decision cuts."""
+    probs = cascade_predict(model, sf.features)
+    h, w = sf.shape
+    maps = {l: probs[l].reshape(h, w) for l in LEAF_LABELS}
+    return probabilistic_filter(maps, radius=radius)
+
+
 @dataclass
 class InferenceResult:
     z_ps: ZoneMask
@@ -206,10 +218,7 @@ def infer_sequence(model: CascadeModel, seq: ThermalSequence, z_pr: ZoneMask,
                    features: SequenceFeatures | None = None) -> InferenceResult:
     """Full per-sequence inference: features -> cascade -> PF -> LPS -> TF."""
     sf = features if features is not None else preprocess_sequence(seq)
-    probs = cascade_predict(model, sf.features)
-    h, w = sf.shape
-    maps = {l: probs[l].reshape(h, w) for l in LEAF_LABELS}
-    smoothed = probabilistic_filter(maps, radius=pf_radius)
+    smoothed = smoothed_probs(model, sf, pf_radius)
     z_ps = lps_decide(smoothed, z_pr, model.mode, thresholds)
     filtered, tf_report = topological_filter(
         z_ps.labels, z_ps.pixel_size, min_area_mm2=min_area_mm2,
@@ -307,17 +316,13 @@ def calibrate_thresholds(model: CascadeModel, manifest_path, alpha: float,
 
     Probabilities are smoothed exactly as at decision time, otherwise the
     fitted threshold is calibrated against a different distribution than the
-    one it will cut."""
+    one it will cut; both go through `smoothed_probs`."""
     entries = [e for e in read_manifest(manifest_path) if e.mode is model.mode]
     p_all, ha_all = [], []
     rng = np.random.default_rng(seed)
     for e in entries:
         mask, _ = io.read_mask(e.mask_path)
-        sf = load_features(e.seq_path)
-        probs = cascade_predict(model, sf.features)
-        h, w = sf.shape
-        maps = {l: probs[l].reshape(h, w) for l in LEAF_LABELS}
-        smoothed = probabilistic_filter(maps, radius=pf_radius)
+        smoothed = smoothed_probs(model, load_features(e.seq_path), pf_radius)
         p_ha = sum(smoothed[l] for l in HA_LEAVES).ravel()
         wa = mask.wa.ravel()
         p = p_ha[wa]

@@ -103,8 +103,12 @@ def estimate_shift(reference, target, max_shift=DEFAULT_MAX_SHIFT, highpass_sigm
     return ShiftEstimate(dx=dx, dy=dy, peak_score=peak, fatal=fatal)
 
 
-def _resample_to_reference(frame, dx, dy):
-    """Bilinear sample frame at (y+dy, x+dx); returns (aligned, valid)."""
+def bilinear_sample(frame, dx, dy):
+    """Edge-clamped bilinear sample of frame at (y + dy, x + dx).
+
+    Returns (values, valid); valid is False where the sample point falls
+    outside the frame. Sampling at (-dx, -dy) translates content by (+dx, +dy).
+    """
     h, w = frame.shape
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
     xs = xx + dx
@@ -164,7 +168,7 @@ def register_sequence(seq, max_shift=DEFAULT_MAX_SHIFT):
         if est.dx == 0.0 and est.dy == 0.0:
             out[i] = seq.data[i]
         else:
-            aligned, v = _resample_to_reference(
+            aligned, v = bilinear_sample(
                 seq.data[i].astype(np.float64), est.dx, est.dy
             )
             out[i] = aligned.astype(np.float32)
@@ -239,7 +243,6 @@ class RecoveryFit:
     dt: float
     tau: float
     rmse: float
-    n_used: int
     degenerate: bool
 
 
@@ -323,15 +326,11 @@ def fit_recovery(series, times, **kw) -> RecoveryFit:
     t = np.asarray(times, dtype=np.float64)
     if y.shape[0] < 3:
         raise ValueError("need at least 3 samples")
-    try:
-        res = fit_recovery_batch(y[None, :], t, **kw)
-    except ValueError:
-        raise
+    res = fit_recovery_batch(y[None, :], t, **kw)
     return RecoveryFit(
         t_base=float(res["t_base"][0]),
         dt=float(res["dt"][0]),
         tau=float(res["tau"][0]),
         rmse=float(res["rmse"][0]),
-        n_used=int(y.shape[0]),
         degenerate=bool(res["degenerate"][0]),
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,10 @@ def curve_sequence(t_base, dt, tau, n_frames=60, shape=(4, 4), noise=0.0, seed=0
             frame = frame + rng.normal(0.0, noise, size=shape)
         frames[i] = frame
     return ThermalSequence(frames, times, 250e-6)
+
+
+def write_model_block(path, block: bytes):
+    """A model file around a raw parameter block, with a valid checksum."""
+    digest = hashlib.sha256(block).hexdigest()
+    path.write_text(f"irzone-model 1\nkind cascade\nchecksum {digest}\nparams {block.hex()}\n")
+    return path

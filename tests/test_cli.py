@@ -6,6 +6,8 @@ import pytest
 from irzone import io_formats as io
 from irzone.cli import main
 
+from conftest import write_model_block
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
@@ -25,6 +27,13 @@ class TestExitCodes:
         bad.write_bytes(b"not a mask")
         assert main(["eval", "--pred", str(bad), "--ref", str(bad)]) == 2
 
+    def test_truncated_model_block_is_data_error(self, tmp_path, capsys):
+        model = write_model_block(tmp_path / "bad.izm", b"I\x01")
+        code = main(["infer", "--model", str(model), "--in", str(tmp_path / "seq.irts"),
+                     "--out-mask", str(tmp_path / "pred.pgm")])
+        assert code == 2
+        assert "ends inside a value" in capsys.readouterr().err
+
 
 class TestGen:
     def test_zero_sequences_succeeds_with_empty_manifest(self, tmp_path):
@@ -42,6 +51,8 @@ class TestGen:
         lines = (out / "manifest.txt").read_text().splitlines()
         assert len(lines) == 2
         assert "\tOn\t" in lines[0] and "\tOff\t" in lines[1]
+        # one flat directory, numbered across modes
+        assert sorted(p.name for p in out.glob("*.irts")) == ["seq_0000.irts", "seq_0001.irts"]
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +120,28 @@ class TestFlow:
         ])
         assert code == 0
         assert overlay.read_bytes().startswith(b"P6\n")
+
+    def test_train_config_override_reaches_model(self, workspace, tmp_path):
+        overrides = tmp_path / "overrides.txt"
+        overrides.write_text("# small forest\nrf.n_trees = 3\nrf.min_leaf = 7\n")
+        model = tmp_path / "model.izm"
+        assert main([
+            "train", "--manifest", str(workspace / "train" / "manifest.txt"),
+            "--config", str(overrides), "--seed", "17", "--model-out", str(model),
+        ]) == 0
+        for stage in io.load_cascade(model).stages.values():
+            assert (stage.config.n_trees, stage.config.min_leaf) == (3, 7)
+            assert stage.config.max_depth == 12  # untouched default
+
+    def test_train_unknown_config_key_is_data_error(self, workspace, tmp_path, capsys):
+        overrides = tmp_path / "overrides.txt"
+        overrides.write_text("rf.n_tree = 5\n")
+        assert main([
+            "train", "--manifest", str(workspace / "train" / "manifest.txt"),
+            "--config", str(overrides), "--model-out", str(tmp_path / "model.izm"),
+        ]) == 2
+        assert "'rf.n_tree'" in capsys.readouterr().err
+        assert not (tmp_path / "model.izm").exists()
 
     def test_infer_without_calibration_uses_neutral_threshold(self, workspace, tmp_path):
         overrides = tmp_path / "overrides.txt"

@@ -10,7 +10,6 @@ from irzone.features import (
     FEATURE_DIM,
     FEATURE_NAMES,
     Standardizer,
-    apply_standardizer,
     extract_features,
     fit_standardizer,
 )
@@ -91,7 +90,7 @@ class TestStandardizer:
     def test_dimension_mismatch_rejected(self):
         s = fit_standardizer(np.zeros((5, 3)))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            apply_standardizer(s, np.zeros((5, 4)))
+            s.apply(np.zeros((5, 4)))
 
     def test_rejects_empty_training_matrix(self):
         with pytest.raises(ValueError, match="non-empty"):

@@ -1,5 +1,7 @@
 """File formats: sequence container, mask files, model persistence, overlays."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from irzone import io_formats as io
 from irzone.features import FEATURE_DIM
 from irzone.phantom import ThermalSequence
 from irzone.zones import Mode, ZoneLabel, ZoneMask
+
+from conftest import write_model_block
 
 
 def random_sequence(seed=0, shape=(3, 6, 5)):
@@ -81,6 +85,23 @@ class TestMaskFile:
         with pytest.raises(io.FormatError, match="sidecar"):
             io.read_mask(path)
 
+    @pytest.mark.parametrize("key", ["mode", "pixel_size_m"])
+    def test_sidecar_without_key_rejected(self, tmp_path, key):
+        path = tmp_path / "m.pgm"
+        io.write_mask(path, self.mask(), Mode.ON)
+        meta = tmp_path / "m.pgm.meta"
+        kept = [l for l in meta.read_text().splitlines() if not l.startswith(key + " ")]
+        meta.write_text("\n".join(kept) + "\n")
+        with pytest.raises(io.FormatError, match=f"missing {key}"):
+            io.read_mask(path)
+
+    def test_binary_sidecar_rejected(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        io.write_mask(path, self.mask(), Mode.ON)
+        (tmp_path / "m.pgm.meta").write_bytes(b"\xff\xfe")
+        with pytest.raises(io.FormatError, match="not text"):
+            io.read_mask(path)
+
     def test_mode_legality_enforced_on_write(self, tmp_path):
         with pytest.raises(ValueError, match="illegal"):
             io.write_mask(tmp_path / "m.pgm", self.mask(), Mode.OFF)
@@ -114,6 +135,30 @@ class TestParameterBlock:
     def test_packing_is_deterministic(self):
         state = {"a": np.ones(4), "b": [1, 2.0, "x"]}
         assert io._pack(state) == io._pack(state)
+
+    @pytest.mark.parametrize("block", [b"B", b"I\x01", b"A\x05"])
+    def test_block_ending_inside_a_value_is_format_error(self, block):
+        with pytest.raises(io.FormatError, match="ends inside a value"):
+            io._unpack(block)
+
+    @pytest.mark.parametrize("block", [
+        b"S" + struct.pack("<I", 1) + b"\xff",
+        b"D" + struct.pack("<I", 1) + b"NN",
+        b"A" + struct.pack("<I", 2) + b"|O" + struct.pack("<Iq", 1, 1) + bytes(8),
+        b"A" + struct.pack("<I", 3) + b"<f8" + struct.pack("<Iqq", 2, -1, -1) + bytes(8),
+        b"L\x01\x00\x00\x00" * 5000 + b"N",
+    ], ids=["string-not-utf8", "key-not-string", "object-array", "negative-shape",
+            "nested-too-deeply"])
+    def test_malformed_block_is_format_error(self, block, tmp_path):
+        path = write_model_block(tmp_path / "model.izm", block)
+        with pytest.raises(io.FormatError):
+            io.read_model_state(path)
+
+    def test_every_truncation_is_format_error(self):
+        block = io._pack({"a": np.arange(3), "b": [True, 2, 3.0, "x", None]})
+        for n in range(len(block)):
+            with pytest.raises(io.FormatError):
+                io._unpack(block[:n])
 
 
 def tiny_cascade(seed=0):
@@ -156,6 +201,16 @@ class TestModelFile:
         path.write_text(text[:idx] + flipped + text[idx + 1 :])
         with pytest.raises(io.ChecksumError):
             io.read_model_state(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = write_model_block(tmp_path / "model.izm", io._pack({"kind": "cascade"}) + b"N")
+        with pytest.raises(io.FormatError, match="1 bytes after the parameter block"):
+            io.read_model_state(path)
+
+    def test_non_dict_state_rejected(self, tmp_path):
+        path = write_model_block(tmp_path / "model.izm", b"N")
+        with pytest.raises(io.FormatError, match="not a cascade"):
+            io.load_cascade(path)
 
     def test_missing_sections_rejected(self, tmp_path):
         path = tmp_path / "model.izm"

@@ -1,5 +1,7 @@
 """Synthetic phantom generator: recovery model, geometry, noise, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from irzone.phantom import (
     build_zone_mask,
     generate_phantom,
     recovery_curve,
-    replace_config,
 )
 from irzone.zones import Mode, ZoneLabel
 
@@ -79,7 +80,7 @@ class TestGeneratePhantom:
         # residual std vs the noiseless twin within 10% of the configured sigma
         config = small_config(width=128, height=96, n_frames=10, noise_sigma=0.03)
         noisy, _, _ = generate_phantom(config, seed=21)
-        clean, _, _ = generate_phantom(replace_config(config, noise_sigma=0.0), seed=21)
+        clean, _, _ = generate_phantom(dataclasses.replace(config, noise_sigma=0.0), seed=21)
         resid = noisy.data.astype(np.float64) - clean.data.astype(np.float64)
         assert resid.size >= 10_000
         assert np.std(resid) == pytest.approx(0.03, rel=0.10)

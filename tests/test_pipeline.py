@@ -9,6 +9,7 @@ from irzone.phantom import default_config_sampler, generate_phantom
 from irzone.pipeline import (
     ManifestEntry,
     auto_zpr,
+    load_features,
     make_dataset,
     preprocess_sequence,
     read_manifest,
@@ -117,3 +118,19 @@ class TestPreprocessSequence:
         assert np.all(np.isfinite(sf.features))
         # a clean, still sequence should yield almost no degenerate pixels
         assert np.mean(sf.features[:, -1]) < 0.05
+
+
+class TestLoadFeatures:
+    def test_regenerated_sequence_is_preprocessed_again(self, tmp_path):
+        make_dataset(tmp_path, n_sequences=1, config_sampler=tiny_sampler(Mode.ON), seed=1)
+        path = tmp_path / "seq_0000.irts"
+        first = load_features(path).features
+        make_dataset(tmp_path, n_sequences=1, config_sampler=tiny_sampler(Mode.ON), seed=2)
+        second = load_features(path).features
+        assert np.array_equal(second, preprocess_sequence(io.read_sequence(path)).features)
+        assert not np.array_equal(first, second)
+
+    def test_unchanged_sequence_is_served_from_cache(self, tmp_path):
+        make_dataset(tmp_path, n_sequences=1, config_sampler=tiny_sampler(Mode.ON), seed=1)
+        path = tmp_path / "seq_0000.irts"
+        assert load_features(path) is load_features(tmp_path / "." / "seq_0000.irts")

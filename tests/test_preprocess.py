@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from irzone.phantom import OccluderSpec, bilinear_shift, generate_phantom, recovery_curve
+from irzone.phantom import OccluderSpec, generate_phantom, recovery_curve
 from irzone.preprocess import (
     PipelineAbort,
+    bilinear_sample,
     estimate_shift,
     fit_recovery,
     fit_recovery_batch,
@@ -24,8 +25,17 @@ def shifted_pair(dx, dy, seed=0, size=50, pad=20):
         dxi, dyi = int(dx), int(dy)
         tgt = big[pad - dyi : pad - dyi + size, pad - dxi : pad - dxi + size]
     else:
-        tgt = bilinear_shift(big, dx, dy)[pad : pad + size, pad : pad + size]
+        tgt = bilinear_sample(big, -dx, -dy)[0][pad : pad + size, pad : pad + size]
     return ref, tgt
+
+
+class TestBilinearSample:
+    def test_integer_shift_is_exact_and_marks_exposed_border(self):
+        f = smooth_texture((20, 24), seed=3)
+        out, valid = bilinear_sample(f, 2.0, -1.0)  # out[y, x] = f[y - 1, x + 2]
+        assert np.array_equal(out[1:, :-2], f[:-1, 2:])
+        assert valid[1:, :-2].all()
+        assert not valid[0].any() and not valid[:, -2:].any()
 
 
 class TestEstimateShift:

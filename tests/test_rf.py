@@ -8,7 +8,6 @@ from irzone.models.rf import (
     RFConfig,
     RFModel,
     Tree,
-    oob_accuracy,
     rf_predict_proba,
     train_rf,
 )
@@ -55,11 +54,6 @@ class TestTrainRF:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="matching"):
             train_rf(np.zeros((4, 2)), np.array([0, 1]))
-
-    def test_oob_accuracy_on_separable_data(self):
-        x, y = separable_1d(n=400, seed=2)
-        model = train_rf(x, y, RFConfig(n_trees=40, min_leaf=1), seed=3)
-        assert oob_accuracy(model, x, y) >= 0.95
 
 
 class TestPredictProba:
