@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from .zones import HA_LEAVES, NA_LEAVES, ZoneLabel, ZoneMask
 
@@ -98,8 +98,8 @@ def accuracy_ci(correct: int, total: int, level: float = 0.95) -> tuple[float, f
     if not 0 <= correct <= total:
         raise ValueError("correct out of range")
     a = (1.0 - level) / 2.0
-    lo = 0.0 if correct == 0 else float(beta_dist.ppf(a, correct, total - correct + 1))
-    hi = 1.0 if correct == total else float(beta_dist.ppf(1 - a, correct + 1, total - correct))
+    lo = 0.0 if correct == 0 else float(betaincinv(correct, total - correct + 1, a))
+    hi = 1.0 if correct == total else float(betaincinv(correct + 1, total - correct, 1 - a))
     return lo, hi
 
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io_formats import FormatError, state_array, state_fields
+
 N_CURVE_SAMPLES = 8
 FEATURE_DIM = 16
 FEATURE_NAMES = (
@@ -125,7 +127,11 @@ class Standardizer:
 
     @classmethod
     def from_state(cls, state: dict) -> "Standardizer":
-        return cls(mean=np.asarray(state["mean"]), scale=np.asarray(state["scale"]))
+        vector = state_array(np.float64, 1)
+        mean, scale = state_fields(state, mean=vector, scale=vector)
+        if mean.shape != scale.shape:
+            raise FormatError(f"standardizer mean {mean.shape} and scale {scale.shape} differ")
+        return cls(mean=mean, scale=scale)
 
 
 def fit_standardizer(train_matrix) -> Standardizer:

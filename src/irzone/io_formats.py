@@ -269,6 +269,37 @@ def _unpack(raw: bytes, off: int = 0):
     raise FormatError(f"unknown tag {tag!r} at offset {off - 1}")
 
 
+def state_fields(state, **fields):
+    """The values of a decoded model state's fields, in the order given.
+
+    `fields` maps each required key to a converter for its value. Raises
+    FormatError when `state` is not a dict, lacks a key, or a converter
+    raises TypeError or ValueError.
+    """
+    if not isinstance(state, dict):
+        raise FormatError(f"model state is a {type(state).__name__}, not a dict")
+    missing = [key for key in fields if key not in state]
+    if missing:
+        raise FormatError(f"model state lacks {', '.join(missing)}")
+    values = []
+    for key, convert in fields.items():
+        try:
+            values.append(convert(state[key]))
+        except (TypeError, ValueError) as e:  # FormatError from a nested state too
+            raise FormatError(f"model state {key}: {e}") from e
+    return values
+
+
+def state_array(dtype, ndim):
+    """Converter for `state_fields`: an ndarray of `dtype` with `ndim` dimensions."""
+    def convert(value):
+        arr = np.asarray(value, dtype=dtype)
+        if arr.ndim != ndim:
+            raise ValueError(f"expected a {ndim}-d array, got {arr.ndim}-d")
+        return arr
+    return convert
+
+
 def write_model(path, model, header_extra: dict | None = None):
     state = model.to_state()
     block = _pack(state)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FEATURE_DIM, Standardizer, fit_standardizer
+from ..io_formats import FormatError, state_fields
 from ..zones import LEAF_LABELS, Mode, ZoneLabel
 from .rf import RFConfig, RFModel, rf_predict_proba, train_rf
 from .sdae import SDAEConfig, SDAEModel, train_sdae
@@ -69,16 +70,28 @@ class CascadeModel:
 
     @classmethod
     def from_state(cls, state: dict) -> "CascadeModel":
-        stages = {}
-        for name, s in state["stages"].items():
-            stages[name] = RFModel.from_state(s) if s["kind"] == "rf" else SDAEModel.from_state(s)
-        return cls(
-            mode=Mode.parse(state["mode"]),
-            backend=str(state["backend"]),
-            standardizer=Standardizer.from_state(state["standardizer"]),
-            stages=stages,
-            seed=int(state["seed"]),
+        mode, backend, standardizer, stages, seed = state_fields(
+            state,
+            mode=lambda v: Mode.parse(str(v)),
+            backend=str,
+            standardizer=Standardizer.from_state,
+            stages=dict,
+            seed=int,
         )
+        loaders = {"rf": RFModel.from_state, "sdae": SDAEModel.from_state}
+        if backend not in loaders:
+            raise FormatError(f"unknown backend {backend!r}")
+        if set(stages) != set(stages_for_mode(mode)):
+            raise FormatError(
+                f"mode {mode.value} needs stages {list(stages_for_mode(mode))}, "
+                f"got {list(stages)}"
+            )
+        for name, stage in stages.items():
+            if state_fields(stage, kind=str) != [backend]:
+                raise FormatError(f"stage {name} is not a {backend} model")
+            stages[name] = loaders[backend](stage)
+        return cls(mode=mode, backend=backend, standardizer=standardizer, stages=stages,
+                   seed=seed)
 
 
 def stage_targets(labels: np.ndarray):

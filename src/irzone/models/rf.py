@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..io_formats import FormatError, state_array, state_fields
+
 
 @dataclass(frozen=True)
 class RFConfig:
@@ -27,6 +29,26 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     leaf_frac: np.ndarray
+
+    @classmethod
+    def from_state(cls, state: dict, n_features: int) -> "Tree":
+        """A tree from its decoded state. Raises FormatError unless every
+        split feature is below `n_features` and every internal node's
+        children point forward within the tree, so prediction terminates."""
+        ints, floats = state_array(np.int64, 1), state_array(np.float64, 1)
+        tree = cls(*state_fields(state, feature=ints, threshold=floats, left=ints,
+                                 right=ints, leaf_frac=floats))
+        k = len(tree.feature)
+        if k == 0 or any(len(v) != k for v in (tree.threshold, tree.left, tree.right,
+                                                 tree.leaf_frac)):
+            raise FormatError("tree arrays are empty or differ in length")
+        inner = np.flatnonzero(tree.feature >= 0)
+        if np.any(tree.feature[inner] >= n_features):
+            raise FormatError(f"tree splits on a feature index >= n_features ({n_features})")
+        for child in (tree.left[inner], tree.right[inner]):
+            if np.any(child <= inner) or np.any(child >= k):
+                raise FormatError("tree child does not point forward within the tree")
+        return tree
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         node = np.zeros(X.shape[0], dtype=np.int64)
@@ -74,28 +96,18 @@ class RFModel:
 
     @classmethod
     def from_state(cls, state: dict) -> "RFModel":
-        cfg = RFConfig(
-            n_trees=int(state["n_trees"]),
-            max_depth=int(state["max_depth"]),
-            min_leaf=int(state["min_leaf"]),
-            features_per_split=int(state["features_per_split"]) or None,
+        n_trees, max_depth, min_leaf, per_split, n_features, seed, single_class, trees = (
+            state_fields(state, n_trees=int, max_depth=int, min_leaf=int,
+                         features_per_split=int, n_features=int, seed=int,
+                         single_class=bool, trees=list)
         )
-        trees = [
-            Tree(
-                feature=np.asarray(t["feature"], dtype=np.int64),
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                left=np.asarray(t["left"], dtype=np.int64),
-                right=np.asarray(t["right"], dtype=np.int64),
-                leaf_frac=np.asarray(t["leaf_frac"], dtype=np.float64),
-            )
-            for t in state["trees"]
-        ]
         return cls(
-            config=cfg,
-            trees=trees,
-            n_features=int(state["n_features"]),
-            seed=int(state["seed"]),
-            single_class=bool(state["single_class"]),
+            config=RFConfig(n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
+                            features_per_split=per_split or None),
+            trees=[Tree.from_state(t, n_features) for t in trees],
+            n_features=n_features,
+            seed=seed,
+            single_class=single_class,
         )
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..io_formats import FormatError, state_array, state_fields
+
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, message, trace):
@@ -39,6 +41,11 @@ def _softmax(z):
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _cross_entropy(p, y):
+    """Mean cross-entropy of softmax outputs p [N, 2] at integer labels y."""
+    return float(-np.mean(np.log(p[np.arange(len(y)), y] + 1e-12)))
 
 
 def pretrain_dae_layer(X, hidden_size, corruption=0.2, epochs=15, lr=0.05,
@@ -124,14 +131,18 @@ class SDAEModel:
         _, p = self.forward(X)
         return float(p[0, 1]) if single else p[:, 1]
 
+    def loss(self, X, y) -> float:
+        """Mean cross-entropy, from a forward pass only."""
+        _, p = self.forward(X)
+        return _cross_entropy(p, np.asarray(y, dtype=np.int64))
+
     def loss_and_grads(self, X, y):
         """Mean cross-entropy and analytic gradients for every parameter."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         n = X.shape[0]
         acts, p = self.forward(X)
-        eps = 1e-12
-        loss = float(-np.mean(np.log(p[np.arange(n), y] + eps)))
+        loss = _cross_entropy(p, y)
         delta = p.copy()
         delta[np.arange(n), y] -= 1.0
         delta /= n
@@ -155,12 +166,23 @@ class SDAEModel:
 
     @classmethod
     def from_state(cls, state: dict) -> "SDAEModel":
-        return cls(
-            layer_sizes=[int(v) for v in state["layer_sizes"]],
-            weights=[np.asarray(w, dtype=np.float64) for w in state["weights"]],
-            biases=[np.asarray(b, dtype=np.float64) for b in state["biases"]],
-            corruption=float(state["corruption"]),
+        matrix, vector = state_array(np.float64, 2), state_array(np.float64, 1)
+        sizes, weights, biases, corruption = state_fields(
+            state,
+            layer_sizes=lambda v: [int(n) for n in v],
+            weights=lambda v: [matrix(w) for w in v],
+            biases=lambda v: [vector(b) for b in v],
+            corruption=float,
         )
+        pairs = list(zip(sizes[:-1], sizes[1:]))
+        if (
+            len(sizes) < 2
+            or sizes[-1] != 2
+            or [w.shape for w in weights] != pairs
+            or [b.shape for b in biases] != [(n_out,) for _, n_out in pairs]
+        ):
+            raise FormatError(f"SDAE weight shapes do not chain through layer sizes {sizes}")
+        return cls(layer_sizes=sizes, weights=weights, biases=biases, corruption=corruption)
 
 
 def train_sdae(X, y, config: SDAEConfig = SDAEConfig(), seed: int = 0) -> SDAEModel:
@@ -223,10 +245,9 @@ def train_sdae(X, y, config: SDAEConfig = SDAEConfig(), seed: int = 0) -> SDAEMo
             for i in range(len(model.weights)):
                 model.weights[i] -= config.lr * gw[i]
                 model.biases[i] -= config.lr * gb[i]
-        ep_loss, _, _ = model.loss_and_grads(Xt, yt)
-        ft_losses.append(ep_loss)
+        ft_losses.append(model.loss(Xt, yt))
         if len(hold) > 0:
-            hold_loss, _, _ = model.loss_and_grads(X[hold], y[hold])
+            hold_loss = model.loss(X[hold], y[hold])
             if hold_loss < best_hold - 1e-9:
                 best_hold = hold_loss
                 best = ([w.copy() for w in model.weights], [b.copy() for b in model.biases])

@@ -55,6 +55,70 @@ def _parabolic_refine(scores, peak):
     return float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
 
 
+def _ncc_at(ref, tgt, ly, lx):
+    """NCC of `ref` and `tgt` over their overlap at lag (ly, lx); the exact score."""
+    h, w = ref.shape
+    # target content moved by (+lx, +ly): ref[y, x] ~ target[y+ly, x+lx]
+    ry0, ry1 = max(0, -ly), min(h, h - ly)
+    rx0, rx1 = max(0, -lx), min(w, w - lx)
+    a = ref[ry0:ry1, rx0:rx1]
+    b = tgt[ry0 + ly : ry1 + ly, rx0 + lx : rx1 + lx]
+    a0 = a - a.mean()
+    b0 = b - b.mean()
+    denom = np.sqrt((a0 * a0).sum() * (b0 * b0).sum())
+    return (a0 * b0).sum() / denom if denom > 0 else 0.0
+
+
+RESCORE_MARGIN = 1e-8
+TRUST_VAR_FRAC = 1e-3
+
+
+def _fast_ncc_surface(ref, tgt, m):
+    """Approximate NCC at every lag in [-m, m]^2, and which lags to trust.
+
+    Sum(ab) for all lags comes from one zero-padded FFT cross-correlation;
+    Sum(a), Sum(a^2), Sum(b), Sum(b^2) over each overlap rectangle come from
+    summed-area tables (Lewis 1995, "Fast Normalized Cross-Correlation").
+    Frames are centred on their own means first, which leaves every score
+    unchanged and keeps the variance subtraction well conditioned.
+    """
+    from scipy import fft
+
+    h, w = ref.shape
+    a = ref - ref.mean()
+    b = tgt - tgt.mean()
+    shape = (fft.next_fast_len(h + m, real=True), fft.next_fast_len(w + m, real=True))
+    xcorr = fft.irfft2(np.conj(fft.rfft2(a, shape)) * fft.rfft2(b, shape), shape)
+    lags = np.arange(-m, m + 1)
+    sab = xcorr[np.ix_(lags % shape[0], lags % shape[1])]
+
+    # overlap rows of ref are [max(0, -ly), min(h, h - ly)), of tgt shifted by ly
+    ry0, ry1 = np.maximum(0, -lags), np.minimum(h, h - lags)
+    rx0, rx1 = np.maximum(0, -lags), np.minimum(w, w - lags)
+
+    def overlap_sums(frame, dy, dx):
+        sat = np.zeros((h + 1, w + 1))
+        sat[1:, 1:] = frame.cumsum(axis=0).cumsum(axis=1)
+        y0, y1 = (ry0 + dy)[:, None], (ry1 + dy)[:, None]
+        x0, x1 = (rx0 + dx)[None, :], (rx1 + dx)[None, :]
+        return sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]
+
+    n = (ry1 - ry0)[:, None] * (rx1 - rx0)[None, :]
+    a2, b2 = a * a, b * b
+    sa, saa = overlap_sums(a, 0, 0), overlap_sums(a2, 0, 0)
+    sb, sbb = overlap_sums(b, lags, lags), overlap_sums(b2, lags, lags)
+    var_a = saa - sa * sa / n
+    var_b = sbb - sb * sb / n
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        scores = (sab - sa * sb / n) / np.sqrt(var_a * var_b)
+        trusted = (
+            (var_a > TRUST_VAR_FRAC * a2.sum())
+            & (var_b > TRUST_VAR_FRAC * b2.sum())
+            & np.isfinite(scores)
+        )
+    return scores, trusted
+
+
 def estimate_shift(reference, target, max_shift=DEFAULT_MAX_SHIFT, highpass_sigma=4.0):
     """Translation of `target` content relative to `reference`.
 
@@ -66,6 +130,19 @@ def estimate_shift(reference, target, max_shift=DEFAULT_MAX_SHIFT, highpass_sigm
     the large-scale warm/cold contrast between tissue regions over time,
     which anticorrelates raw frames taken far apart, while the fine texture
     keeps its sign throughout.
+
+    Every score this returns or refines with is the exact per-lag score of
+    `_ncc_at`; a fast surface for all lags at once (`_fast_ncc_surface`)
+    only decides which lags need it. Rescored are every lag within
+    RESCORE_MARGIN of the fast maximum, every lag the fast surface cannot
+    trust (overlap variance at most TRUST_VAR_FRAC of the frame energy, or a
+    non-finite score), and the 4 neighbours the refinement reads. On a
+    trusted lag the fast score differs from the exact one by rounding only:
+    about 1e-15 in practice, and to first order at most ~30 (h + w) eps /
+    TRUST_VAR_FRAC (about 4e-9 at 320x240) from the summed-area tables. So
+    every lag left out scores below the rescored maximum, and the peak, its
+    raster-order tie-break (np.argmax's), the fatal flag, the refinement and
+    `peak_score` are the same floats as scoring all lags exactly.
     """
     from scipy.ndimage import gaussian_filter
 
@@ -80,23 +157,20 @@ def estimate_shift(reference, target, max_shift=DEFAULT_MAX_SHIFT, highpass_sigm
         reference = reference - gaussian_filter(reference, highpass_sigma, mode="nearest")
         target = target - gaussian_filter(target, highpass_sigma, mode="nearest")
     m = int(max_shift)
+    fast, trusted = _fast_ncc_surface(reference, target, m)
+    rescore = ~trusted
+    if trusted.any():
+        rescore |= fast >= fast[trusted].max() - RESCORE_MARGIN
     scores = np.full((2 * m + 1, 2 * m + 1), -np.inf)
-    for iy, ly in enumerate(range(-m, m + 1)):
-        for ix, lx in enumerate(range(-m, m + 1)):
-            # target content moved by (+lx, +ly): ref[y, x] ~ target[y+ly, x+lx]
-            ry0, ry1 = max(0, -ly), min(h, h - ly)
-            rx0, rx1 = max(0, -lx), min(w, w - lx)
-            a = reference[ry0:ry1, rx0:rx1]
-            b = target[ry0 + ly : ry1 + ly, rx0 + lx : rx1 + lx]
-            a0 = a - a.mean()
-            b0 = b - b.mean()
-            denom = np.sqrt((a0 * a0).sum() * (b0 * b0).sum())
-            scores[iy, ix] = (a0 * b0).sum() / denom if denom > 0 else 0.0
+    for iy, ix in zip(*np.nonzero(rescore)):
+        scores[iy, ix] = _ncc_at(reference, target, iy - m, ix - m)
     py, px = np.unravel_index(np.argmax(scores), scores.shape)
     fatal = py in (0, 2 * m) or px in (0, 2 * m)
     dy = float(py - m)
     dx = float(px - m)
     if not fatal and scores[py, px] < 1.0 - 1e-9:  # a perfect peak is already exact
+        for iy, ix in ((py, px - 1), (py, px + 1), (py - 1, px), (py + 1, px)):
+            scores[iy, ix] = _ncc_at(reference, target, iy - m, ix - m)
         dx += _parabolic_refine(scores[py, :], px)
         dy += _parabolic_refine(scores[:, px], py)
     peak = float(np.clip(scores[py, px], 0.0, 1.0))

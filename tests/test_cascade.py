@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from irzone.features import FEATURE_DIM, Standardizer
+from irzone.io_formats import FormatError
 from irzone.models.cascade import (
     CascadeConfig,
     CascadeModel,
@@ -172,3 +173,37 @@ class TestPersistence:
         p1 = prob_matrix(cascade_predict(model, probe))
         p2 = prob_matrix(cascade_predict(restored, probe))
         assert np.array_equal(p1, p2)
+
+
+class TestFromStateValidation:
+    def state(self):
+        model = CascadeModel(
+            mode=Mode.ON, backend="rf", standardizer=identity_standardizer(),
+            stages={"C1": constant_forest(0.5), "C4": constant_forest(0.5)},
+        )
+        return model.to_state()
+
+    def test_valid_state_loads(self):
+        assert set(CascadeModel.from_state(self.state()).stages) == {"C1", "C4"}
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda s: s.pop("stages"), "lacks stages"),
+        (lambda s: s["stages"].pop("C4"), "needs stages"),
+        (lambda s: s["stages"].__setitem__("C2", s["stages"]["C1"]), "needs stages"),
+        (lambda s: s.__setitem__("backend", "sdae"), "not a sdae model"),
+        (lambda s: s.__setitem__("backend", "svm"), "unknown backend"),
+        (lambda s: s.__setitem__("mode", "Sideways"), "unknown mode"),
+        (lambda s: s["standardizer"].__setitem__("scale", np.ones(3)), "differ"),
+        (lambda s: s["stages"]["C1"].pop("kind"), "lacks kind"),
+        (lambda s: s["stages"]["C4"]["trees"][0].pop("left"), "lacks left"),
+    ], ids=["no-stages", "missing-stage", "extra-stage", "stage-kind", "unknown-backend",
+            "unknown-mode", "standardizer-shape", "stage-without-kind", "tree-without-left"])
+    def test_malformed_state_rejected(self, corrupt, match):
+        state = self.state()
+        corrupt(state)
+        with pytest.raises(FormatError, match=match):
+            CascadeModel.from_state(state)
+
+    def test_bare_kind_rejected(self):
+        with pytest.raises(FormatError, match="lacks"):
+            CascadeModel.from_state({"kind": "cascade"})

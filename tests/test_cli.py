@@ -35,6 +35,35 @@ class TestExitCodes:
         assert "ends inside a value" in capsys.readouterr().err
 
 
+    def test_model_state_without_fields_is_data_error(self, tmp_path, capsys):
+        model = write_model_block(tmp_path / "bad.izm", io._pack({"kind": "cascade"}))
+        code = main(["infer", "--model", str(model), "--in", str(tmp_path / "seq.irts"),
+                     "--out-mask", str(tmp_path / "pred.pgm")])
+        assert code == 2
+        assert "lacks" in capsys.readouterr().err
+
+    def test_self_loop_tree_is_data_error(self, tmp_path, capsys):
+        from irzone.features import FEATURE_DIM, Standardizer
+        from irzone.models import CascadeModel, RFConfig, RFModel
+        from irzone.models.rf import Tree
+        from irzone.zones import Mode
+
+        loop = Tree(feature=np.array([0, -1]), threshold=np.zeros(2), left=np.array([0, -1]),
+                    right=np.array([1, -1]), leaf_frac=np.array([0.5, 1.0]))
+        forest = RFModel(config=RFConfig(n_trees=1), trees=[loop], n_features=FEATURE_DIM, seed=0)
+        cascade = CascadeModel(
+            mode=Mode.ON, backend="rf",
+            standardizer=Standardizer(np.zeros(FEATURE_DIM), np.ones(FEATURE_DIM)),
+            stages={"C1": forest, "C4": forest},
+        )
+        model = tmp_path / "loop.izm"
+        io.write_model(model, cascade)
+        code = main(["infer", "--model", str(model), "--in", str(tmp_path / "seq.irts"),
+                     "--out-mask", str(tmp_path / "pred.pgm")])
+        assert code == 2
+        assert "point forward" in capsys.readouterr().err
+
+
 class TestGen:
     def test_zero_sequences_succeeds_with_empty_manifest(self, tmp_path):
         out = tmp_path / "ds"

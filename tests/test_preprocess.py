@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from irzone.phantom import OccluderSpec, generate_phantom, recovery_curve
+from irzone.phantom import (
+    EllipseSpec,
+    OccluderSpec,
+    PhantomConfig,
+    generate_phantom,
+    recovery_curve,
+)
 from irzone.preprocess import (
     PipelineAbort,
+    ShiftEstimate,
+    _parabolic_refine,
     bilinear_sample,
     estimate_shift,
     fit_recovery,
@@ -74,7 +82,139 @@ class TestEstimateShift:
             estimate_shift(np.zeros((8, 8)), np.zeros((8, 8)))
 
 
+def loop_estimate_shift(reference, target, max_shift=5, highpass_sigma=4.0):
+    """The direct 121-lag loop estimate_shift replaced, kept as its oracle."""
+    from scipy.ndimage import gaussian_filter
+
+    reference = np.asarray(reference, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    h, w = reference.shape
+    if highpass_sigma > 0:
+        reference = reference - gaussian_filter(reference, highpass_sigma, mode="nearest")
+        target = target - gaussian_filter(target, highpass_sigma, mode="nearest")
+    m = int(max_shift)
+    scores = np.full((2 * m + 1, 2 * m + 1), -np.inf)
+    for iy, ly in enumerate(range(-m, m + 1)):
+        for ix, lx in enumerate(range(-m, m + 1)):
+            # target content moved by (+lx, +ly): ref[y, x] ~ target[y+ly, x+lx]
+            ry0, ry1 = max(0, -ly), min(h, h - ly)
+            rx0, rx1 = max(0, -lx), min(w, w - lx)
+            a = reference[ry0:ry1, rx0:rx1]
+            b = target[ry0 + ly : ry1 + ly, rx0 + lx : rx1 + lx]
+            a0 = a - a.mean()
+            b0 = b - b.mean()
+            denom = np.sqrt((a0 * a0).sum() * (b0 * b0).sum())
+            scores[iy, ix] = (a0 * b0).sum() / denom if denom > 0 else 0.0
+    py, px = np.unravel_index(np.argmax(scores), scores.shape)
+    fatal = py in (0, 2 * m) or px in (0, 2 * m)
+    dy = float(py - m)
+    dx = float(px - m)
+    if not fatal and scores[py, px] < 1.0 - 1e-9:  # a perfect peak is already exact
+        dx += _parabolic_refine(scores[py, :], px)
+        dy += _parabolic_refine(scores[:, px], py)
+    peak = float(np.clip(scores[py, px], 0.0, 1.0))
+    return ShiftEstimate(dx=dx, dy=dy, peak_score=peak, fatal=fatal)
+
+
+def assert_matches_loop(reference, target, **kw):
+    est = estimate_shift(reference, target, **kw)
+    assert est == loop_estimate_shift(reference, target, **kw)
+    return est
+
+
+class TestEstimateShiftMatchesLoop:
+    """The fast surface only picks which lags to score exactly, so every
+    result must equal the direct loop's bit for bit."""
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    @pytest.mark.parametrize("highpass_sigma", [4.0, 0.0])
+    def test_consecutive_phantom_frames(self, seed, highpass_sigma):
+        rng = np.random.default_rng(seed)
+        schedule = [tuple(v) for v in np.cumsum(rng.uniform(-0.6, 0.6, (30, 2)), axis=0)]
+        config = small_config(shift_schedule=schedule, noise_sigma=0.03)
+        seq, _, _ = generate_phantom(config, seed=seed)
+        for i in range(1, seq.n_frames):
+            assert_matches_loop(seq.data[i - 1], seq.data[i], highpass_sigma=highpass_sigma)
+
+    def test_integer_shifts_including_fatal_boundary_peaks(self):
+        fatal = []
+        for d in range(-6, 7):
+            for dx, dy in ((d, 0), (0, d), (d, -d), (d, 2)):
+                ref, tgt = shifted_pair(dx, dy, seed=7, size=40, pad=8)
+                fatal.append(assert_matches_loop(ref, tgt).fatal)
+        assert any(fatal) and not all(fatal)
+
+    def test_identical_frames_peak_at_one(self):
+        f = smooth_texture((30, 40), seed=9)
+        assert assert_matches_loop(f, f).peak_score == 1.0
+
+    def test_constant_frames_have_no_denominator(self):
+        flat = np.full((24, 24), 30.0)
+        assert_matches_loop(flat, flat)
+        assert_matches_loop(flat, smooth_texture((24, 24), seed=10))
+        assert_matches_loop(smooth_texture((24, 24), seed=10), flat, highpass_sigma=0.0)
+
+    def test_exact_ties_break_in_raster_order(self):
+        # periodic in 4 rows and 3 columns: several lags score exactly 1.0
+        periodic = np.tile(np.random.default_rng(13).normal(size=(4, 3)), (10, 14))
+        for h, w in ((16, 25), (17, 37), (36, 40)):
+            f = periodic[:h, :w]
+            assert_matches_loop(f, f, highpass_sigma=0.0)
+            assert_matches_loop(f, f)
+
+    def test_near_constant_overlaps_are_scored_directly(self):
+        # outside the textured corners every overlap is constant, and the
+        # fast surface's variances there are rounding noise
+        rng = np.random.default_rng(14)
+        for k in range(1, 6):
+            ref = np.full((36, 31), 30.0 + rng.normal())
+            ref[:k, :k] += rng.normal(size=(k, k)) * 10.0 ** rng.uniform(-12, 0)
+            tgt = np.full((36, 31), 30.0)
+            tgt[-k:, -k:] += rng.normal(size=(k, k))
+            assert_matches_loop(ref, tgt, highpass_sigma=0.0)
+            assert_matches_loop(tgt, ref, highpass_sigma=0.0)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (16, 40), (45, 17)])
+    def test_small_and_non_square_frames(self, shape):
+        big = smooth_texture((shape[0] + 8, shape[1] + 8), seed=11)
+        ref = big[4 : 4 + shape[0], 4 : 4 + shape[1]]
+        tgt = big[3 : 3 + shape[0], 6 : 6 + shape[1]]  # content moved by (-2, +1)
+        assert_matches_loop(ref, tgt)
+        assert_matches_loop(ref, tgt, highpass_sigma=0.0)
+
+    @pytest.mark.parametrize("max_shift", [1, 5, 7])
+    def test_window_sizes(self, max_shift):
+        for dx, dy in ((0, 0), (1, -1), (2.4, -0.7), (6, 3)):
+            ref, tgt = shifted_pair(dx, dy, seed=12, size=36, pad=10)
+            assert_matches_loop(ref, tgt, max_shift=max_shift)
+
+
 class TestRegisterSequence:
+    def test_seeded_run_matches_recorded_estimates(self):
+        # recorded with the direct 121-lag loop; frame 5 jumps past the window
+        schedule = [(0.0, 0.0), (0.4, 0.0), (0.9, -0.3), (1.3, -0.7), (1.3, -0.7),
+                    (7.3, -0.7), (1.6, -1.2), (2.2, -1.5), (2.2, -1.5), (2.7, -1.1),
+                    (3.1, -0.6), (3.1, -0.6)]
+        config = PhantomConfig(width=96, height=72, n_frames=12, nwa_margin=8,
+                               tumors=[EllipseSpec(center=(48.0, 36.0), axes=(14.0, 10.0))],
+                               shift_schedule=schedule)
+        seq, _, _ = generate_phantom(config, seed=5)
+        _, report = register_sequence(seq)
+        assert report.shifts == [ShiftEstimate(*v) for v in [
+            (0.0, 0.0, 1.0, False),
+            (0.386545274619879, 0.004345751055030993, 0.9699218976926802, False),
+            (0.9053326878189764, -0.2635679027178377, 0.9686291124233798, False),
+            (1.2685858007233561, -0.6841986657459824, 0.9580272353322439, False),
+            (1.235539428553889, -0.7104075390504844, 0.9565343554570332, False),
+            (5.0, -1.0, 0.6563755416590913, True),
+            (1.5410982143188192, -1.155001119848492, 0.9048035461381934, False),
+            (2.1249133846931008, -1.4503903600641668, 0.9441329663128375, False),
+            (2.1247013875003455, -1.4398882065387686, 0.9495263193534803, False),
+            (2.643726950792841, -1.008296426112348, 0.9624597831596089, False),
+            (3.009430811563841, -0.5211734062924509, 0.9510094736266055, False),
+            (2.998742731873218, -0.5203442933421123, 0.9606026485825732, False),
+        ]]
+
     def test_zero_schedule_is_identity(self, clean_phantom):
         seq, _, _ = clean_phantom
         out, report = register_sequence(seq)

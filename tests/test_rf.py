@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from irzone.io_formats import _pack
+from irzone.io_formats import FormatError, _pack
 from irzone.models.rf import (
     RFConfig,
     RFModel,
@@ -99,3 +99,56 @@ class TestPersistence:
         assert np.array_equal(
             rf_predict_proba(model, probe), rf_predict_proba(restored, probe)
         )
+
+
+def two_split_state():
+    """A valid forest state with two splits: node 0 -> (1, 2), node 2 -> (3, 4)."""
+    tree = Tree(
+        feature=np.array([0, -1, 1, -1, -1]),
+        threshold=np.zeros(5),
+        left=np.array([1, -1, 3, -1, -1]),
+        right=np.array([2, -1, 4, -1, -1]),
+        leaf_frac=np.array([0.5, 0.0, 0.5, 0.0, 1.0]),
+    )
+    return RFModel(config=RFConfig(n_trees=1), trees=[tree], n_features=2, seed=0).to_state()
+
+
+class TestFromStateValidation:
+    def test_valid_state_loads(self):
+        model = RFModel.from_state(two_split_state())
+        assert rf_predict_proba(model, np.array([[1.0, 1.0]])) == 1.0
+
+    @pytest.mark.parametrize("key, node, value, match", [
+        ("left", 0, 0, "forward"),         # self-loop: prediction would never end
+        ("left", 2, 0, "forward"),         # cycle back to the root
+        ("right", 2, 5, "forward"),        # past the last node
+        ("feature", 2, 2, "n_features"),   # only features 0 and 1 exist
+    ])
+    def test_bad_tree_rejected(self, key, node, value, match):
+        state = two_split_state()
+        state["trees"][0][key][node] = value
+        with pytest.raises(FormatError, match=match):
+            RFModel.from_state(state)
+
+    def test_tree_arrays_of_different_length_rejected(self):
+        state = two_split_state()
+        state["trees"][0]["threshold"] = np.zeros(4)
+        with pytest.raises(FormatError, match="differ in length"):
+            RFModel.from_state(state)
+
+    def test_missing_keys_rejected(self):
+        state = two_split_state()
+        del state["n_features"]
+        with pytest.raises(FormatError, match="lacks n_features"):
+            RFModel.from_state(state)
+        state = two_split_state()
+        del state["trees"][0]["leaf_frac"]
+        with pytest.raises(FormatError, match="lacks leaf_frac"):
+            RFModel.from_state(state)
+
+    def test_wrong_value_types_rejected(self):
+        for key, value in (("trees", None), ("n_trees", [1]), ("seed", "x")):
+            state = two_split_state()
+            state[key] = value
+            with pytest.raises(FormatError, match=key):
+                RFModel.from_state(state)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from irzone.io_formats import FormatError
 from irzone.models.sdae import (
     SDAEConfig,
     SDAEModel,
@@ -94,6 +95,11 @@ class TestTrainSDAE:
         with pytest.raises(ValueError, match="binary"):
             train_sdae(np.zeros((4, 2)), np.array([0, 2, 1, 0]))
 
+    def test_forward_only_loss_equals_loss_and_grads(self):
+        x, y = separable_data(seed=5)
+        model = train_sdae(x, y, SDAEConfig(hidden_sizes=(4, 3), finetune_epochs=3), seed=0)
+        assert model.loss(x, y) == model.loss_and_grads(x, y)[0]
+
     def test_training_trace_recorded(self):
         x, y = separable_data(seed=5)
         model = train_sdae(x, y, SDAEConfig(hidden_sizes=(4,), finetune_epochs=5), seed=0)
@@ -128,3 +134,35 @@ class TestPersistence:
         model = train_sdae(x, y, SDAEConfig(hidden_sizes=(4,), finetune_epochs=2), seed=1)
         with pytest.raises(ValueError, match="dimension mismatch"):
             model.predict_proba(np.zeros((3, 7)))
+
+
+class TestFromStateValidation:
+    def state(self):
+        x, y = separable_data(seed=6)
+        model = train_sdae(x, y, SDAEConfig(hidden_sizes=(4, 3), finetune_epochs=1), seed=1)
+        return model.to_state()
+
+    def test_valid_state_loads(self):
+        assert SDAEModel.from_state(self.state()).layer_sizes == [1, 4, 3, 2]
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda s: s["weights"].__setitem__(1, s["weights"][1].T),   # [3, 4] after [1, 4]
+        lambda s: s["biases"].__setitem__(0, np.zeros(5)),
+        lambda s: s["weights"].pop(),
+        lambda s: s.__setitem__("layer_sizes", [1, 4, 3, 3]),
+    ], ids=["transposed-weight", "bias-length", "missing-layer", "three-way-head"])
+    def test_weight_shapes_that_do_not_chain_rejected(self, corrupt):
+        state = self.state()
+        corrupt(state)
+        with pytest.raises(FormatError, match="chain"):
+            SDAEModel.from_state(state)
+
+    def test_missing_key_and_bad_array_rejected(self):
+        state = self.state()
+        del state["biases"]
+        with pytest.raises(FormatError, match="lacks biases"):
+            SDAEModel.from_state(state)
+        state = self.state()
+        state["weights"][0] = np.zeros(4)
+        with pytest.raises(FormatError, match="2-d"):
+            SDAEModel.from_state(state)
