@@ -171,23 +171,21 @@ class DecisionThresholds:
 
 def fit_thresholds(p_ha, is_ha, alpha, beta) -> DecisionThresholds:
     """Largest HA threshold whose calibration false-negative rate stays within
-    `beta`; falls back to the FNR-minimizing threshold when none qualifies."""
+    `beta`. The candidates are the distinct scores; the smallest always
+    qualifies, since no HA score lies below it."""
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise ValueError("alpha, beta must be in (0, 1)")
     p = np.asarray(p_ha, dtype=np.float64).ravel()
     ha = np.asarray(is_ha, dtype=bool).ravel()
     if not ha.any() or ha.all():
         raise ValueError("calibration set must contain both NA and HA pixels")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("calibration scores must be finite")
     cands = np.unique(p)
-    best_theta = None
-    for theta in cands[::-1]:  # largest first
-        fnr = float(np.mean(p[ha] < theta))
-        if fnr <= beta:
-            best_theta = float(theta)
-            break
-    if best_theta is None:
-        fnrs = [float(np.mean(p[ha] < th)) for th in cands]
-        best_theta = float(cands[int(np.argmin(fnrs))])
+    # HA scores below each candidate, over the HA count: the same float as
+    # the mean of the boolean `p[ha] < theta`
+    fnr = np.searchsorted(np.sort(p[ha]), cands, side="left") / np.count_nonzero(ha)
+    best_theta = float(cands[np.flatnonzero(fnr <= beta)[-1]])
     ach_beta = float(np.mean(p[ha] < best_theta))
     ach_alpha = float(np.mean(p[~ha] >= best_theta))
     return DecisionThresholds(alpha=alpha, beta=beta, theta_ha=best_theta,

@@ -69,6 +69,7 @@ def _ncc_at(ref, tgt, ly, lx):
     return (a0 * b0).sum() / denom if denom > 0 else 0.0
 
 
+HIGHPASS_SIGMA = 4.0  # px
 RESCORE_MARGIN = 1e-8
 TRUST_VAR_FRAC = 1e-3
 
@@ -119,7 +120,18 @@ def _fast_ncc_surface(ref, tgt, m):
     return scores, trusted
 
 
-def estimate_shift(reference, target, max_shift=DEFAULT_MAX_SHIFT, highpass_sigma=4.0):
+def _highpass(frame, sigma):
+    """Frame as float64 minus its Gaussian blur (the frame itself at sigma 0)."""
+    from scipy.ndimage import gaussian_filter
+
+    frame = np.asarray(frame, dtype=np.float64)
+    if sigma > 0:
+        frame = frame - gaussian_filter(frame, sigma, mode="nearest")
+    return frame
+
+
+def estimate_shift(reference, target, max_shift=DEFAULT_MAX_SHIFT,
+                   highpass_sigma=HIGHPASS_SIGMA):
     """Translation of `target` content relative to `reference`.
 
     Integer-lag normalized cross-correlation over a (2m+1)^2 window, refined
@@ -144,18 +156,18 @@ def estimate_shift(reference, target, max_shift=DEFAULT_MAX_SHIFT, highpass_sigm
     raster-order tie-break (np.argmax's), the fatal flag, the refinement and
     `peak_score` are the same floats as scoring all lags exactly.
     """
-    from scipy.ndimage import gaussian_filter
-
-    reference = np.asarray(reference, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if reference.shape != target.shape:
+    if np.shape(reference) != np.shape(target):
         raise ValueError("frame shapes differ")
+    return _shift_of_filtered(
+        _highpass(reference, highpass_sigma), _highpass(target, highpass_sigma), max_shift
+    )
+
+
+def _shift_of_filtered(reference, target, max_shift):
+    """`estimate_shift` on frames already high-pass filtered to float64."""
     h, w = reference.shape
     if h < 16 or w < 16:
         raise ValueError("frames must be at least 16x16")
-    if highpass_sigma > 0:
-        reference = reference - gaussian_filter(reference, highpass_sigma, mode="nearest")
-        target = target - gaussian_filter(target, highpass_sigma, mode="nearest")
     m = int(max_shift)
     fast, trusted = _fast_ncc_surface(reference, target, m)
     rescore = ~trusted
@@ -230,9 +242,10 @@ def register_sequence(seq, max_shift=DEFAULT_MAX_SHIFT):
     out = np.empty_like(seq.data, dtype=np.float32)
     out[0] = seq.data[0]
     report.shifts.append(ShiftEstimate(0.0, 0.0, 1.0))
-    prev = seq.data[0].astype(np.float64)
+    prev = _highpass(seq.data[0], HIGHPASS_SIGMA)  # the reference, filtered once
     for i in range(1, seq.n_frames):
-        est = estimate_shift(prev, seq.data[i], max_shift=max_shift)
+        cur = _highpass(seq.data[i], HIGHPASS_SIGMA)
+        est = _shift_of_filtered(prev, cur, max_shift)
         if not est.fatal and max(abs(est.dx), abs(est.dy)) < SNAP_EPS:
             est = ShiftEstimate(0.0, 0.0, est.peak_score)
         report.shifts.append(est)
@@ -241,13 +254,14 @@ def register_sequence(seq, max_shift=DEFAULT_MAX_SHIFT):
             continue  # reference frozen; frame is deleted downstream
         if est.dx == 0.0 and est.dy == 0.0:
             out[i] = seq.data[i]
+            prev = cur  # the new reference is this frame, already filtered
         else:
             aligned, v = bilinear_sample(
                 seq.data[i].astype(np.float64), est.dx, est.dy
             )
             out[i] = aligned.astype(np.float32)
             valid &= v
-        prev = out[i].astype(np.float64)
+            prev = _highpass(out[i], HIGHPASS_SIGMA)
     if all(s.fatal for s in report.shifts[1:]):
         raise PipelineAbort("all frames flagged fatal during registration")
     report.valid_mask = valid
@@ -320,13 +334,58 @@ class RecoveryFit:
     degenerate: bool
 
 
+GN_BLOCK = 4096  # pixels per Gauss-Newton block; keeps each [T, block] array in cache
+
+
+def _time_sum(x):
+    """Sum of x [T, M] over time, adding the rows in order from zero.
+
+    Not `x.sum(axis=0)`: on a single column that switches to pairwise
+    summation and changes the rounding.
+    """
+    acc = np.zeros(x.shape[1])
+    for row in x:
+        acc += row
+    return acc
+
+
+def _gauss_newton_step(yT, a, b, tau, t):
+    """Gauss-Newton steps [M, 3] in (T_base, dT, tau) for series yT [T, M]."""
+    tc = t[:, None]
+    e = np.exp(-tc / tau)                                # [T, M]
+    r = yT - (a - b * e)
+    # Jacobian columns of the model: j_a = 1, j_b = -e, j_tau
+    j_b = -e
+    j_tau = -b * e * (tc / tau**2)
+    JtJ = np.empty((len(a), 3, 3))
+    JtJ[:, 0, 0] = len(t)
+    JtJ[:, 0, 1] = JtJ[:, 1, 0] = _time_sum(j_b)
+    JtJ[:, 0, 2] = JtJ[:, 2, 0] = _time_sum(j_tau)
+    JtJ[:, 1, 1] = _time_sum(j_b * j_b)
+    JtJ[:, 1, 2] = JtJ[:, 2, 1] = _time_sum(j_b * j_tau)
+    JtJ[:, 2, 2] = _time_sum(j_tau * j_tau)
+    Jtr = np.stack([_time_sum(r), _time_sum(j_b * r), _time_sum(j_tau * r)], axis=1)
+    JtJ += 1e-12 * np.eye(3)[None, :, :]
+    return np.linalg.solve(JtJ, Jtr[:, :, None])[:, :, 0]
+
+
 def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
                        degenerate_range=DEGENERATE_RANGE_C):
     """Vectorized least-squares fit of T(t) = T_base - dT exp(-t/tau).
 
     series: [N, T] float array, times: [T]. Returns dict of [N] arrays
-    (t_base, dt, tau, rmse, degenerate). Init: T_base = max, dT = max - first
-    sample, tau from log-linear regression; refined by Gauss-Newton.
+    (t_base, dt, tau, rmse, degenerate, converged). Init: T_base = max,
+    dT = max - first sample, tau from log-linear regression; refined by
+    Gauss-Newton on the pixels still moving. `converged` is False where a
+    pixel was still moving when `max_iter` ran out.
+
+    The normal equations are built time-major from the Jacobian columns
+    (1, -exp(-t/tau), d f/d tau) without stacking them. Each of their sums
+    adds its products in strict time order starting from zero, whatever the
+    number of active pixels, which is the order of an einsum contraction of
+    the stacked [M, T, 3] Jacobian; the tests hold the two to the same bytes.
+    The active pixels are stepped in blocks of GN_BLOCK; every quantity is
+    per pixel, so blocking changes no float.
     """
     y = np.asarray(series, dtype=np.float64)
     t = np.asarray(times, dtype=np.float64)
@@ -336,7 +395,6 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
         raise ValueError("need at least 3 samples")
     if not np.all(np.diff(t) > 0):
         raise ValueError("times must be strictly increasing")
-    n, T = y.shape
 
     a = y.max(axis=1)
     b = a - y[:, 0]
@@ -347,7 +405,6 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
     eps = 1e-6
     z = np.log(np.maximum(a[:, None] + eps - y, 1e-12))
     t_mean = t.mean()
-    z_mean = z.mean(axis=1)
     denom = np.sum((t - t_mean) ** 2)
     slope = (z * (t - t_mean)).sum(axis=1) / denom
     with np.errstate(divide="ignore"):
@@ -355,30 +412,24 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
     tau = np.clip(tau, 1e-3, 1e7)
     b = np.maximum(b, 1e-9)
 
+    yT = np.ascontiguousarray(y.T)  # [T, N]
     active = ~degenerate
     for _ in range(max_iter):
         if not np.any(active):
             break
-        ai, bi, taui = a[active], b[active], tau[active]
-        e = np.exp(-t[None, :] / taui[:, None])          # [M, T]
-        f = ai[:, None] - bi[:, None] * e
-        r = y[active] - f
-        # Jacobian of f wrt (a, b, tau)
-        j_a = np.ones_like(e)
-        j_b = -e
-        j_tau = -bi[:, None] * e * (t[None, :] / (taui**2)[:, None])
-        J = np.stack([j_a, j_b, j_tau], axis=2)          # [M, T, 3]
-        JtJ = np.einsum("mti,mtj->mij", J, J)
-        Jtr = np.einsum("mti,mt->mi", J, r)
-        JtJ += 1e-12 * np.eye(3)[None, :, :]
-        step = np.linalg.solve(JtJ, Jtr[:, :, None])[:, :, 0]
+        idx = np.flatnonzero(active)
+        ai, bi, taui = a[idx], b[idx], tau[idx]
+        step = np.empty((len(idx), 3))
+        for k in range(0, len(idx), GN_BLOCK):
+            blk = slice(k, k + GN_BLOCK)
+            step[blk] = _gauss_newton_step(yT[:, idx[blk]], ai[blk], bi[blk], taui[blk], t)
         a_new = ai + step[:, 0]
         b_new = bi + step[:, 1]
         tau_new = np.clip(taui + step[:, 2], 1e-3, 1e7)
         a[active], b[active], tau[active] = a_new, b_new, tau_new
         norms = np.linalg.norm(step, axis=1)
         still = np.zeros_like(active)
-        still[np.flatnonzero(active)[norms >= tol]] = True
+        still[idx[norms >= tol]] = True
         active = still
 
     e = np.exp(-t[None, :] / np.clip(tau, 1e-3, 1e7)[:, None])
@@ -391,6 +442,7 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
         "tau": tau,
         "rmse": np.where(np.isfinite(rmse), rmse, 0.0),
         "degenerate": degenerate,
+        "converged": ~active,
     }
 
 

@@ -214,9 +214,66 @@ class TestFitThresholds:
         with pytest.raises(ValueError, match="alpha, beta"):
             fit_thresholds(np.array([0.5]), np.array([True]), 0.0, 0.05)
 
+    def test_rejects_non_finite_scores(self):
+        is_ha = np.array([True, True, False, False, True])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                fit_thresholds(np.array([0.1, 0.9, bad, 0.8, 0.2]), is_ha, 0.05, 0.05)
+
     def test_thresholds_serialize_to_lines(self):
         th = DecisionThresholds(0.05, 0.05, 0.5, 0.01, 0.02)
         assert any(line.startswith("theta_ha") for line in th.lines())
+
+
+def loop_fit_thresholds(p_ha, is_ha, alpha, beta):
+    """The per-candidate loop fit_thresholds replaced, kept as its oracle."""
+    p = np.asarray(p_ha, dtype=np.float64).ravel()
+    ha = np.asarray(is_ha, dtype=bool).ravel()
+    cands = np.unique(p)
+    best_theta = None
+    for theta in cands[::-1]:  # largest first
+        fnr = float(np.mean(p[ha] < theta))
+        if fnr <= beta:
+            best_theta = float(theta)
+            break
+    if best_theta is None:
+        fnrs = [float(np.mean(p[ha] < th)) for th in cands]
+        best_theta = float(cands[int(np.argmin(fnrs))])
+    ach_beta = float(np.mean(p[ha] < best_theta))
+    ach_alpha = float(np.mean(p[~ha] >= best_theta))
+    return DecisionThresholds(alpha=alpha, beta=beta, theta_ha=best_theta,
+                              achieved_alpha=ach_alpha, achieved_beta=ach_beta)
+
+
+class TestFitThresholdsMatchesLoop:
+    BETAS = (0.05, 0.5, 0.999)
+
+    def assert_matches(self, p, is_ha, betas=BETAS):
+        for beta in betas:
+            th = fit_thresholds(p, is_ha, 0.05, beta)
+            assert th == loop_fit_thresholds(p, is_ha, 0.05, beta)
+
+    def test_random_scores_with_ties(self):
+        rng = np.random.default_rng(8)
+        for decimals in (1, 2, 6):
+            p = np.round(rng.random(500), decimals)
+            self.assert_matches(p, rng.random(500) < 0.4)
+
+    def test_all_equal_scores(self):
+        self.assert_matches(np.full(7, 0.25), np.array([1, 0, 1, 1, 0, 0, 1], dtype=bool))
+
+    def test_fnr_exactly_equal_to_beta(self):
+        # 4 HA scores; 0.4, 0.6 and 0.7 leave exactly 1/4, 2/4 and 3/4 below
+        p = np.array([0.2, 0.4, 0.6, 0.8, 0.1, 0.5, 0.7])
+        is_ha = np.array([1, 1, 1, 1, 0, 0, 0], dtype=bool)
+        self.assert_matches(p, is_ha, betas=(0.25, 0.5, 0.75))
+        assert fit_thresholds(p, is_ha, 0.05, 0.5).theta_ha == 0.6
+
+    def test_calibration_scale(self):
+        rng = np.random.default_rng(9)
+        is_ha = rng.random(4000) < 0.3
+        p = np.clip(np.where(is_ha, 0.7, 0.3) + 0.2 * rng.standard_normal(4000), 0.0, 1.0)
+        self.assert_matches(np.round(p, 3), is_ha)
 
 
 def neutral_thresholds(theta=0.5):

@@ -10,7 +10,10 @@ from irzone.phantom import (
     generate_phantom,
     recovery_curve,
 )
+import irzone.preprocess as preprocess
 from irzone.preprocess import (
+    TAU_MAX,
+    TAU_MIN,
     PipelineAbort,
     ShiftEstimate,
     _parabolic_refine,
@@ -344,3 +347,166 @@ class TestFitRecovery:
         series = 30.0 + 0.5 * times
         fit = fit_recovery(series, times)
         assert fit.degenerate
+
+    def test_unconverged_pixels_reported_at_max_iter(self):
+        times = np.arange(40, dtype=np.float64)
+        rng = np.random.default_rng(6)
+        series = curves([(36.0, 10.0, 15.0)] * 20, times)
+        series += 0.03 * rng.standard_normal(series.shape)
+        series[:5] = 36.0  # degenerate rows never iterate
+        res = fit_recovery_batch(series, times, max_iter=1)
+        assert np.count_nonzero(~res["converged"]) == 15
+        assert fit_recovery_batch(series, times)["converged"].all()
+
+
+def einsum_fit_recovery_batch(series, times, max_iter=50, tol=1e-9, degenerate_range=0.06):
+    """The [M, T, 3] Jacobian-stack Gauss-Newton fit_recovery_batch replaced,
+    kept as its oracle."""
+    y = np.asarray(series, dtype=np.float64)
+    t = np.asarray(times, dtype=np.float64)
+    a = y.max(axis=1)
+    b = a - y[:, 0]
+    rng_y = y.max(axis=1) - y.min(axis=1)
+    degenerate = rng_y < degenerate_range
+
+    eps = 1e-6
+    z = np.log(np.maximum(a[:, None] + eps - y, 1e-12))
+    t_mean = t.mean()
+    denom = np.sum((t - t_mean) ** 2)
+    slope = (z * (t - t_mean)).sum(axis=1) / denom
+    with np.errstate(divide="ignore"):
+        tau = np.where(slope < -1e-12, -1.0 / slope, 30.0)
+    tau = np.clip(tau, 1e-3, 1e7)
+    b = np.maximum(b, 1e-9)
+
+    active = ~degenerate
+    for _ in range(max_iter):
+        if not np.any(active):
+            break
+        ai, bi, taui = a[active], b[active], tau[active]
+        e = np.exp(-t[None, :] / taui[:, None])          # [M, T]
+        f = ai[:, None] - bi[:, None] * e
+        r = y[active] - f
+        # Jacobian of f wrt (a, b, tau)
+        j_a = np.ones_like(e)
+        j_b = -e
+        j_tau = -bi[:, None] * e * (t[None, :] / (taui**2)[:, None])
+        J = np.stack([j_a, j_b, j_tau], axis=2)          # [M, T, 3]
+        JtJ = np.einsum("mti,mtj->mij", J, J)
+        Jtr = np.einsum("mti,mt->mi", J, r)
+        JtJ += 1e-12 * np.eye(3)[None, :, :]
+        step = np.linalg.solve(JtJ, Jtr[:, :, None])[:, :, 0]
+        a_new = ai + step[:, 0]
+        b_new = bi + step[:, 1]
+        tau_new = np.clip(taui + step[:, 2], 1e-3, 1e7)
+        a[active], b[active], tau[active] = a_new, b_new, tau_new
+        norms = np.linalg.norm(step, axis=1)
+        still = np.zeros_like(active)
+        still[np.flatnonzero(active)[norms >= tol]] = True
+        active = still
+
+    e = np.exp(-t[None, :] / np.clip(tau, 1e-3, 1e7)[:, None])
+    resid = y - (a[:, None] - b[:, None] * e)
+    rmse = np.sqrt(np.mean(resid**2, axis=1))
+    degenerate = degenerate | (tau < TAU_MIN) | (tau > TAU_MAX) | ~np.isfinite(rmse)
+    return {
+        "t_base": a,
+        "dt": b,
+        "tau": tau,
+        "rmse": np.where(np.isfinite(rmse), rmse, 0.0),
+        "degenerate": degenerate,
+    }
+
+
+def assert_fit_matches_einsum(series, times, **kw):
+    res = fit_recovery_batch(series, times, **kw)
+    oracle = einsum_fit_recovery_batch(series, times, **kw)
+    for key, want in oracle.items():
+        assert res[key].tobytes() == want.tobytes(), key
+    return res
+
+
+def cleaned_phantom_series(seed, **overrides):
+    """[N, T] series and times of a 96x72x40 phantom as the pipeline fits them."""
+    config = PhantomConfig(width=96, height=72, n_frames=40, noise_sigma=0.03, **overrides)
+    seq, _, _ = generate_phantom(config, seed=seed)
+    cleaned, _ = remove_damaged_frames(*register_sequence(seq))
+    series = cleaned.data.reshape(cleaned.n_frames, -1).T.astype(np.float64)
+    return series, cleaned.timestamps
+
+
+def curves(params, times):
+    """One recovery curve per (t_base, dt, tau) row."""
+    return np.array([recovery_curve(p, times) for p in params], dtype=np.float64)
+
+
+class TestFitRecoveryMatchesEinsum:
+    """The time-major normal equations add every sum in the einsum's order,
+    so each output array must equal the Jacobian-stack loop's byte for byte."""
+
+    @pytest.mark.parametrize("seed", [12, 13])
+    def test_consecutive_phantoms_down_to_one_active_pixel(self, seed, monkeypatch):
+        sizes = []
+        step = preprocess._gauss_newton_step
+
+        def recording_step(yT, *args):
+            sizes.append(yT.shape[1])
+            return step(yT, *args)
+
+        monkeypatch.setattr(preprocess, "_gauss_newton_step", recording_step)
+        assert_fit_matches_einsum(*cleaned_phantom_series(seed))
+        assert min(sizes) == 1  # one pixel left iterating alone
+
+    def test_constant_and_degenerate_rows(self):
+        times = np.arange(30, dtype=np.float64)
+        rng = np.random.default_rng(1)
+        rows = [
+            np.full(30, 36.0),
+            np.zeros(30),
+            36.0 + 0.01 * rng.standard_normal(30),  # range below the noise floor
+            np.where(times == 9, 37.0, 36.0),         # one spike
+            recovery_curve((36.0, 10.0, 12.0), times),
+        ]
+        res = assert_fit_matches_einsum(np.array(rows), times)
+        assert res["degenerate"][:3].all()
+
+    def test_single_pixel_fit(self):
+        times = np.arange(50, dtype=np.float64)
+        series = recovery_curve((36.0, 8.0, 20.0), times)
+        series = series + 0.03 * np.random.default_rng(2).standard_normal(50)
+        fit = fit_recovery(series, times)
+        oracle = einsum_fit_recovery_batch(series[None, :], times)
+        for key in ("t_base", "dt", "tau", "rmse", "degenerate"):
+            assert np.asarray(getattr(fit, key)).tobytes() == oracle[key][0].tobytes(), key
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 5])
+    def test_max_iter_exhaustion(self, max_iter):
+        series, times = cleaned_phantom_series(3)
+        res = assert_fit_matches_einsum(series, times, max_iter=max_iter)
+        assert not res["converged"].all()
+
+    def test_exp_underflow_at_small_tau(self):
+        # t / tau passes 745 within every series, and at tau 1e-3 on its first
+        # sample, so exp(-t / tau) is 0 at every time of that pixel
+        times = np.arange(8.0, 400.0, 8.0)
+        params = [(36.0, 10.0, tau) for tau in (1e-3, 0.05, 0.3, 2.0)]
+        series = curves(params, times)
+        series[1] += 0.03 * np.random.default_rng(3).standard_normal(len(times))
+        assert_fit_matches_einsum(series, times)
+
+    def test_non_uniform_times_after_frame_deletion(self):
+        series, times = cleaned_phantom_series(4, damaged_frames={7: OccluderSpec()})
+        assert np.ptp(np.diff(times)) > 0
+        assert_fit_matches_einsum(series, times)
+
+    def test_three_samples(self):
+        times = np.array([0.0, 4.0, 30.0])
+        rng = np.random.default_rng(5)
+        series = curves([(36.0, 10.0, tau) for tau in (3.0, 10.0, 40.0)], times)
+        assert_fit_matches_einsum(series + 0.05 * rng.standard_normal(series.shape), times)
+
+    def test_exact_and_inverted_curves(self):
+        times = np.arange(60, dtype=np.float64)
+        exact = curves([(36.0, 10.0, 30.0), (34.0, 4.0, 8.0), (37.0, 1.0, 200.0)], times)
+        assert_fit_matches_einsum(exact, times)
+        assert_fit_matches_einsum(72.0 - exact, times)  # cooling instead of warming
