@@ -80,6 +80,8 @@ def read_sequence(path) -> ThermalSequence:
     version, w, h, n, px = struct.unpack("<HIIId", raw[4:head_size])
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    if not 0 < px < math.inf:
+        raise FormatError(f"{path}: pixel size {px} is not a positive length")
     frame_bytes = 8 + 4 * w * h
     expect = head_size + n * frame_bytes
     if len(raw) < expect:
@@ -94,7 +96,10 @@ def read_sequence(path) -> ThermalSequence:
         off += 8
         data[i] = np.frombuffer(raw[off : off + 4 * w * h], dtype="<f4").reshape(h, w)
         off += 4 * w * h
-    return ThermalSequence(data=data, timestamps=times, pixel_size=px)
+    try:  # non-finite temperatures, timestamps out of order
+        return ThermalSequence(data=data, timestamps=times, pixel_size=px)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from e
 
 
 # --- zone masks (PGM P5 + text sidecar) --------------------------------------
@@ -129,7 +134,12 @@ def _parse_pgm(raw: bytes, path):
             i = j
     if tokens[0] != b"P5":
         raise BadMagic(f"{path}: not a P5 PGM")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    except ValueError as e:
+        raise FormatError(f"{path}: PGM header field is not a number") from e
+    if w <= 0 or h <= 0:
+        raise FormatError(f"{path}: PGM size {w}x{h} is empty")
     if maxval != 255:
         raise FormatError(f"{path}: maxval must be 255")
     i += 1  # single whitespace after maxval
@@ -166,8 +176,11 @@ def read_mask(path) -> tuple[ZoneMask, Mode]:
         mode = Mode.parse(meta["mode"])
     except ValueError as e:
         raise FormatError(f"{meta_path}: {e}") from e
-    mask = ZoneMask(labels.copy(), pixel_size)
-    mask.check_mode(mode)
+    try:
+        mask = ZoneMask(labels.copy(), pixel_size)
+        mask.check_mode(mode)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from e
     return mask, mode
 
 
@@ -314,7 +327,10 @@ def write_model(path, model, header_extra: dict | None = None):
 
 
 def read_model_state(path) -> dict:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: model file is not text") from e
     checksum = None
     block = None
     for line in text.splitlines():
@@ -322,7 +338,10 @@ def read_model_state(path) -> dict:
         if key == "checksum":
             checksum = val.strip()
         elif key == "params":
-            block = bytes.fromhex(val.strip())
+            try:
+                block = bytes.fromhex(val.strip())
+            except ValueError as e:
+                raise FormatError(f"{path}: params are not hexadecimal") from e
     if block is None or checksum is None:
         raise FormatError(f"{path}: missing params or checksum")
     if hashlib.sha256(block).hexdigest() != checksum:

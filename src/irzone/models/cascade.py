@@ -86,10 +86,18 @@ class CascadeModel:
                 f"mode {mode.value} needs stages {list(stages_for_mode(mode))}, "
                 f"got {list(stages)}"
             )
+        if standardizer.mean.shape != (FEATURE_DIM,):
+            raise FormatError(
+                f"standardizer has {standardizer.mean.shape[0]} features, not {FEATURE_DIM}"
+            )
         for name, stage in stages.items():
             if state_fields(stage, kind=str) != [backend]:
                 raise FormatError(f"stage {name} is not a {backend} model")
             stages[name] = loaders[backend](stage)
+            width = (stages[name].n_features if backend == "rf"
+                     else stages[name].layer_sizes[0])
+            if width != FEATURE_DIM:
+                raise FormatError(f"stage {name} takes {width} features, not {FEATURE_DIM}")
         return cls(mode=mode, backend=backend, standardizer=standardizer, stages=stages,
                    seed=seed)
 

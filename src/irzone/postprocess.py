@@ -57,8 +57,10 @@ def connected_components(label_map, connectivity: int = DEFAULT_CONNECTIVITY) ->
     comps = []
     for value in np.unique(lm):
         cc, n = ndimage.label(lm == value, structure=struct)
+        # one pass over the frame: each label's pixels in raster order
+        where = ndimage.value_indices(cc, ignore_value=0)
         for k in range(1, n + 1):
-            flat = np.flatnonzero(cc.ravel() == k)
+            flat = np.ravel_multi_index(where[k], lm.shape)
             comps.append(Component(label=int(value), pixels=flat, size=len(flat)))
     return comps
 

@@ -3,6 +3,10 @@ per-pixel recovery-curve fitting."""
 
 from __future__ import annotations
 
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,22 +78,68 @@ RESCORE_MARGIN = 1e-8
 TRUST_VAR_FRAC = 1e-3
 
 
+@dataclass(frozen=True)
+class _PreparedFrame:
+    """A high-pass filtered frame and what the fast NCC surface reads of it."""
+
+    frame: np.ndarray     # filtered, float64; the exact scores (`_ncc_at`) read this
+    spectrum: np.ndarray  # rfft2 of the mean-centred frame at `_padded_shape`
+    sat: np.ndarray       # summed-area table of the centred frame, zero-bordered
+    sat_sq: np.ndarray    # summed-area table of its square
+    energy: float         # sum of the centred frame's squares
+
+
+def _padded_shape(shape, m):
+    """FFT shape at which lags up to m in each direction do not wrap around."""
+    from scipy import fft
+
+    h, w = shape
+    return fft.next_fast_len(h + m, real=True), fft.next_fast_len(w + m, real=True)
+
+
+def _summed_area(frame):
+    h, w = frame.shape
+    sat = np.zeros((h + 1, w + 1))
+    sat[1:, 1:] = frame.cumsum(axis=0).cumsum(axis=1)
+    return sat
+
+
+def _prepare(frame, sigma, m):
+    """`frame` high-pass filtered to float64, prepared for lags in [-m, m]^2.
+
+    The filter subtracts the frame's Gaussian blur at `sigma` (none at 0).
+    Centring on the filtered frame's own mean leaves every NCC score
+    unchanged and keeps the variance subtraction of the fast surface well
+    conditioned.
+    """
+    from scipy import fft
+    from scipy.ndimage import gaussian_filter
+
+    frame = np.asarray(frame, dtype=np.float64)
+    h, w = frame.shape
+    if h < 16 or w < 16:
+        raise ValueError("frames must be at least 16x16")
+    if sigma > 0:
+        frame = frame - gaussian_filter(frame, sigma, mode="nearest")
+    a = frame - frame.mean()
+    a2 = a * a
+    return _PreparedFrame(frame, fft.rfft2(a, _padded_shape(frame.shape, m)),
+                          _summed_area(a), _summed_area(a2), a2.sum())
+
+
 def _fast_ncc_surface(ref, tgt, m):
     """Approximate NCC at every lag in [-m, m]^2, and which lags to trust.
 
-    Sum(ab) for all lags comes from one zero-padded FFT cross-correlation;
-    Sum(a), Sum(a^2), Sum(b), Sum(b^2) over each overlap rectangle come from
-    summed-area tables (Lewis 1995, "Fast Normalized Cross-Correlation").
-    Frames are centred on their own means first, which leaves every score
-    unchanged and keeps the variance subtraction well conditioned.
+    `ref` and `tgt` are `_PreparedFrame`s. Sum(ab) for all lags comes from
+    one zero-padded FFT cross-correlation; Sum(a), Sum(a^2), Sum(b), Sum(b^2)
+    over each overlap rectangle come from summed-area tables (Lewis 1995,
+    "Fast Normalized Cross-Correlation").
     """
     from scipy import fft
 
-    h, w = ref.shape
-    a = ref - ref.mean()
-    b = tgt - tgt.mean()
-    shape = (fft.next_fast_len(h + m, real=True), fft.next_fast_len(w + m, real=True))
-    xcorr = fft.irfft2(np.conj(fft.rfft2(a, shape)) * fft.rfft2(b, shape), shape)
+    h, w = ref.frame.shape
+    shape = _padded_shape(ref.frame.shape, m)
+    xcorr = fft.irfft2(np.conj(ref.spectrum) * tgt.spectrum, shape)
     lags = np.arange(-m, m + 1)
     sab = xcorr[np.ix_(lags % shape[0], lags % shape[1])]
 
@@ -97,37 +147,24 @@ def _fast_ncc_surface(ref, tgt, m):
     ry0, ry1 = np.maximum(0, -lags), np.minimum(h, h - lags)
     rx0, rx1 = np.maximum(0, -lags), np.minimum(w, w - lags)
 
-    def overlap_sums(frame, dy, dx):
-        sat = np.zeros((h + 1, w + 1))
-        sat[1:, 1:] = frame.cumsum(axis=0).cumsum(axis=1)
+    def overlap_sums(sat, dy, dx):
         y0, y1 = (ry0 + dy)[:, None], (ry1 + dy)[:, None]
         x0, x1 = (rx0 + dx)[None, :], (rx1 + dx)[None, :]
         return sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]
 
     n = (ry1 - ry0)[:, None] * (rx1 - rx0)[None, :]
-    a2, b2 = a * a, b * b
-    sa, saa = overlap_sums(a, 0, 0), overlap_sums(a2, 0, 0)
-    sb, sbb = overlap_sums(b, lags, lags), overlap_sums(b2, lags, lags)
+    sa, saa = overlap_sums(ref.sat, 0, 0), overlap_sums(ref.sat_sq, 0, 0)
+    sb, sbb = overlap_sums(tgt.sat, lags, lags), overlap_sums(tgt.sat_sq, lags, lags)
     var_a = saa - sa * sa / n
     var_b = sbb - sb * sb / n
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         scores = (sab - sa * sb / n) / np.sqrt(var_a * var_b)
         trusted = (
-            (var_a > TRUST_VAR_FRAC * a2.sum())
-            & (var_b > TRUST_VAR_FRAC * b2.sum())
+            (var_a > TRUST_VAR_FRAC * ref.energy)
+            & (var_b > TRUST_VAR_FRAC * tgt.energy)
             & np.isfinite(scores)
         )
     return scores, trusted
-
-
-def _highpass(frame, sigma):
-    """Frame as float64 minus its Gaussian blur (the frame itself at sigma 0)."""
-    from scipy.ndimage import gaussian_filter
-
-    frame = np.asarray(frame, dtype=np.float64)
-    if sigma > 0:
-        frame = frame - gaussian_filter(frame, sigma, mode="nearest")
-    return frame
 
 
 def estimate_shift(reference, target, max_shift=DEFAULT_MAX_SHIFT,
@@ -158,31 +195,29 @@ def estimate_shift(reference, target, max_shift=DEFAULT_MAX_SHIFT,
     """
     if np.shape(reference) != np.shape(target):
         raise ValueError("frame shapes differ")
-    return _shift_of_filtered(
-        _highpass(reference, highpass_sigma), _highpass(target, highpass_sigma), max_shift
+    m = int(max_shift)
+    return _shift_of_prepared(
+        _prepare(reference, highpass_sigma, m), _prepare(target, highpass_sigma, m), m
     )
 
 
-def _shift_of_filtered(reference, target, max_shift):
-    """`estimate_shift` on frames already high-pass filtered to float64."""
-    h, w = reference.shape
-    if h < 16 or w < 16:
-        raise ValueError("frames must be at least 16x16")
-    m = int(max_shift)
+def _shift_of_prepared(reference, target, m):
+    """`estimate_shift` on two `_PreparedFrame`s."""
     fast, trusted = _fast_ncc_surface(reference, target, m)
     rescore = ~trusted
     if trusted.any():
         rescore |= fast >= fast[trusted].max() - RESCORE_MARGIN
+    ref, tgt = reference.frame, target.frame
     scores = np.full((2 * m + 1, 2 * m + 1), -np.inf)
     for iy, ix in zip(*np.nonzero(rescore)):
-        scores[iy, ix] = _ncc_at(reference, target, iy - m, ix - m)
+        scores[iy, ix] = _ncc_at(ref, tgt, iy - m, ix - m)
     py, px = np.unravel_index(np.argmax(scores), scores.shape)
     fatal = py in (0, 2 * m) or px in (0, 2 * m)
     dy = float(py - m)
     dx = float(px - m)
     if not fatal and scores[py, px] < 1.0 - 1e-9:  # a perfect peak is already exact
         for iy, ix in ((py, px - 1), (py, px + 1), (py - 1, px), (py + 1, px)):
-            scores[iy, ix] = _ncc_at(reference, target, iy - m, ix - m)
+            scores[iy, ix] = _ncc_at(ref, tgt, iy - m, ix - m)
         dx += _parabolic_refine(scores[py, :], px)
         dy += _parabolic_refine(scores[:, px], py)
     peak = float(np.clip(scores[py, px], 0.0, 1.0))
@@ -229,6 +264,10 @@ def register_sequence(seq, max_shift=DEFAULT_MAX_SHIFT):
     adjacent frames stay strongly correlated. The previously aligned frame is
     already on frame 0's grid, so the estimate is the absolute shift.
 
+    Each frame is filtered and prepared for the fast NCC surface once, as a
+    target. After a zero or fatal shift the next reference is already
+    prepared; only a frame that was moved is filtered and prepared again.
+
     Rotations and super-threshold shifts are not corrected: those frames are
     flagged fatal for the damaged-frame stage to delete.
     """
@@ -242,10 +281,11 @@ def register_sequence(seq, max_shift=DEFAULT_MAX_SHIFT):
     out = np.empty_like(seq.data, dtype=np.float32)
     out[0] = seq.data[0]
     report.shifts.append(ShiftEstimate(0.0, 0.0, 1.0))
-    prev = _highpass(seq.data[0], HIGHPASS_SIGMA)  # the reference, filtered once
+    m = int(max_shift)
+    prev = _prepare(seq.data[0], HIGHPASS_SIGMA, m)  # the reference
     for i in range(1, seq.n_frames):
-        cur = _highpass(seq.data[i], HIGHPASS_SIGMA)
-        est = _shift_of_filtered(prev, cur, max_shift)
+        cur = _prepare(seq.data[i], HIGHPASS_SIGMA, m)
+        est = _shift_of_prepared(prev, cur, m)
         if not est.fatal and max(abs(est.dx), abs(est.dy)) < SNAP_EPS:
             est = ShiftEstimate(0.0, 0.0, est.peak_score)
         report.shifts.append(est)
@@ -254,14 +294,14 @@ def register_sequence(seq, max_shift=DEFAULT_MAX_SHIFT):
             continue  # reference frozen; frame is deleted downstream
         if est.dx == 0.0 and est.dy == 0.0:
             out[i] = seq.data[i]
-            prev = cur  # the new reference is this frame, already filtered
+            prev = cur  # the new reference is this frame, already prepared
         else:
             aligned, v = bilinear_sample(
                 seq.data[i].astype(np.float64), est.dx, est.dy
             )
             out[i] = aligned.astype(np.float32)
             valid &= v
-            prev = _highpass(out[i], HIGHPASS_SIGMA)
+            prev = _prepare(out[i], HIGHPASS_SIGMA, m)
     if all(s.fatal for s in report.shifts[1:]):
         raise PipelineAbort("all frames flagged fatal during registration")
     report.valid_mask = valid
@@ -270,6 +310,30 @@ def register_sequence(seq, max_shift=DEFAULT_MAX_SHIFT):
         ThermalSequence(out, seq.timestamps.copy(), seq.pixel_size, dict(seq.meta)),
         report,
     )
+
+
+def _window_median(frames):
+    """Per-pixel median of 1 to 4 same-shape frames, by min/max networks.
+
+    The same floats as `np.median(np.stack(frames), axis=0)`, which takes
+    the mean of the two middle values in the frames' dtype: of four values
+    the middle two are max(min(a, b), min(c, d)) and min(max(a, b), max(c, d))
+    in some order, and their sum does not depend on which comes first. A NaN
+    anywhere propagates, as it does in `np.median`. Zeros of opposite sign
+    may come out with the other sign.
+    """
+    if len(frames) == 1:
+        return frames[0]
+    if len(frames) == 2:
+        a, b = frames
+        return (a + b) / 2
+    if len(frames) == 3:
+        a, b, c = frames
+        return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+    a, b, c, d = frames
+    low = np.maximum(np.minimum(a, b), np.minimum(c, d))
+    high = np.minimum(np.maximum(a, b), np.maximum(c, d))
+    return (low + high) / 2
 
 
 def remove_damaged_frames(seq, report, outlier_frac=DEFAULT_OUTLIER_FRAC,
@@ -303,7 +367,7 @@ def remove_damaged_frames(seq, report, outlier_frac=DEFAULT_OUTLIER_FRAC,
         if not window:
             kept.append(i)
             continue
-        median = np.median(seq.data[window], axis=0)
+        median = _window_median([seq.data[j] for j in window])
         frac = float(np.mean(np.abs(seq.data[i] - median) > outlier_temp_dev))
         if frac > outlier_frac:
             deleted.append((i, "foreign object"))
@@ -335,38 +399,111 @@ class RecoveryFit:
 
 
 GN_BLOCK = 4096  # pixels per Gauss-Newton block; keeps each [T, block] array in cache
+ROW_BLOCK = 512  # pixels per block of the initialisation and rmse passes
+
+
+def _cpu_count():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _row_blocks(n):
+    """Slices of about ROW_BLOCK covering range(n), none of one row unless n is 1.
+
+    numpy reduces a [1, T] block along another loop than a row of a taller
+    array that is not C-ordered, with other rounding; a leftover single row
+    therefore joins the block before it.
+    """
+    edges = list(range(0, max(n, 1), ROW_BLOCK)) + [n]
+    if len(edges) > 2 and n - edges[-2] == 1:
+        del edges[-2]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def _time_sum(x):
-    """Sum of x [T, M] over time, adding the rows in order from zero.
+    """Sum of a C-ordered x [T, M] over time, adding the rows in order from zero.
 
-    Not `x.sum(axis=0)`: on a single column that switches to pairwise
-    summation and changes the rounding.
+    numpy reduces the outer axis of such an array row by row into the
+    initial value. A single column would collapse to a 1-D reduction, which
+    numpy sums pairwise with other rounding, so that case loops here.
     """
-    acc = np.zeros(x.shape[1])
+    if x.shape[1] > 1:
+        return np.add.reduce(x, axis=0, initial=0.0)
+    acc = np.zeros(1)
     for row in x:
         acc += row
     return acc
 
 
-def _gauss_newton_step(yT, a, b, tau, t):
-    """Gauss-Newton steps [M, 3] in (T_base, dT, tau) for series yT [T, M]."""
+def _init_rows(y, t, degenerate_range):
+    """Initial (T_base, dT, tau) and the degenerate flag of the rows y [B, T]."""
+    a = y.max(axis=1)
+    b = a - y[:, 0]
+    rng_y = y.max(axis=1) - y.min(axis=1)
+    degenerate = rng_y < degenerate_range
+
+    # log-linear tau init: log(a + eps - y) ~ log b - t / tau
+    eps = 1e-6
+    z = np.log(np.maximum(a[:, None] + eps - y, 1e-12))
+    t_mean = t.mean()
+    denom = np.sum((t - t_mean) ** 2)
+    slope = (z * (t - t_mean)).sum(axis=1) / denom
+    with np.errstate(divide="ignore"):
+        tau = np.where(slope < -1e-12, -1.0 / slope, 30.0)
+    tau = np.clip(tau, 1e-3, 1e7)
+    b = np.maximum(b, 1e-9)
+    return a, b, tau, degenerate
+
+
+def _rmse_rows(y, t, a, b, tau):
+    """Root-mean-square residual of the fitted curves to the rows y [B, T]."""
+    e = np.exp(-t[None, :] / np.clip(tau, 1e-3, 1e7)[:, None])
+    resid = y - (a[:, None] - b[:, None] * e)
+    return np.sqrt(np.mean(resid**2, axis=1))
+
+
+def _gauss_newton_step(yT, a, b, tau, t, scratch):
+    """Normal equations (JtJ [M, 3, 3], Jtr [M, 3]) of the Gauss-Newton step
+    in (T_base, dT, tau) for the series yT [T, M].
+
+    The [T, M] temporaries go into `scratch`, four caller-owned flat arrays
+    of at least T * M floats, so that a worker thread allocates no large
+    array (each thread's malloc arena would keep its own). The caller
+    solves the equations: LAPACK called from two threads at once runs
+    slower than from one.
+    """
     tc = t[:, None]
-    e = np.exp(-tc / tau)                                # [T, M]
-    r = yT - (a - b * e)
-    # Jacobian columns of the model: j_a = 1, j_b = -e, j_tau
-    j_b = -e
-    j_tau = -b * e * (tc / tau**2)
+    e, r, j_tau, tmp = (buf[: yT.size].reshape(yT.shape) for buf in scratch)
+    np.exp(np.divide(-tc, tau, out=e), out=e)                    # exp(-t / tau)
+    np.subtract(yT, np.subtract(a, np.multiply(b, e, out=r), out=r), out=r)
+    # Jacobian columns of the model: j_a = 1, j_b = -e, j_tau = -b e (t / tau^2)
+    np.multiply(np.multiply(-b, e, out=j_tau), np.divide(tc, tau**2, out=tmp), out=j_tau)
+    j_b = np.negative(e, out=e)
     JtJ = np.empty((len(a), 3, 3))
     JtJ[:, 0, 0] = len(t)
     JtJ[:, 0, 1] = JtJ[:, 1, 0] = _time_sum(j_b)
     JtJ[:, 0, 2] = JtJ[:, 2, 0] = _time_sum(j_tau)
-    JtJ[:, 1, 1] = _time_sum(j_b * j_b)
-    JtJ[:, 1, 2] = JtJ[:, 2, 1] = _time_sum(j_b * j_tau)
-    JtJ[:, 2, 2] = _time_sum(j_tau * j_tau)
-    Jtr = np.stack([_time_sum(r), _time_sum(j_b * r), _time_sum(j_tau * r)], axis=1)
+    JtJ[:, 1, 1] = _time_sum(np.multiply(j_b, j_b, out=tmp))
+    JtJ[:, 1, 2] = JtJ[:, 2, 1] = _time_sum(np.multiply(j_b, j_tau, out=tmp))
+    JtJ[:, 2, 2] = _time_sum(np.multiply(j_tau, j_tau, out=tmp))
+    Jtr = np.stack([_time_sum(r), _time_sum(np.multiply(j_b, r, out=tmp)),
+                    _time_sum(np.multiply(j_tau, r, out=tmp))], axis=1)
     JtJ += 1e-12 * np.eye(3)[None, :, :]
-    return np.linalg.solve(JtJ, Jtr[:, :, None])[:, :, 0]
+    return JtJ, Jtr
+
+
+def _step_columns(yT, cols, a, b, tau, t, scratch):
+    """`_gauss_newton_step` for the columns `cols` of yT [T, N], in scratch
+    taken from the queue `scratch` and put back afterwards."""
+    bufs = scratch.get()
+    try:
+        y = bufs[0][: len(t) * len(cols)].reshape(len(t), len(cols))
+        np.take(yT, cols, axis=1, out=y, mode="clip")  # "clip": no copy before `out`
+        return _gauss_newton_step(y, a, b, tau, t, bufs[1:])
+    finally:
+        scratch.put(bufs)
 
 
 def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
@@ -384,8 +521,16 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
     adds its products in strict time order starting from zero, whatever the
     number of active pixels, which is the order of an einsum contraction of
     the stacked [M, T, 3] Jacobian; the tests hold the two to the same bytes.
-    The active pixels are stepped in blocks of GN_BLOCK; every quantity is
-    per pixel, so blocking changes no float.
+
+    The work runs in pixel blocks on a thread pool with one worker per CPU
+    this process may use; numpy releases the GIL in the block arithmetic.
+    With one worker no thread is started. Neither the blocks nor the threads
+    change a float. Every quantity is per pixel: a Gauss-Newton block
+    (GN_BLOCK active pixels) computes each pixel's step from that pixel's
+    column alone, whichever block or thread it lands in. The initialisation
+    and the rmse pass reduce each pixel's row with the same numpy call on a
+    row block (ROW_BLOCK) of the same memory layout as the whole series, so
+    numpy adds in the same order (`_row_blocks` keeps one-row blocks out).
     """
     y = np.asarray(series, dtype=np.float64)
     t = np.asarray(times, dtype=np.float64)
@@ -396,45 +541,40 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
     if not np.all(np.diff(t) > 0):
         raise ValueError("times must be strictly increasing")
 
-    a = y.max(axis=1)
-    b = a - y[:, 0]
-    rng_y = y.max(axis=1) - y.min(axis=1)
-    degenerate = rng_y < degenerate_range
+    rows = _row_blocks(len(y))
+    workers = min(_cpu_count(), len(rows))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        init = list(run(lambda s: _init_rows(y[s], t, degenerate_range), rows))
+        a, b, tau, degenerate = (np.concatenate(part) for part in zip(*init))
 
-    # log-linear tau init: log(a + eps - y) ~ log b - t / tau
-    eps = 1e-6
-    z = np.log(np.maximum(a[:, None] + eps - y, 1e-12))
-    t_mean = t.mean()
-    denom = np.sum((t - t_mean) ** 2)
-    slope = (z * (t - t_mean)).sum(axis=1) / denom
-    with np.errstate(divide="ignore"):
-        tau = np.where(slope < -1e-12, -1.0 / slope, 30.0)
-    tau = np.clip(tau, 1e-3, 1e7)
-    b = np.maximum(b, 1e-9)
+        yT = np.ascontiguousarray(y.T)  # [T, N]
+        scratch = queue.SimpleQueue()
+        for _ in range(workers):
+            scratch.put(np.empty((5, len(t) * min(len(y), GN_BLOCK))))
+        active = ~degenerate
+        for _ in range(max_iter):
+            if not np.any(active):
+                break
+            idx = np.flatnonzero(active)
+            ai, bi, taui = a[idx], b[idx], tau[idx]
+            blocks = [slice(k, k + GN_BLOCK) for k in range(0, len(idx), GN_BLOCK)]
+            systems = run(
+                lambda s: _step_columns(yT, idx[s], ai[s], bi[s], taui[s], t, scratch),
+                blocks,
+            )  # solved here, each as it arrives, while the pool builds the next
+            step = np.concatenate([np.linalg.solve(JtJ, Jtr[:, :, None])[:, :, 0]
+                                   for JtJ, Jtr in systems])
+            a_new = ai + step[:, 0]
+            b_new = bi + step[:, 1]
+            tau_new = np.clip(taui + step[:, 2], 1e-3, 1e7)
+            a[active], b[active], tau[active] = a_new, b_new, tau_new
+            norms = np.linalg.norm(step, axis=1)
+            still = np.zeros_like(active)
+            still[idx[norms >= tol]] = True
+            active = still
 
-    yT = np.ascontiguousarray(y.T)  # [T, N]
-    active = ~degenerate
-    for _ in range(max_iter):
-        if not np.any(active):
-            break
-        idx = np.flatnonzero(active)
-        ai, bi, taui = a[idx], b[idx], tau[idx]
-        step = np.empty((len(idx), 3))
-        for k in range(0, len(idx), GN_BLOCK):
-            blk = slice(k, k + GN_BLOCK)
-            step[blk] = _gauss_newton_step(yT[:, idx[blk]], ai[blk], bi[blk], taui[blk], t)
-        a_new = ai + step[:, 0]
-        b_new = bi + step[:, 1]
-        tau_new = np.clip(taui + step[:, 2], 1e-3, 1e7)
-        a[active], b[active], tau[active] = a_new, b_new, tau_new
-        norms = np.linalg.norm(step, axis=1)
-        still = np.zeros_like(active)
-        still[idx[norms >= tol]] = True
-        active = still
-
-    e = np.exp(-t[None, :] / np.clip(tau, 1e-3, 1e7)[:, None])
-    resid = y - (a[:, None] - b[:, None] * e)
-    rmse = np.sqrt(np.mean(resid**2, axis=1))
+        rmse = np.concatenate(list(run(lambda s: _rmse_rows(y[s], t, a[s], b[s], tau[s]), rows)))
     degenerate = degenerate | (tau < TAU_MIN) | (tau > TAU_MAX) | ~np.isfinite(rmse)
     return {
         "t_base": a,

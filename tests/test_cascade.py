@@ -15,6 +15,7 @@ from irzone.models.cascade import (
     stages_for_mode,
 )
 from irzone.models.rf import RFConfig, RFModel, Tree
+from irzone.models.sdae import SDAEModel
 from irzone.zones import LEAF_LABELS, Mode, ZoneLabel
 
 
@@ -207,3 +208,28 @@ class TestFromStateValidation:
     def test_bare_kind_rejected(self):
         with pytest.raises(FormatError, match="lacks"):
             CascadeModel.from_state({"kind": "cascade"})
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda s: s.__setitem__("standardizer", Standardizer(np.zeros(3), np.ones(3)).to_state()),
+         "standardizer has 3 features"),
+        (lambda s: s["stages"]["C4"].__setitem__("n_features", FEATURE_DIM - 1),
+         f"stage C4 takes {FEATURE_DIM - 1} features"),
+    ], ids=["standardizer-width", "rf-stage-width"])
+    def test_input_width_other_than_feature_dim_rejected(self, corrupt, match):
+        state = self.state()
+        corrupt(state)
+        with pytest.raises(FormatError, match=match):
+            CascadeModel.from_state(state)
+
+    def test_sdae_stage_width_other_than_feature_dim_rejected(self):
+        def sdae(width):
+            return SDAEModel(layer_sizes=[width, 3, 2], biases=[np.zeros(3), np.zeros(2)],
+                             weights=[np.zeros((width, 3)), np.zeros((3, 2))], corruption=0.1)
+
+        def state(width):
+            return CascadeModel(mode=Mode.ON, backend="sdae", standardizer=identity_standardizer(),
+                                stages={"C1": sdae(FEATURE_DIM), "C4": sdae(width)}).to_state()
+
+        assert CascadeModel.from_state(state(FEATURE_DIM)).stages["C4"].layer_sizes[0] == FEATURE_DIM
+        with pytest.raises(FormatError, match=f"stage C4 takes {FEATURE_DIM + 1} features"):
+            CascadeModel.from_state(state(FEATURE_DIM + 1))

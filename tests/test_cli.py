@@ -64,6 +64,29 @@ class TestExitCodes:
         assert "point forward" in capsys.readouterr().err
 
 
+    def test_model_of_other_feature_width_is_data_error(self, tmp_path, capsys):
+        from irzone.features import FEATURE_DIM, Standardizer
+        from irzone.models import CascadeModel, RFConfig, RFModel
+        from irzone.models.rf import Tree
+        from irzone.zones import Mode
+
+        leaf = Tree(feature=np.array([-1]), threshold=np.zeros(1), left=np.array([-1]),
+                    right=np.array([-1]), leaf_frac=np.array([0.5]))
+        forest = RFModel(config=RFConfig(n_trees=1), trees=[leaf], n_features=FEATURE_DIM - 2,
+                         seed=0)
+        cascade = CascadeModel(
+            mode=Mode.ON, backend="rf",
+            standardizer=Standardizer(np.zeros(FEATURE_DIM), np.ones(FEATURE_DIM)),
+            stages={"C1": forest, "C4": forest},
+        )
+        model = tmp_path / "narrow.izm"
+        io.write_model(model, cascade)
+        code = main(["infer", "--model", str(model), "--in", str(tmp_path / "seq.irts"),
+                     "--out-mask", str(tmp_path / "pred.pgm")])
+        assert code == 2
+        assert f"takes {FEATURE_DIM - 2} features, not {FEATURE_DIM}" in capsys.readouterr().err
+
+
 class TestGen:
     def test_zero_sequences_succeeds_with_empty_manifest(self, tmp_path):
         out = tmp_path / "ds"

@@ -53,6 +53,29 @@ class TestSequenceContainer:
         with pytest.raises(io.SizeMismatch):
             io.read_sequence(path)
 
+    @pytest.mark.parametrize("pixel_size", [0.0, -250e-6, float("nan"), float("inf")])
+    def test_pixel_size_must_be_a_positive_length(self, tmp_path, pixel_size):
+        path = tmp_path / "a.irts"
+        io.write_sequence(path, random_sequence())
+        raw = bytearray(path.read_bytes())
+        raw[18:26] = struct.pack("<d", pixel_size)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(io.FormatError, match="pixel size"):
+            io.read_sequence(path)
+
+    @pytest.mark.parametrize("offset, packed, match", [
+        (26, struct.pack("<d", float("nan")), "strictly increasing"),  # first timestamp
+        (34, struct.pack("<f", float("inf")), "non-finite"),           # first temperature
+    ])
+    def test_invalid_contents_are_format_errors(self, tmp_path, offset, packed, match):
+        path = tmp_path / "a.irts"
+        io.write_sequence(path, random_sequence())
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + len(packed)] = packed
+        path.write_bytes(bytes(raw))
+        with pytest.raises(io.FormatError, match=match):
+            io.read_sequence(path)
+
 
 class TestMaskFile:
     def mask(self):
@@ -110,6 +133,28 @@ class TestMaskFile:
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 12)
         with pytest.raises(io.BadMagic):
+            io.read_mask(path)
+
+    @pytest.mark.parametrize("header, match", [
+        (b"P5\n0 5\n255\n", "empty"),
+        (b"P5\n4 x5\n255\n", "not a number"),
+    ])
+    def test_bad_pgm_size_rejected(self, tmp_path, header, match):
+        path = tmp_path / "m.pgm"
+        io.write_mask(path, self.mask(), Mode.ON)
+        path.write_bytes(header)
+        with pytest.raises(io.FormatError, match=match):
+            io.read_mask(path)
+
+    @pytest.mark.parametrize("sidecar, match", [
+        ("pixel_size_m 0\nmode On\n", "positive"),
+        ("pixel_size_m 2.61e-04\nmode Off\n", "illegal in mode Off"),
+    ])
+    def test_sidecar_values_checked(self, tmp_path, sidecar, match):
+        path = tmp_path / "m.pgm"
+        io.write_mask(path, self.mask(), Mode.ON)
+        (tmp_path / "m.pgm.meta").write_text(sidecar)
+        with pytest.raises(io.FormatError, match=match):
             io.read_mask(path)
 
 

@@ -90,6 +90,43 @@ class TestConnectedComponents:
             connected_components(np.zeros((3, 3)), connectivity=6)
 
 
+def loop_connected_components(label_map, connectivity):
+    """The per-component `cc.ravel() == k` scan connected_components replaced,
+    kept as its oracle."""
+    from scipy import ndimage
+
+    from irzone.postprocess import Component, _structure
+
+    lm = np.asarray(label_map)
+    comps = []
+    for value in np.unique(lm):
+        cc, n = ndimage.label(lm == value, structure=_structure(connectivity))
+        for k in range(1, n + 1):
+            flat = np.flatnonzero(cc.ravel() == k)
+            comps.append(Component(label=int(value), pixels=flat, size=len(flat)))
+    return comps
+
+
+class TestConnectedComponentsMatchesLoop:
+    """Same Component list as the old scan: order, labels, pixel arrays, sizes."""
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_random_label_maps(self, connectivity, dtype):
+        rng = np.random.default_rng(connectivity)
+        for _ in range(40):
+            h, w = rng.integers(1, 40, size=2)
+            lm = rng.integers(0, rng.integers(1, 6), size=(h, w)).astype(dtype)
+            if rng.random() < 0.5:  # blocky maps with larger regions
+                lm = np.kron(lm[: h // 4 + 1, : w // 4 + 1], np.ones((4, 4), dtype=dtype))
+            got = connected_components(lm, connectivity)
+            want = loop_connected_components(lm, connectivity)
+            assert [(c.label, c.size) for c in got] == [(c.label, c.size) for c in want]
+            for g, v in zip(got, want):
+                assert g.pixels.dtype == v.pixels.dtype
+                assert np.array_equal(g.pixels, v.pixels)
+
+
 class TestTopologicalFilter:
     def test_isolated_pixel_relabeled_to_surroundings(self):
         lm = np.full((8, 8), NA, dtype=np.uint8)

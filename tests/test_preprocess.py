@@ -1,5 +1,9 @@
 """Registration, damaged-frame removal, and recovery-curve fitting."""
 
+import hashlib
+import itertools
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from irzone.phantom import (
     EllipseSpec,
     OccluderSpec,
     PhantomConfig,
+    ThermalSequence,
     generate_phantom,
     recovery_curve,
 )
@@ -15,6 +20,7 @@ from irzone.preprocess import (
     TAU_MAX,
     TAU_MIN,
     PipelineAbort,
+    PreprocessReport,
     ShiftEstimate,
     _parabolic_refine,
     bilinear_sample,
@@ -255,6 +261,53 @@ class TestRegisterSequence:
         assert any(line.startswith("frame 1 dx") for line in lines)
 
 
+def drift_schedule(n, jump=None):
+    """Sub-pixel drift on every frame, with an optional 7-px jump at `jump`."""
+    schedule = [(0.45 * i % 2.4, -0.3 * i % 1.6) for i in range(n)]
+    if jump is not None:
+        schedule[jump] = (7.0, -1.0)
+    return schedule
+
+
+def sha16(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+class TestRegisterPreparedFrames:
+    """Each frame's FFT and summed-area tables are built once and reused as
+    the next reference after a zero or fatal shift. The shifts, the
+    registered data and the valid mask are pinned to the values of filtering
+    and scoring both frames afresh for every pair."""
+
+    # name: (small_config overrides, seed, shifts sha, data+mask sha, frames moved)
+    CASES = {
+        "still": (dict(noise_sigma=0.03), 24, "93270bd1ff0c4edd", "6cf930b631615967", 0),
+        "drift": (dict(noise_sigma=0.03, shift_schedule=drift_schedule(30)), 21,
+                  "26095513aba8603e", "223d7fe846588986", 28),
+        "fatal-jump": (dict(noise_sigma=0.03, shift_schedule=drift_schedule(30, jump=9)), 22,
+                       "9433e594084d695e", "19466124e754c7f5", 27),
+        "occluded": (dict(noise_sigma=0.03, shift_schedule=drift_schedule(30),
+                          damaged_frames={4: OccluderSpec(), 17: OccluderSpec(x0=20, y0=10)}),
+                     23, "5dca35c84cb3d17d", "35ee2cab1fc80817", 28),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_shifts_and_data_match_pinned_hashes(self, name, monkeypatch):
+        overrides, seed, shifts_sha, data_sha, moved = self.CASES[name]
+        prepared = []
+        prepare = preprocess._prepare
+        monkeypatch.setattr(preprocess, "_prepare",
+                            lambda *args: prepared.append(1) or prepare(*args))
+        seq, _, _ = generate_phantom(small_config(**overrides), seed=seed)
+        registered, report = register_sequence(seq)
+        shifts = [(s.dx, s.dy, s.peak_score, s.fatal) for s in report.shifts]
+        assert sha16(repr(shifts).encode()) == shifts_sha
+        assert sha16(registered.data.tobytes() + report.valid_mask.tobytes()) == data_sha
+        assert sum(s.dx != 0.0 or s.dy != 0.0 for s in report.shifts if not s.fatal) == moved
+        # once per frame as a target, plus once more for every frame moved
+        assert len(prepared) == seq.n_frames + moved
+
+
 class TestRemoveDamagedFrames:
     def test_occluded_frame_deleted_others_kept(self):
         config = small_config(damaged_frames={7: OccluderSpec()}, noise_sigma=0.03)
@@ -292,6 +345,65 @@ class TestRemoveDamagedFrames:
         registered, report = register_sequence(seq)
         with pytest.raises(PipelineAbort, match="remain"):
             remove_damaged_frames(registered, report)
+
+
+def np_median_window(frames):
+    """The np.median window median `_window_median` replaced, kept as its oracle."""
+    return np.median(np.stack(frames), axis=0)
+
+
+class TestWindowMedian:
+    """The min/max networks give np.median's floats for windows of 1-4."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_combination_of_special_values(self, k, dtype):
+        big = np.finfo(dtype).max
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 1e-7, big, -big, np.inf, -np.inf, np.nan],
+                        dtype=dtype)
+        frames = np.array(list(itertools.product(pool, repeat=k)), dtype=dtype).T
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = preprocess._window_median(list(frames))
+            want = np_median_window(list(frames))
+        assert got.dtype == want.dtype
+        # the sign of a zero within a tie is not fixed, so ±0 compare equal
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_random_frames_with_ties(self, k, dtype):
+        rng = np.random.default_rng(k)
+        frames = (30.0 + rng.normal(size=(k, 64, 48))).astype(dtype)
+        frames[:, ::3] = np.round(frames[:, ::3], 1)  # ties between frames
+        got = preprocess._window_median(list(frames))
+        assert got.dtype == dtype
+        assert np.array_equal(got, np_median_window(list(frames)))
+
+    @pytest.mark.parametrize("n_frames, fatal", [
+        (3, ()), (4, ()), (4, (1,)), (5, (0, 3)), (6, (2,)), (12, (5,)), (30, ()),
+    ])
+    def test_deletions_match_np_median(self, n_frames, fatal, monkeypatch):
+        # occluders and noise put many pixels near the 1 °C deviation limit
+        rng = np.random.default_rng(n_frames + len(fatal))
+        data = 30.0 + 0.4 * rng.normal(size=(n_frames, 24, 20))
+        for i in np.flatnonzero(rng.random(n_frames) < 0.4):
+            y0, x0 = rng.integers(0, 12, size=2)
+            data[i, y0 : y0 + rng.integers(4, 12), x0 : x0 + 8] += rng.uniform(0.8, 3.0)
+        seq = ThermalSequence(data, np.arange(n_frames, dtype=np.float64), 250e-6)
+        report = PreprocessReport(
+            shifts=[ShiftEstimate(0.0, 0.0, 1.0, fatal=i in fatal) for i in range(n_frames)]
+        )
+
+        def run():
+            try:
+                cleaned, rep = remove_damaged_frames(seq, report)
+            except PipelineAbort as err:
+                return str(err)
+            return rep.deleted, rep.kept, cleaned.data.tobytes()
+
+        got = run()
+        monkeypatch.setattr(preprocess, "_window_median", np_median_window)
+        assert got == run()
 
 
 class TestFitRecovery:
@@ -510,3 +622,74 @@ class TestFitRecoveryMatchesEinsum:
         exact = curves([(36.0, 10.0, 30.0), (34.0, 4.0, 8.0), (37.0, 1.0, 200.0)], times)
         assert_fit_matches_einsum(exact, times)
         assert_fit_matches_einsum(72.0 - exact, times)  # cooling instead of warming
+
+
+class TestFitRecoveryWorkers:
+    """Pixel blocks on a thread pool: the same bytes for any worker count."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_same_bytes_for_any_worker_count(self, workers, monkeypatch):
+        monkeypatch.setattr(preprocess, "_cpu_count", lambda: workers)
+        series, times = cleaned_phantom_series(12)
+        assert_fit_matches_einsum(series, times)
+        assert_fit_matches_einsum(series, times, max_iter=2)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 2, 16 * 7, 16 * 7 + 1, 16 * 7 + 2])
+    def test_small_blocks_and_a_leftover_row(self, rows, workers, monkeypatch):
+        # the series the pipeline fits is a transposed, not C-ordered array
+        monkeypatch.setattr(preprocess, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(preprocess, "ROW_BLOCK", 16)
+        monkeypatch.setattr(preprocess, "GN_BLOCK", 24)
+        series, times = cleaned_phantom_series(13)
+        assert not series.flags.c_contiguous
+        for part in (series[:rows], np.ascontiguousarray(series[:rows])):
+            assert_fit_matches_einsum(part, times)
+
+    def test_more_workers_than_cores_with_frequent_switches(self, monkeypatch):
+        # each block must have its scratch to itself; a shared one corrupts steps
+        monkeypatch.setattr(preprocess, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(preprocess, "ROW_BLOCK", 16)
+        monkeypatch.setattr(preprocess, "GN_BLOCK", 24)
+        series, times = cleaned_phantom_series(12)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert_fit_matches_einsum(series[:1500], times)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "ThreadPoolExecutor", None)  # calling it fails
+        monkeypatch.setattr(preprocess, "_cpu_count", lambda: 1)
+        series, times = cleaned_phantom_series(12)
+        assert_fit_matches_einsum(series[:600], times)
+        monkeypatch.setattr(preprocess, "_cpu_count", lambda: 8)
+        fit_recovery(series[0], times)  # one block: never more workers than blocks
+
+    def test_worker_count_follows_the_cpus_this_process_may_use(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(preprocess.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(preprocess, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(preprocess, "_cpu_count", lambda: 3)
+        series, times = cleaned_phantom_series(12)
+        fit_recovery_batch(series, times)
+        fit_recovery_batch(series[:2 * preprocess.ROW_BLOCK], times)
+        assert pools == [3, 2]
+
+    @pytest.mark.parametrize("columns", [1, 2, 3, 17, 4096])
+    def test_time_sum_adds_rows_in_order_from_zero(self, columns):
+        rng = np.random.default_rng(columns)
+        x = rng.normal(size=(60, columns)) * 10.0 ** rng.integers(-8, 8, size=(60, columns))
+        x[:, ::2] = rng.choice([0.0, -0.0, 1e-300, 1e300, -1e300], size=x[:, ::2].shape)
+        x[:, 1::3] = -0.0
+        want = np.zeros(columns)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in x:
+                want += row
+            assert preprocess._time_sum(x).tobytes() == want.tobytes()
