@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv
 
-from .zones import HA_LEAVES, NA_LEAVES, ZoneLabel, ZoneMask
+from .zones import HA_LEAVES, NA_LEAVES, ZoneMask
 
 # reporting groups: sensitivities are over NWA / NA / HA unions
 GROUPS = ("NWA", "NA", "HA")
@@ -16,11 +16,7 @@ GROUPS = ("NWA", "NA", "HA")
 
 def group_labels(labels: np.ndarray) -> np.ndarray:
     """Map leaf codes to group indices 0=NWA, 1=NA, 2=HA."""
-    labels = np.asarray(labels)
-    out = np.zeros(labels.shape, dtype=np.int64)
-    out[np.isin(labels, [int(l) for l in NA_LEAVES])] = 1
-    out[np.isin(labels, [int(l) for l in HA_LEAVES])] = 2
-    return out
+    return np.isin(labels, NA_LEAVES) + 2 * np.isin(labels, HA_LEAVES)
 
 
 @dataclass

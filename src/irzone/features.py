@@ -94,18 +94,6 @@ def extract_features_batch(fits: dict, series, times) -> np.ndarray:
     return out
 
 
-def extract_features(fit, series, times) -> np.ndarray:
-    """Single-pixel feature vector from a RecoveryFit."""
-    fits = {
-        "t_base": np.array([fit.t_base]),
-        "dt": np.array([fit.dt]),
-        "tau": np.array([fit.tau]),
-        "rmse": np.array([fit.rmse]),
-        "degenerate": np.array([fit.degenerate]),
-    }
-    return extract_features_batch(fits, np.asarray(series)[None, :], times)[0]
-
-
 @dataclass
 class Standardizer:
     mean: np.ndarray
@@ -118,9 +106,6 @@ class Standardizer:
                 f"dimension mismatch: got {x.shape[-1]}, expected {self.mean.shape[0]}"
             )
         return (x - self.mean) / self.scale
-
-    def invert(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z) * self.scale + self.mean
 
     def to_state(self) -> dict:
         return {"mean": self.mean, "scale": self.scale}

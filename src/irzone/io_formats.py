@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .phantom import ThermalSequence
-from .zones import LEAF_LABELS, Mode, ZoneLabel, ZoneMask
+from .zones import Mode, ZoneMask
 
 MAGIC = b"IRTS"
 VERSION = 1
@@ -154,10 +154,6 @@ def _parse_pgm(raw: bytes, path):
 def read_mask(path) -> tuple[ZoneMask, Mode]:
     raw = Path(path).read_bytes()
     labels, _, _ = _parse_pgm(raw, path)
-    codes = set(np.unique(labels).tolist())
-    bad = codes - {int(l) for l in LEAF_LABELS}
-    if bad:
-        raise FormatError(f"{path}: undefined label codes {sorted(bad)}")
     meta_path = str(path) + ".meta"
     meta = {}
     try:
@@ -326,25 +322,29 @@ def write_model(path, model, header_extra: dict | None = None):
     _atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
-def read_model_state(path) -> dict:
+def read_model_state(path) -> tuple[dict, object]:
+    """The header fields of a model file ({key: value}) and its decoded state."""
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: model file is not text") from e
-    checksum = None
-    block = None
-    for line in text.splitlines():
+    lines = text.splitlines()
+    if lines[:1] != ["irzone-model 1"]:
+        raise BadMagic(f"{path}: first line is not 'irzone-model 1'")
+    header = {}
+    for line in lines[1:]:
         key, _, val = line.partition(" ")
-        if key == "checksum":
-            checksum = val.strip()
-        elif key == "params":
-            try:
-                block = bytes.fromhex(val.strip())
-            except ValueError as e:
-                raise FormatError(f"{path}: params are not hexadecimal") from e
-    if block is None or checksum is None:
-        raise FormatError(f"{path}: missing params or checksum")
-    if hashlib.sha256(block).hexdigest() != checksum:
+        if key in header:
+            raise FormatError(f"{path}: more than one {key} line")
+        header[key] = val
+    missing = [key for key in ("kind", "params", "checksum") if key not in header]
+    if missing:
+        raise FormatError(f"{path}: missing {' and '.join(missing)}")
+    try:
+        block = bytes.fromhex(header["params"].strip())
+    except ValueError as e:
+        raise FormatError(f"{path}: params are not hexadecimal") from e
+    if hashlib.sha256(block).hexdigest() != header["checksum"].strip():
         raise ChecksumError(f"{path}: checksum mismatch")
     try:
         state, end = _unpack(block)
@@ -352,16 +352,22 @@ def read_model_state(path) -> dict:
         raise FormatError(f"{path}: parameter block nested too deeply") from e
     if end != len(block):
         raise FormatError(f"{path}: {len(block) - end} bytes after the parameter block")
-    return state
+    return header, state
 
 
 def load_cascade(path):
     from .models.cascade import CascadeModel
 
-    state = read_model_state(path)
+    header, state = read_model_state(path)
     if not isinstance(state, dict) or state.get("kind") != "cascade":
         raise FormatError(f"{path}: not a cascade model file")
-    return CascadeModel.from_state(state)
+    if header["kind"] != "cascade":
+        raise FormatError(f"{path}: header kind {header['kind']!r} is not the state's 'cascade'")
+    model = CascadeModel.from_state(state)
+    if header.get("mode", model.mode.value) != model.mode.value:
+        raise FormatError(f"{path}: header mode {header['mode']!r} is not the model's "
+                          f"{model.mode.value!r}")
+    return model
 
 
 # --- overlay rendering (PPM P6) ----------------------------------------------

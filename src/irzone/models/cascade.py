@@ -1,13 +1,16 @@
 """Cascade of binary classifiers over the zone taxonomy.
 
-Wiring (one function, `stage_targets`, so it can be rewired):
+The wiring is one table, `CASCADE`: each stage's routed leaves and the leaves
+of its positive class.
   C1: WA vs NWA          on all usable pixels
   C2: DM vs BC           within WA (In mode only; On forces DM, Off forces BC)
   C3: HA vs NA           within BC
   C4: HA vs NA           within DM
 
-Leaf probabilities are products of branch probabilities. Pixels without
-usable dynamics (degenerate flag set) are hard-assigned NWA.
+A mode trains the stages whose two classes can both appear in it; the others
+are forced and contribute nothing. A leaf's probability is the product of the
+branch probabilities along its path, in table order. Pixels without usable
+dynamics (degenerate flag set) are hard-assigned NWA.
 """
 
 from __future__ import annotations
@@ -18,21 +21,28 @@ import numpy as np
 
 from ..features import FEATURE_DIM, Standardizer, fit_standardizer
 from ..io_formats import FormatError, state_fields
-from ..zones import LEAF_LABELS, Mode, ZoneLabel
+from ..zones import BC_LEAVES, DM_LEAVES, HA_LEAVES, LEAF_LABELS, WA_LEAVES, Mode, ZoneLabel
 from .rf import RFConfig, RFModel, rf_predict_proba, train_rf
 from .sdae import SDAEConfig, SDAEModel, train_sdae
 
 MIN_SAMPLES_PER_CLASS = 100
 
-STAGE_NAMES = ("C1", "C2", "C3", "C4")
+# stage -> (leaves routed to it, leaves of its positive class). The order sets
+# the stage seeds, the subsample draws and the order of the leaf products.
+CASCADE = {
+    "C1": (LEAF_LABELS, WA_LEAVES),
+    "C2": (WA_LEAVES, DM_LEAVES),
+    "C3": (BC_LEAVES, HA_LEAVES),
+    "C4": (DM_LEAVES, HA_LEAVES),
+}
 
 
 def stages_for_mode(mode: Mode) -> tuple[str, ...]:
-    if mode is Mode.ON:
-        return ("C1", "C4")
-    if mode is Mode.OFF:
-        return ("C1", "C3")
-    return ("C1", "C2", "C3", "C4")
+    """The stages whose two classes can both appear in `mode`, in table order."""
+    return tuple(
+        name for name, (routed, positive) in CASCADE.items()
+        if {leaf in positive for leaf in mode.legal_leaves.intersection(routed)} == {False, True}
+    )
 
 
 @dataclass(frozen=True)
@@ -104,18 +114,8 @@ class CascadeModel:
 
 def stage_targets(labels: np.ndarray):
     """Ground-truth routing: stage -> (selector, binary target) over pixels."""
-    labels = np.asarray(labels)
-    is_nwa = labels == int(ZoneLabel.NWA)
-    is_dm = np.isin(labels, [int(ZoneLabel.NA_DM), int(ZoneLabel.HA_DM)])
-    is_bc = np.isin(labels, [int(ZoneLabel.NA_BC), int(ZoneLabel.HA_BC)])
-    is_ha = np.isin(labels, [int(ZoneLabel.HA_DM), int(ZoneLabel.HA_BC)])
-    all_px = np.ones(labels.shape, dtype=bool)
-    return {
-        "C1": (all_px, (~is_nwa).astype(np.int64)),
-        "C2": (~is_nwa, is_dm.astype(np.int64)),
-        "C3": (is_bc, is_ha.astype(np.int64)),
-        "C4": (is_dm, is_ha.astype(np.int64)),
-    }
+    return {name: (np.isin(labels, routed), np.isin(labels, positive).astype(np.int64))
+            for name, (routed, positive) in CASCADE.items()}
 
 
 def _subsample(Xs, y, cap, balanced, rng):
@@ -148,10 +148,7 @@ def cascade_train(features, labels, mode: Mode,
         raise ValueError(f"features must be [N, {FEATURE_DIM}]")
     if X.shape[0] != y.shape[0]:
         raise ValueError("features/labels length mismatch")
-    present = {ZoneLabel(int(c)) for c in np.unique(y)}
-    illegal = present - mode.legal_leaves
-    if illegal:
-        raise ValueError(f"labels {sorted(l.name for l in illegal)} illegal in mode {mode.value}")
+    mode.check_labels(y)
     if config.backend not in ("rf", "sdae"):
         raise ValueError(f"unknown backend {config.backend!r}")
 
@@ -161,8 +158,9 @@ def cascade_train(features, labels, mode: Mode,
 
     stages = {}
     counts = {}
+    targets = stage_targets(y)
     for si, name in enumerate(stages_for_mode(mode)):
-        sel, target = stage_targets(y)[name]
+        sel, target = targets[name]
         sel = sel & usable
         ys = target[sel]
         n0 = int(np.count_nonzero(ys == 0))
@@ -206,32 +204,17 @@ def cascade_predict(model: CascadeModel, features) -> dict[ZoneLabel, np.ndarray
             out[usable] = model.stage_proba(name, Xs)
         return out
 
-    p_wa = proba("C1")
-    if mode is Mode.ON:
-        p_dm = np.ones(n)
-    elif mode is Mode.OFF:
-        p_dm = np.zeros(n)
-    else:
-        p_dm = proba("C2")
-    p_ha_bc = proba("C3") if "C3" in model.stages else np.zeros(n)
-    p_ha_dm = proba("C4") if "C4" in model.stages else np.zeros(n)
-
-    probs = {
-        ZoneLabel.NWA: 1.0 - p_wa,
-        ZoneLabel.NA_BC: p_wa * (1 - p_dm) * (1 - p_ha_bc),
-        ZoneLabel.HA_BC: p_wa * (1 - p_dm) * p_ha_bc,
-        ZoneLabel.NA_DM: p_wa * p_dm * (1 - p_ha_dm),
-        ZoneLabel.HA_DM: p_wa * p_dm * p_ha_dm,
-    }
-    for label in LEAF_LABELS:
-        if label not in mode.legal_leaves:
-            probs[label] = np.zeros(n)
-    # degenerate pixels carry no diagnostic dynamics: hard NWA
-    for label in LEAF_LABELS:
-        probs[label][degen] = 1.0 if label is ZoneLabel.NWA else 0.0
+    branch = {name: proba(name) for name in stages_for_mode(mode)}  # in table order
+    probs = {}
+    for leaf in LEAF_LABELS:
+        p = np.zeros(n)
+        if leaf in mode.legal_leaves:
+            p = np.ones(n)
+            for name, p_stage in branch.items():
+                routed, positive = CASCADE[name]
+                if leaf in routed:
+                    p = p * (p_stage if leaf in positive else 1 - p_stage)
+        # degenerate pixels carry no diagnostic dynamics: hard NWA
+        p[degen] = 1.0 if leaf is ZoneLabel.NWA else 0.0
+        probs[leaf] = p
     return probs
-
-
-def prob_matrix(probs: dict[ZoneLabel, np.ndarray]) -> np.ndarray:
-    """[N, 5] in LEAF_LABELS order."""
-    return np.stack([probs[l] for l in LEAF_LABELS], axis=1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .preprocess import bilinear_sample
-from .zones import Mode, ZoneLabel, ZoneMask
+from .zones import HA_LEAVES, Mode, ZoneLabel, ZoneMask
 
 INSTRUMENT_TEMP_C = 25.0  # occluder temperature for damaged frames
 
@@ -263,30 +263,24 @@ def build_zone_mask(config: PhantomConfig) -> tuple[ZoneMask, list]:
     m = config.nwa_margin
     wa[m : h - m, m : w - m] = True
 
-    if config.mode is Mode.ON:
-        na_label = np.full((h, w), int(ZoneLabel.NA_DM), dtype=np.uint8)
-        ha_label = np.full((h, w), int(ZoneLabel.HA_DM), dtype=np.uint8)
-    elif config.mode is Mode.OFF:
-        na_label = np.full((h, w), int(ZoneLabel.NA_BC), dtype=np.uint8)
-        ha_label = np.full((h, w), int(ZoneLabel.HA_BC), dtype=np.uint8)
-    else:  # In: BC on the left fraction of WA, DM on the right
+    # each pixel's (NA, HA) leaf pair
+    layers = config.mode.layers
+    pair = np.full((h, w, 2), layers[0], dtype=np.uint8)
+    if len(layers) == 2:  # In: BC on the left fraction of WA, DM on the right
         split = m + int(round(config.bc_fraction * (w - 2 * m)))
-        is_bc = np.zeros((h, w), dtype=bool)
-        is_bc[:, :split] = True
-        na_label = np.where(is_bc, int(ZoneLabel.NA_BC), int(ZoneLabel.NA_DM)).astype(np.uint8)
-        ha_label = np.where(is_bc, int(ZoneLabel.HA_BC), int(ZoneLabel.HA_DM)).astype(np.uint8)
+        pair[:, :split] = layers[1]
 
-    labels[wa] = na_label[wa]
+    labels[wa] = pair[wa, 0]
     for tum in config.tumors:
         sel = _ellipse_mask((h, w), tum.center, tum.axes) & wa
-        labels[sel] = ha_label[sel]
+        labels[sel] = pair[sel, 1]
 
     overrides = []
     for ves in config.vessels:
         sel = _segment_mask((h, w), ves.p0, ves.p1, ves.width) & wa
         # vessel stays NA-labeled (a deliberate confusion source); only params change
         pr = ves.params if ves.params is not None else config.recovery["HA"]
-        keep = sel & ~np.isin(labels, [int(l) for l in (ZoneLabel.HA_DM, ZoneLabel.HA_BC)])
+        keep = sel & ~np.isin(labels, HA_LEAVES)
         overrides.append((keep, pr))
     if config.sinus is not None:
         s = config.sinus
@@ -296,7 +290,7 @@ def build_zone_mask(config: PhantomConfig) -> tuple[ZoneMask, list]:
         sel[max(y0, 0) : min(y1, h), :] = True
         sel &= wa
         pr = s.params if s.params is not None else config.recovery["HA"]
-        keep = sel & ~np.isin(labels, [int(l) for l in (ZoneLabel.HA_DM, ZoneLabel.HA_BC)])
+        keep = sel & ~np.isin(labels, HA_LEAVES)
         overrides.append((keep, pr))
 
     return ZoneMask(labels, config.pixel_size), overrides

@@ -25,7 +25,7 @@ from .preprocess import (
     register_sequence,
     remove_damaged_frames,
 )
-from .zones import HA_LEAVES, LEAF_LABELS, Mode, ZoneLabel, ZoneMask
+from .zones import HA_LEAVES, LAYERS, LEAF_LABELS, Mode, ZoneMask
 
 
 @dataclass
@@ -59,20 +59,14 @@ def read_manifest(path) -> list[ManifestEntry]:
     return entries
 
 
-def make_dataset(out_dir, n_sequences=None, mode_mix=None, config_sampler=None,
-                 seed=0) -> list[ManifestEntry]:
+def make_dataset(out_dir, mode_mix, config_sampler=None, seed=0) -> list[ManifestEntry]:
     """Generate phantoms to disk plus a manifest of per-class pixel counts.
 
-    Either `n_sequences` (all one mode via config_sampler) or `mode_mix`
-    ({mode name: count}) must be given. Deterministic for a fixed seed.
+    `mode_mix` is {mode name: count}. Deterministic for a fixed seed.
     """
     from .phantom import default_config_sampler
 
     out_dir = Path(out_dir)
-    if mode_mix is None:
-        if n_sequences is None:
-            raise ValueError("need n_sequences or mode_mix")
-        mode_mix = {"On": int(n_sequences)}
     if any(v < 0 for v in mode_mix.values()):
         raise ValueError("mode counts must be nonnegative")
 
@@ -144,8 +138,6 @@ def preprocess_sequence(seq: ThermalSequence, max_shift=5) -> SequenceFeatures:
     # pixels exposed by registration carry no trustworthy dynamics
     fits["degenerate"] = fits["degenerate"] | ~valid.ravel()
     feats = extract_features_batch(fits, series, cleaned.timestamps)
-    feats[~valid.ravel(), : feats.shape[1] - 1] = 0.0
-    feats[~valid.ravel(), -1] = 1.0
     return SequenceFeatures(
         features=feats, shape=(h, w), pixel_size=seq.pixel_size,
         valid_mask=valid, report=rep,
@@ -180,8 +172,7 @@ def auto_zpr(shape, pixel_size, mode: Mode, margin: int = 16) -> ZoneMask:
     """Trivial a priori mask: NWA border band, single tissue layer inside."""
     h, w = shape
     labels = np.zeros((h, w), dtype=np.uint8)
-    inner = ZoneLabel.NA_BC if mode is Mode.OFF else ZoneLabel.NA_DM
-    labels[margin : h - margin, margin : w - margin] = int(inner)
+    labels[margin : h - margin, margin : w - margin] = mode.layers[0][0]  # its NA leaf
     return ZoneMask(labels, pixel_size)
 
 
@@ -189,8 +180,8 @@ def zpr_from_reference(mask: ZoneMask) -> ZoneMask:
     """A priori mask from a reference delineation: keeps the WA/NWA and BC/DM
     splits, erases the NA/HA distinction (that is the classifier's job)."""
     labels = mask.labels.copy()
-    labels[labels == int(ZoneLabel.HA_DM)] = int(ZoneLabel.NA_DM)
-    labels[labels == int(ZoneLabel.HA_BC)] = int(ZoneLabel.NA_BC)
+    for na, ha in LAYERS:
+        labels[labels == ha] = na
     return ZoneMask(labels, mask.pixel_size)
 
 

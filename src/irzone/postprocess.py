@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .zones import HA_LEAVES, LEAF_LABELS, Mode, ZoneLabel, ZoneMask
+from .zones import HA_LEAVES, LAYERS, Mode, ZoneMask
 
 STRUCTURE_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 STRUCTURE_8 = np.ones((3, 3), dtype=bool)
@@ -207,13 +207,10 @@ def lps_decide(prob_maps: dict, z_pr: ZoneMask, mode: Mode,
     is_ha = p_ha >= thresholds.theta_ha
 
     out = np.zeros(shape, dtype=np.uint8)  # NWA
-    pr = z_pr.labels
-    dm = np.isin(pr, [int(ZoneLabel.NA_DM), int(ZoneLabel.HA_DM)])
-    bc = np.isin(pr, [int(ZoneLabel.NA_BC), int(ZoneLabel.HA_BC)])
-    out[dm & is_ha] = int(ZoneLabel.HA_DM)
-    out[dm & ~is_ha] = int(ZoneLabel.NA_DM)
-    out[bc & is_ha] = int(ZoneLabel.HA_BC)
-    out[bc & ~is_ha] = int(ZoneLabel.NA_BC)
+    for na, ha in LAYERS:
+        layer = np.isin(z_pr.labels, (na, ha))
+        out[layer & is_ha] = ha
+        out[layer & ~is_ha] = na
     z_ps = ZoneMask(out, z_pr.pixel_size)
     z_ps.check_mode(mode)
     return z_ps

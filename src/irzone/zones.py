@@ -1,4 +1,9 @@
-"""Zone taxonomy: leaf labels, derived unions, and per-mode legality."""
+"""Zone taxonomy: leaf labels, derived unions, and per-mode legality.
+
+The zone tree: non-working area (NWA) or working area (WA); the working area
+is dura mater (DM) or exposed cortex (BC); each layer is normal (NA) or
+hyperactive (HA). The imaging mode decides which layers can appear.
+"""
 
 from __future__ import annotations
 
@@ -30,6 +35,8 @@ HA_LEAVES = (ZoneLabel.HA_DM, ZoneLabel.HA_BC)
 NA_LEAVES = (ZoneLabel.NA_DM, ZoneLabel.NA_BC)
 DM_LEAVES = (ZoneLabel.NA_DM, ZoneLabel.HA_DM)
 BC_LEAVES = (ZoneLabel.NA_BC, ZoneLabel.HA_BC)
+WA_LEAVES = DM_LEAVES + BC_LEAVES
+LAYERS = (DM_LEAVES, BC_LEAVES)  # each layer is its (NA, HA) leaf pair
 
 
 class Mode(Enum):
@@ -40,8 +47,21 @@ class Mode(Enum):
     OFF = "Off"  # exposed cortex only
 
     @property
+    def layers(self) -> tuple[tuple[ZoneLabel, ZoneLabel], ...]:
+        """The (NA, HA) leaf pair of each layer that can appear, dura first."""
+        return {Mode.ON: LAYERS[:1], Mode.IN: LAYERS, Mode.OFF: LAYERS[1:]}[self]
+
+    @property
     def legal_leaves(self) -> frozenset[ZoneLabel]:
-        return _LEGAL[self]
+        return frozenset((ZoneLabel.NWA,) + sum(self.layers, ()))
+
+    def check_labels(self, labels) -> None:
+        """ValueError naming the leaves among `labels` that cannot appear."""
+        present = {ZoneLabel(int(c)) for c in np.unique(labels)}
+        illegal = present - self.legal_leaves
+        if illegal:
+            names = sorted(l.name for l in illegal)
+            raise ValueError(f"labels {names} illegal in mode {self.value}")
 
     @classmethod
     def parse(cls, text: str) -> "Mode":
@@ -49,13 +69,6 @@ class Mode(Enum):
             if m.value.lower() == text.strip().lower():
                 return m
         raise ValueError(f"unknown mode {text!r}; expected one of On, In, Off")
-
-
-_LEGAL = {
-    Mode.ON: frozenset({ZoneLabel.NWA, ZoneLabel.NA_DM, ZoneLabel.HA_DM}),
-    Mode.IN: frozenset(LEAF_LABELS),
-    Mode.OFF: frozenset({ZoneLabel.NWA, ZoneLabel.NA_BC, ZoneLabel.HA_BC}),
-}
 
 
 @dataclass
@@ -73,7 +86,7 @@ class ZoneMask:
         if self.labels.ndim != 2:
             raise ValueError("labels must be 2D")
         codes = set(np.unique(self.labels).tolist())
-        bad = codes - {int(l) for l in LEAF_LABELS}
+        bad = codes - set(LEAF_LABELS)
         if bad:
             raise ValueError(f"undefined label codes {sorted(bad)}")
         if self.pixel_size <= 0:
@@ -86,12 +99,6 @@ class ZoneMask:
     def is_label(self, label: ZoneLabel) -> np.ndarray:
         return self.labels == int(label)
 
-    def union(self, leaves) -> np.ndarray:
-        out = np.zeros(self.labels.shape, dtype=bool)
-        for l in leaves:
-            out |= self.labels == int(l)
-        return out
-
     @property
     def wa(self) -> np.ndarray:
         return self.labels != int(ZoneLabel.NWA)
@@ -102,26 +109,22 @@ class ZoneMask:
 
     @property
     def na(self) -> np.ndarray:
-        return self.union(NA_LEAVES)
+        return np.isin(self.labels, NA_LEAVES)
 
     @property
     def ha(self) -> np.ndarray:
-        return self.union(HA_LEAVES)
+        return np.isin(self.labels, HA_LEAVES)
 
     @property
     def dm(self) -> np.ndarray:
-        return self.union(DM_LEAVES)
+        return np.isin(self.labels, DM_LEAVES)
 
     @property
     def bc(self) -> np.ndarray:
-        return self.union(BC_LEAVES)
+        return np.isin(self.labels, BC_LEAVES)
 
     def class_counts(self) -> dict[str, int]:
         return {l.name: int(np.count_nonzero(self.labels == int(l))) for l in LEAF_LABELS}
 
     def check_mode(self, mode: Mode) -> None:
-        present = {ZoneLabel(int(c)) for c in np.unique(self.labels)}
-        illegal = present - mode.legal_leaves
-        if illegal:
-            names = sorted(l.name for l in illegal)
-            raise ValueError(f"labels {names} illegal in mode {mode.value}")
+        mode.check_labels(self.labels)

@@ -10,13 +10,17 @@ from irzone.models.cascade import (
     CascadeModel,
     cascade_predict,
     cascade_train,
-    prob_matrix,
     stage_targets,
     stages_for_mode,
 )
 from irzone.models.rf import RFConfig, RFModel, Tree
 from irzone.models.sdae import SDAEModel
-from irzone.zones import LEAF_LABELS, Mode, ZoneLabel
+from irzone.zones import BC_LEAVES, DM_LEAVES, LAYERS, LEAF_LABELS, Mode, ZoneLabel
+
+
+def prob_matrix(probs) -> np.ndarray:
+    """[N, 5] leaf probabilities in LEAF_LABELS order."""
+    return np.stack([probs[l] for l in LEAF_LABELS], axis=1)
 
 
 def synthetic_dataset(mode: Mode, n_per_class=150, seed=0):
@@ -81,6 +85,20 @@ class TestStageWiring:
         np.testing.assert_array_equal(routes["C3"][0], [False, False, False, True, True])
         np.testing.assert_array_equal(routes["C4"][0], [False, True, True, False, False])
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_stages_layers_and_legal_leaves_agree(self, mode):
+        assert list(mode.layers) == [layer for layer in LAYERS if layer in mode.layers]
+        assert mode.legal_leaves == {ZoneLabel.NWA}.union(*mode.layers)
+        # C1 always; C2 when both layers can appear; C3 with cortex; C4 with dura
+        expected = ["C1"]
+        if len(mode.layers) == 2:
+            expected.append("C2")
+        if BC_LEAVES in mode.layers:
+            expected.append("C3")
+        if DM_LEAVES in mode.layers:
+            expected.append("C4")
+        assert stages_for_mode(mode) == tuple(expected)
+
 
 class TestTrainingErrors:
     def test_illegal_labels_rejected(self):
@@ -117,6 +135,42 @@ class TestPredict:
         assert probs[ZoneLabel.NWA][0] == pytest.approx(0.2)
         assert probs[ZoneLabel.NA_DM][0] == pytest.approx(0.4)
         assert probs[ZoneLabel.HA_DM][0] == pytest.approx(0.4)
+
+    def test_product_rule_in_both_layer_mode_is_exact(self):
+        p_wa, p_dm, p_ha_bc, p_ha_dm = 0.8, 0.3, 0.6, 0.25
+        model = CascadeModel(
+            mode=Mode.IN, backend="rf", standardizer=identity_standardizer(),
+            stages={"C1": constant_forest(p_wa), "C2": constant_forest(p_dm),
+                    "C3": constant_forest(p_ha_bc), "C4": constant_forest(p_ha_dm)},
+        )
+        probs = cascade_predict(model, np.zeros((2, FEATURE_DIM)))
+        expected = {
+            ZoneLabel.NWA: 1.0 - p_wa,
+            ZoneLabel.NA_BC: p_wa * (1 - p_dm) * (1 - p_ha_bc),
+            ZoneLabel.HA_BC: p_wa * (1 - p_dm) * p_ha_bc,
+            ZoneLabel.NA_DM: p_wa * p_dm * (1 - p_ha_dm),
+            ZoneLabel.HA_DM: p_wa * p_dm * p_ha_dm,
+        }
+        for leaf in LEAF_LABELS:
+            assert np.all(probs[leaf] == expected[leaf]), leaf
+
+    def test_product_rule_in_cortex_mode_is_exact(self):
+        # cortex-only mode forces P(DM|WA)=0; C2 and C4 are not trained
+        p_wa, p_dm, p_ha_bc = 0.7, 0.0, 0.35
+        model = CascadeModel(
+            mode=Mode.OFF, backend="rf", standardizer=identity_standardizer(),
+            stages={"C1": constant_forest(p_wa), "C3": constant_forest(p_ha_bc)},
+        )
+        probs = cascade_predict(model, np.zeros((2, FEATURE_DIM)))
+        expected = {
+            ZoneLabel.NWA: 1.0 - p_wa,
+            ZoneLabel.NA_BC: p_wa * (1 - p_dm) * (1 - p_ha_bc),
+            ZoneLabel.HA_BC: p_wa * (1 - p_dm) * p_ha_bc,
+            ZoneLabel.NA_DM: 0.0,
+            ZoneLabel.HA_DM: 0.0,
+        }
+        for leaf in LEAF_LABELS:
+            assert np.all(probs[leaf] == expected[leaf]), leaf
 
     def test_degenerate_pixel_hard_assigned_nwa(self):
         x, y = synthetic_dataset(Mode.ON)

@@ -35,6 +35,14 @@ class TestExitCodes:
         assert "ends inside a value" in capsys.readouterr().err
 
 
+    def test_model_header_without_magic_is_data_error(self, tmp_path, capsys):
+        model = write_model_block(tmp_path / "bad.izm", io._pack({"kind": "cascade"}))
+        model.write_text(model.read_text().replace("irzone-model 1", "Irzone-model 1"))
+        code = main(["infer", "--model", str(model), "--in", str(tmp_path / "seq.irts"),
+                     "--out-mask", str(tmp_path / "pred.pgm")])
+        assert code == 2
+        assert "irzone-model 1" in capsys.readouterr().err
+
     def test_model_state_without_fields_is_data_error(self, tmp_path, capsys):
         model = write_model_block(tmp_path / "bad.izm", io._pack({"kind": "cascade"}))
         code = main(["infer", "--model", str(model), "--in", str(tmp_path / "seq.irts"),

@@ -10,18 +10,27 @@ from irzone.features import (
     FEATURE_DIM,
     FEATURE_NAMES,
     Standardizer,
-    extract_features,
+    extract_features_batch,
     fit_standardizer,
 )
 from irzone.phantom import recovery_curve
-from irzone.preprocess import fit_recovery
+from irzone.preprocess import fit_recovery_batch
+
+
+def features_of(series, times):
+    """Feature vector of one pixel's series."""
+    series = np.asarray(series, dtype=np.float64)[None, :]
+    return extract_features_batch(fit_recovery_batch(series, times), series, times)[0]
 
 
 def features_for_curve(t_base, dt, tau, n=60):
     times = np.arange(n, dtype=np.float64)
-    series = recovery_curve((t_base, dt, tau), times)
-    fit = fit_recovery(series, times)
-    return extract_features(fit, series, times), fit
+    return features_of(recovery_curve((t_base, dt, tau), times), times)
+
+
+def invert(s: Standardizer, z):
+    """Undo `s.apply`."""
+    return np.asarray(z) * s.scale + s.mean
 
 
 class TestExtractFeatures:
@@ -30,33 +39,31 @@ class TestExtractFeatures:
         assert len(FEATURE_NAMES) == FEATURE_DIM
 
     def test_tau_and_t63_on_noiseless_curve(self):
-        vec, _ = features_for_curve(36.0, 10.0, 30.0)
+        vec = features_for_curve(36.0, 10.0, 30.0)
         assert vec[FEATURE_NAMES.index("tau")] == pytest.approx(30.0, rel=1e-6)
         # 63.2% recovery happens at one time constant, grid-limited
         assert vec[FEATURE_NAMES.index("t63")] == pytest.approx(30.0, abs=0.5)
 
     def test_constant_series_uses_degenerate_sentinel(self):
         times = np.arange(10, dtype=np.float64)
-        series = np.full(10, 36.0)
-        fit = fit_recovery(series, times)
-        vec = extract_features(fit, series, times)
+        vec = features_of(np.full(10, 36.0), times)
         assert vec[-1] == 1.0
         assert np.all(vec[:-1] == 0.0)
 
     def test_identical_series_give_identical_vectors(self):
-        v1, _ = features_for_curve(36.0, 10.0, 30.0)
-        v2, _ = features_for_curve(36.0, 10.0, 30.0)
+        v1 = features_for_curve(36.0, 10.0, 30.0)
+        v2 = features_for_curve(36.0, 10.0, 30.0)
         assert np.array_equal(v1, v2)
 
     def test_resampled_curve_is_minmax_normalized(self):
-        vec, _ = features_for_curve(36.0, 10.0, 30.0)
+        vec = features_for_curve(36.0, 10.0, 30.0)
         curve = vec[7:15]
         assert curve.min() == pytest.approx(0.0)
         assert curve.max() == pytest.approx(1.0)
         assert np.all(np.diff(curve) >= 0)  # recovery is monotone
 
     def test_all_values_finite(self):
-        vec, _ = features_for_curve(30.2, 0.5, 5.0)
+        vec = features_for_curve(30.2, 0.5, 5.0)
         assert np.all(np.isfinite(vec))
 
 
@@ -84,7 +91,7 @@ class TestStandardizer:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(50, 6))
         s = fit_standardizer(x)
-        back = s.invert(s.apply(x))
+        back = invert(s, s.apply(x))
         assert np.max(np.abs(back - x)) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
@@ -111,5 +118,5 @@ class TestStandardizer:
     )
     def test_affine_invertibility_property(self, x):
         s = fit_standardizer(x)
-        back = s.invert(s.apply(x))
+        back = invert(s, s.apply(x))
         assert np.max(np.abs(back - x)) <= 1e-6 * max(1.0, np.max(np.abs(x)))

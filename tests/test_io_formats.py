@@ -8,7 +8,7 @@ import pytest
 from irzone import io_formats as io
 from irzone.features import FEATURE_DIM
 from irzone.phantom import ThermalSequence
-from irzone.zones import Mode, ZoneLabel, ZoneMask
+from irzone.zones import LEAF_LABELS, Mode, ZoneLabel, ZoneMask
 
 from conftest import write_model_block
 
@@ -224,7 +224,7 @@ def tiny_cascade(seed=0):
 
 class TestModelFile:
     def test_reload_reproduces_predictions_bit_exactly(self, tmp_path):
-        from irzone.models.cascade import cascade_predict, prob_matrix
+        from irzone.models.cascade import cascade_predict
 
         model = tiny_cascade()
         path = tmp_path / "model.izm"
@@ -232,9 +232,9 @@ class TestModelFile:
         restored = io.load_cascade(path)
         probe = np.random.default_rng(1).normal(size=(1000, FEATURE_DIM))
         probe[:, -1] = 0.0
-        p1 = prob_matrix(cascade_predict(model, probe))
-        p2 = prob_matrix(cascade_predict(restored, probe))
-        assert np.array_equal(p1, p2)
+        p1, p2 = cascade_predict(model, probe), cascade_predict(restored, probe)
+        for leaf in LEAF_LABELS:
+            assert np.array_equal(p1[leaf], p2[leaf])
 
     def test_corrupted_params_fail_checksum(self, tmp_path):
         model = tiny_cascade()
@@ -272,6 +272,39 @@ class TestModelFile:
         io.write_model(path, rf)
         with pytest.raises(io.FormatError, match="not a cascade"):
             io.load_cascade(path)
+
+    def edited_model(self, tmp_path, edit):
+        path = tmp_path / "model.izm"
+        io.write_model(path, tiny_cascade(), header_extra={"mode": "On"})
+        path.write_text(edit(path.read_text()))
+        return path
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda t: t.replace("irzone-model 1", "Irzone-model 1"), "first line"),
+        (lambda t: t.replace("kind cascade", "jind cascade"), "missing kind"),
+        (lambda t: t.replace("irzone-model 1", "Irzone-model 1")
+                    .replace("kind cascade", "jind cascade"), "first line"),
+        (lambda t: "\n".join(t.splitlines()[1:]) + "\n", "first line"),
+        (lambda t: t + t.splitlines()[-1] + "\n", "more than one params"),
+        (lambda t: t.replace("checksum", "kind cascade\nchecksum"), "more than one kind"),
+        (lambda t: t.replace("checksum", "checksum 00\nchecksum"), "more than one checksum"),
+        (lambda t: t.replace("kind cascade", "kind rf"), "header kind 'rf'"),
+        (lambda t: t.replace("mode On", "mode Off"), "header mode 'Off'"),
+    ], ids=["magic-flip", "kind-flip", "magic-and-kind-flip", "no-magic", "params-twice",
+            "kind-twice", "checksum-twice", "other-kind", "other-mode"])
+    def test_header_deviation_is_format_error(self, tmp_path, edit, match):
+        with pytest.raises(io.FormatError, match=match):
+            io.load_cascade(self.edited_model(tmp_path, edit))
+
+    def test_header_fields_are_returned(self, tmp_path):
+        header, state = io.read_model_state(self.edited_model(tmp_path, lambda t: t))
+        assert (header["kind"], header["mode"]) == ("cascade", "On")
+        assert state["mode"] == "On"
+
+    def test_header_without_mode_loads(self, tmp_path):
+        path = tmp_path / "model.izm"
+        io.write_model(path, tiny_cascade())
+        assert io.load_cascade(path).mode is Mode.ON
 
     def test_writes_are_atomic(self, tmp_path):
         path = tmp_path / "model.izm"

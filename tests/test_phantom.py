@@ -95,6 +95,10 @@ class TestGeneratePhantom:
         config = small_config(mode=Mode.IN)
         _, mask, _ = generate_phantom(config, seed=4)
         assert mask.bc.any() and mask.dm.any()
+        # cortex on the left bc_fraction of the working area, dura on the right
+        m = config.nwa_margin
+        split = m + int(round(config.bc_fraction * (config.width - 2 * m)))
+        assert np.array_equal(mask.bc, mask.wa & (np.arange(config.width) < split))
 
     def test_damaged_frame_is_occluded_at_instrument_temperature(self):
         config = small_config(damaged_frames={5: OccluderSpec()})

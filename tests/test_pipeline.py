@@ -26,13 +26,13 @@ def tiny_sampler(mode):
 
 class TestMakeDataset:
     def test_zero_sequences_gives_empty_manifest_and_no_files(self, tmp_path):
-        entries = make_dataset(tmp_path, n_sequences=0)
+        entries = make_dataset(tmp_path, mode_mix={"On": 0})
         assert entries == []
         assert (tmp_path / "manifest.txt").read_text() == ""
         assert not list(tmp_path.glob("*.irts"))
 
     def test_manifest_counts_match_recount_from_mask_files(self, tmp_path):
-        entries = make_dataset(tmp_path, n_sequences=2,
+        entries = make_dataset(tmp_path, mode_mix={"On": 2},
                                config_sampler=tiny_sampler(Mode.ON), seed=1)
         assert len(entries) == 2
         for e in entries:
@@ -56,9 +56,9 @@ class TestMakeDataset:
             mask.check_mode(mode)
 
     def test_deterministic_for_fixed_seed(self, tmp_path):
-        make_dataset(tmp_path / "a", n_sequences=1,
+        make_dataset(tmp_path / "a", mode_mix={"On": 1},
                      config_sampler=tiny_sampler(Mode.ON), seed=3)
-        make_dataset(tmp_path / "b", n_sequences=1,
+        make_dataset(tmp_path / "b", mode_mix={"On": 1},
                      config_sampler=tiny_sampler(Mode.ON), seed=3)
         assert (tmp_path / "a/seq_0000.irts").read_bytes() == (
             tmp_path / "b/seq_0000.irts"
@@ -75,7 +75,7 @@ class TestMakeDataset:
         assert back == entry
 
     def test_read_manifest_skips_blank_lines(self, tmp_path):
-        entries = make_dataset(tmp_path, n_sequences=1,
+        entries = make_dataset(tmp_path, mode_mix={"On": 1},
                                config_sampler=tiny_sampler(Mode.ON), seed=4)
         path = tmp_path / "manifest.txt"
         path.write_text(path.read_text() + "\n\n")
@@ -122,15 +122,15 @@ class TestPreprocessSequence:
 
 class TestLoadFeatures:
     def test_regenerated_sequence_is_preprocessed_again(self, tmp_path):
-        make_dataset(tmp_path, n_sequences=1, config_sampler=tiny_sampler(Mode.ON), seed=1)
+        make_dataset(tmp_path, mode_mix={"On": 1}, config_sampler=tiny_sampler(Mode.ON), seed=1)
         path = tmp_path / "seq_0000.irts"
         first = load_features(path).features
-        make_dataset(tmp_path, n_sequences=1, config_sampler=tiny_sampler(Mode.ON), seed=2)
+        make_dataset(tmp_path, mode_mix={"On": 1}, config_sampler=tiny_sampler(Mode.ON), seed=2)
         second = load_features(path).features
         assert np.array_equal(second, preprocess_sequence(io.read_sequence(path)).features)
         assert not np.array_equal(first, second)
 
     def test_unchanged_sequence_is_served_from_cache(self, tmp_path):
-        make_dataset(tmp_path, n_sequences=1, config_sampler=tiny_sampler(Mode.ON), seed=1)
+        make_dataset(tmp_path, mode_mix={"On": 1}, config_sampler=tiny_sampler(Mode.ON), seed=1)
         path = tmp_path / "seq_0000.irts"
         assert load_features(path) is load_features(tmp_path / "." / "seq_0000.irts")
