@@ -12,8 +12,10 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from .phantom import ThermalSequence
+from .postprocess import STRUCTURE_4
 from .zones import Mode, ZoneMask
 
 MAGIC = b"IRTS"
@@ -58,14 +60,17 @@ def _atomic_write(path, data: bytes):
 # magic "IRTS", version u16, width u32, height u32, n_frames u32,
 # pixel_size_m f64, then per frame: timestamp f64 + H*W float32; little-endian.
 
+def _frame_record(h, w):
+    """One frame of the container: its timestamp, then its temperatures."""
+    return np.dtype([("t", "<f8"), ("frame", "<f4", (h, w))])
+
+
 def write_sequence(path, seq: ThermalSequence):
     h, w = seq.frame_shape
     header = MAGIC + struct.pack("<HIIId", VERSION, w, h, seq.n_frames, seq.pixel_size)
-    chunks = [header]
-    for i in range(seq.n_frames):
-        chunks.append(struct.pack("<d", float(seq.timestamps[i])))
-        chunks.append(np.ascontiguousarray(seq.data[i], dtype="<f4").tobytes())
-    _atomic_write(path, b"".join(chunks))
+    records = np.empty(seq.n_frames, dtype=_frame_record(h, w))
+    records["t"], records["frame"] = seq.timestamps, seq.data
+    _atomic_write(path, header + records.tobytes())
 
 
 def read_sequence(path) -> ThermalSequence:
@@ -88,16 +93,10 @@ def read_sequence(path) -> ThermalSequence:
         raise Truncated(f"{path}: payload truncated ({len(raw)} < {expect} bytes)")
     if len(raw) != expect:
         raise SizeMismatch(f"{path}: payload size {len(raw)} != declared {expect}")
-    data = np.empty((n, h, w), dtype=np.float32)
-    times = np.empty(n, dtype=np.float64)
-    off = head_size
-    for i in range(n):
-        times[i] = struct.unpack("<d", raw[off : off + 8])[0]
-        off += 8
-        data[i] = np.frombuffer(raw[off : off + 4 * w * h], dtype="<f4").reshape(h, w)
-        off += 4 * w * h
-    try:  # non-finite temperatures, timestamps out of order
-        return ThermalSequence(data=data, timestamps=times, pixel_size=px)
+    try:  # frame too large for a dtype, non-finite temperatures, timestamps out of order
+        records = np.frombuffer(raw, dtype=_frame_record(h, w), count=n, offset=head_size)
+        return ThermalSequence(data=records["frame"].astype(np.float32),
+                               timestamps=records["t"].astype(np.float64), pixel_size=px)
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from e
 
@@ -380,18 +379,9 @@ COLOR_FRAME = (255, 255, 255)  # white
 
 
 def _region_boundary(region: np.ndarray) -> np.ndarray:
-    """Pixels whose 4-neighborhood crosses the region edge (on either side)."""
+    """Region pixels with a 4-neighbor outside the region or the frame."""
     r = region.astype(bool)
-    edge = np.zeros(r.shape, dtype=bool)
-    for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        shifted = np.zeros_like(r)
-        ys = slice(max(dy, 0), r.shape[0] + min(dy, 0))
-        xs = slice(max(dx, 0), r.shape[1] + min(dx, 0))
-        ys2 = slice(max(-dy, 0), r.shape[0] + min(-dy, 0))
-        xs2 = slice(max(-dx, 0), r.shape[1] + min(-dx, 0))
-        shifted[ys, xs] = r[ys2, xs2]
-        edge |= r & ~shifted
-    return edge
+    return r & ~ndimage.binary_erosion(r, structure=STRUCTURE_4)
 
 
 def render_overlay(background, ref_mask: ZoneMask | None, alg_mask: ZoneMask | None):

@@ -16,6 +16,7 @@ from .preprocess import bilinear_sample
 from .zones import HA_LEAVES, Mode, ZoneLabel, ZoneMask
 
 INSTRUMENT_TEMP_C = 25.0  # occluder temperature for damaged frames
+PARAM_SMOOTH_SIGMA = 1.2  # px, Gaussian smoothing of the parameter maps
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,7 @@ def recovery_curve(params, t):
     return float(out) if out.ndim == 0 else out
 
 
-def _sample_param_maps(labels, overrides, recovery, rng, shape, smooth_sigma=1.2):
+def _sample_param_maps(labels, overrides, recovery, rng, shape):
     """Per-pixel (T_base, dT, tau) maps from zone ranges plus structure overrides.
 
     Maps are smoothed spatially (tissue parameters are not i.i.d. pixel
@@ -209,25 +210,16 @@ def _sample_param_maps(labels, overrides, recovery, rng, shape, smooth_sigma=1.2
         ZoneLabel.HA_DM: "HA",
         ZoneLabel.HA_BC: "HA",
     }
-    for label, zone in zone_of_label.items():
-        sel = labels == int(label)
-        if not np.any(sel):
-            continue
-        pr = recovery[zone]
-        n = int(np.count_nonzero(sel))
-        for key, (lo, hi) in (("t_base", pr.t_base), ("dt", pr.dt), ("tau", pr.tau)):
-            maps[key][sel] = rng.uniform(lo, hi, size=n)
-    # vessels/sinus keep their NA label but override the dynamics
-    for sel, pr in overrides:
+    zones = [(labels == int(label), recovery[zone]) for label, zone in zone_of_label.items()]
+    # then the overrides: vessels/sinus keep their NA label but redraw the dynamics
+    for sel, pr in [*zones, *overrides]:
         if pr is None or not np.any(sel):
             continue
         n = int(np.count_nonzero(sel))
         for key, (lo, hi) in (("t_base", pr.t_base), ("dt", pr.dt), ("tau", pr.tau)):
             maps[key][sel] = rng.uniform(lo, hi, size=n)
-    if smooth_sigma > 0:
-        for key in maps:
-            maps[key] = gaussian_filter(maps[key], sigma=smooth_sigma, mode="nearest")
-    return maps["t_base"], maps["dt"], maps["tau"]
+    return tuple(gaussian_filter(maps[key], sigma=PARAM_SMOOTH_SIGMA, mode="nearest")
+                 for key in ("t_base", "dt", "tau"))
 
 
 def _segment_mask(shape, p0, p1, width):

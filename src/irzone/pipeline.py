@@ -14,6 +14,7 @@ from .features import extract_features_batch
 from .models.cascade import CascadeConfig, CascadeModel, cascade_predict, cascade_train
 from .phantom import ThermalSequence, generate_phantom
 from .postprocess import (
+    DEFAULT_MIN_AREA_MM2,
     DecisionThresholds,
     fit_thresholds,
     lps_decide,
@@ -205,16 +206,14 @@ class InferenceResult:
 
 def infer_sequence(model: CascadeModel, seq: ThermalSequence, z_pr: ZoneMask,
                    thresholds: DecisionThresholds, pf_radius: int = 1,
-                   min_area_mm2: float = 2.0, connectivity: int = 8,
+                   min_area_mm2: float = DEFAULT_MIN_AREA_MM2,
                    features: SequenceFeatures | None = None) -> InferenceResult:
     """Full per-sequence inference: features -> cascade -> PF -> LPS -> TF."""
     sf = features if features is not None else preprocess_sequence(seq)
     smoothed = smoothed_probs(model, sf, pf_radius)
     z_ps = lps_decide(smoothed, z_pr, model.mode, thresholds)
-    filtered, tf_report = topological_filter(
-        z_ps.labels, z_ps.pixel_size, min_area_mm2=min_area_mm2,
-        connectivity=connectivity,
-    )
+    filtered, tf_report = topological_filter(z_ps.labels, z_ps.pixel_size,
+                                             min_area_mm2=min_area_mm2)
     z_final = ZoneMask(filtered, z_ps.pixel_size)
     z_final.check_mode(model.mode)
     return InferenceResult(
@@ -241,7 +240,7 @@ class E2EConfig:
     max_train_pixels: int = 8000
     pixels_per_seq: int = 6000
     pf_radius: int = 1
-    min_area_mm2: float = 2.0
+    min_area_mm2: float = DEFAULT_MIN_AREA_MM2
 
 
 def run_e2e(out_dir, seed: int, config: E2EConfig = E2EConfig()) -> dict:

@@ -15,7 +15,7 @@ STRUCTURE_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 STRUCTURE_8 = np.ones((3, 3), dtype=bool)
 
 DEFAULT_MIN_AREA_MM2 = 2.0
-DEFAULT_CONNECTIVITY = 8
+MAX_PASSES = 10  # topological-filter passes
 
 
 @dataclass
@@ -48,7 +48,7 @@ def _structure(connectivity: int) -> np.ndarray:
     raise ValueError("connectivity must be 4 or 8")
 
 
-def connected_components(label_map, connectivity: int = DEFAULT_CONNECTIVITY) -> list[Component]:
+def connected_components(label_map, connectivity: int = 8) -> list[Component]:
     """Maximal same-label connected regions; every pixel in exactly one."""
     lm = np.asarray(label_map)
     if lm.ndim != 2:
@@ -65,72 +65,62 @@ def connected_components(label_map, connectivity: int = DEFAULT_CONNECTIVITY) ->
     return comps
 
 
-def _boundary_majority(lm, comp_mask, struct, total_counts):
-    """Majority label among pixels adjacent to the component. Ties: the label
-    covering more total frame area, then smallest label code."""
-    dil = ndimage.binary_dilation(comp_mask, structure=struct) & ~comp_mask
-    if not dil.any():
-        return None
-    vals, counts = np.unique(lm[dil], return_counts=True)
-    best = None
-    for v, c in zip(vals.tolist(), counts.tolist()):
-        key = (c, total_counts.get(v, 0), -v)
-        if best is None or key > best[0]:
-            best = (key, v)
-    return best[1]
+def topological_filter(label_map, pixel_size, min_area_mm2=DEFAULT_MIN_AREA_MM2):
+    """Relabel 8-connected regions smaller than `min_area_mm2` to the majority
+    label of their boundary neighbors, in passes until stable (at most
+    MAX_PASSES).
 
-
-def topological_filter(label_map, pixel_size, min_area_mm2=DEFAULT_MIN_AREA_MM2,
-                       connectivity=DEFAULT_CONNECTIVITY, max_passes=10):
-    """Relabel connected regions smaller than `min_area_mm2` to the majority
-    label of their boundary neighbors; iterate until stable."""
+    Each pass visits the small components of the map as it stood at the start
+    of the pass, smallest first, ties by first pixel in raster order. A
+    component takes the label most frequent among the pixels 8-adjacent to
+    it, read from the map as earlier relabels of the pass left it. Ties go to
+    the label covering more of the frame at that moment, then to the smaller
+    code. A frame whose whole area is below `min_area_mm2` is returned
+    unchanged with a warning entry."""
     if min_area_mm2 < 0:
         raise ValueError("min_area_mm2 must be nonnegative")
     lm = np.asarray(label_map).copy()
-    struct = _structure(connectivity)
     px_mm2 = (pixel_size * 1e3) ** 2
     report = ComponentReport(pixel_size=pixel_size)
 
-    frame_area = lm.size * px_mm2
-    if frame_area < min_area_mm2:
-        report.entries.append({
-            "label": -1, "count": lm.size, "area_mm2": frame_area,
-            "action": "warning: whole frame below threshold, unchanged",
-        })
+    def entry(label, count, action):
+        return {"label": label, "count": count, "area_mm2": count * px_mm2, "action": action}
+
+    if lm.size * px_mm2 < min_area_mm2:
+        report.entries.append(
+            entry(-1, lm.size, "warning: whole frame below threshold, unchanged"))
         return lm, report
 
-    for _ in range(max_passes):
-        comps = connected_components(lm, connectivity)
-        small = [c for c in comps if c.size * px_mm2 < min_area_mm2 and c.size < lm.size]
-        if not small:
-            break
-        small.sort(key=lambda c: (c.size, int(c.pixels[0])))
+    comps = connected_components(lm, 8)
+    vals, counts = np.unique(lm, return_counts=True)
+    totals = dict(zip(vals.tolist(), counts.tolist()))  # kept current through relabels
+    for _ in range(MAX_PASSES):
+        small = sorted((c for c in comps if c.size * px_mm2 < min_area_mm2),
+                       key=lambda c: (c.size, int(c.pixels[0])))
         changed = False
         for c in small:
-            mask = np.zeros(lm.shape, dtype=bool)
-            mask.ravel()[c.pixels] = True
-            # component membership may have changed earlier this pass
-            if not np.all(lm[mask] == c.label):
+            # the boundary lies within the component's box padded by one pixel
+            rows, cols = np.divmod(c.pixels, lm.shape[1])
+            r0, c0 = max(rows.min() - 1, 0), max(cols.min() - 1, 0)
+            box = lm[r0:rows.max() + 2, c0:cols.max() + 2]
+            mask = np.zeros(box.shape, dtype=bool)
+            mask[rows - r0, cols - c0] = True
+            ring = ndimage.binary_dilation(mask, structure=STRUCTURE_8) & ~mask
+            vals, counts = np.unique(box[ring], return_counts=True)
+            new = max(zip(counts.tolist(), vals.tolist()),
+                      key=lambda cv: (cv[0], totals[cv[1]], -cv[1]))[1]
+            if new == c.label:  # a neighbor took this label earlier in the pass
                 continue
-            vals, counts = np.unique(lm, return_counts=True)
-            totals = dict(zip(vals.tolist(), counts.tolist()))
-            new = _boundary_majority(lm, mask, struct, totals)
-            if new is None or new == c.label:
-                continue
-            lm[mask] = new
+            box[mask] = new
+            totals[c.label] -= c.size
+            totals[new] += c.size
             changed = True
-            report.entries.append({
-                "label": c.label, "count": c.size,
-                "area_mm2": c.size * px_mm2, "action": f"relabeled to {new}",
-            })
+            report.entries.append(entry(c.label, c.size, f"relabeled to {new}"))
         if not changed:
             break
+        comps = connected_components(lm, 8)
 
-    for c in connected_components(lm, connectivity):
-        report.entries.append({
-            "label": c.label, "count": c.size,
-            "area_mm2": c.size * px_mm2, "action": "kept",
-        })
+    report.entries += [entry(c.label, c.size, "kept") for c in comps]
     return lm, report
 
 

@@ -336,14 +336,13 @@ def _window_median(frames):
     return (low + high) / 2
 
 
-def remove_damaged_frames(seq, report, outlier_frac=DEFAULT_OUTLIER_FRAC,
-                          outlier_temp_dev=DEFAULT_OUTLIER_TEMP_DEV):
+def remove_damaged_frames(seq, report):
     """Drop frames flagged fatal by registration plus foreign-object frames.
 
-    A frame is a foreign-object frame when more than `outlier_frac` of its
-    pixels deviate from the per-pixel temporal median of its neighboring
+    A frame is a foreign-object frame when more than DEFAULT_OUTLIER_FRAC of
+    its pixels deviate from the per-pixel temporal median of its neighboring
     frames (window of up to 4, the frame itself excluded) by more than
-    `outlier_temp_dev`. The window keeps the detector blind to the recovery
+    DEFAULT_OUTLIER_TEMP_DEV. The window keeps the detector blind to the recovery
     trend itself: against a whole-sequence median, normal recovery dynamics
     (several °C over the sequence) would flag every frame. Single pass;
     timestamps of kept frames are preserved.
@@ -368,8 +367,8 @@ def remove_damaged_frames(seq, report, outlier_frac=DEFAULT_OUTLIER_FRAC,
             kept.append(i)
             continue
         median = _window_median([seq.data[j] for j in window])
-        frac = float(np.mean(np.abs(seq.data[i] - median) > outlier_temp_dev))
-        if frac > outlier_frac:
+        frac = float(np.mean(np.abs(seq.data[i] - median) > DEFAULT_OUTLIER_TEMP_DEV))
+        if frac > DEFAULT_OUTLIER_FRAC:
             deleted.append((i, "foreign object"))
         else:
             kept.append(i)
@@ -552,11 +551,10 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
         scratch = queue.SimpleQueue()
         for _ in range(workers):
             scratch.put(np.empty((5, len(t) * min(len(y), GN_BLOCK))))
-        active = ~degenerate
+        idx = np.flatnonzero(~degenerate)  # the pixels still moving
         for _ in range(max_iter):
-            if not np.any(active):
+            if not len(idx):
                 break
-            idx = np.flatnonzero(active)
             ai, bi, taui = a[idx], b[idx], tau[idx]
             blocks = [slice(k, k + GN_BLOCK) for k in range(0, len(idx), GN_BLOCK)]
             systems = run(
@@ -565,14 +563,10 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
             )  # solved here, each as it arrives, while the pool builds the next
             step = np.concatenate([np.linalg.solve(JtJ, Jtr[:, :, None])[:, :, 0]
                                    for JtJ, Jtr in systems])
-            a_new = ai + step[:, 0]
-            b_new = bi + step[:, 1]
-            tau_new = np.clip(taui + step[:, 2], 1e-3, 1e7)
-            a[active], b[active], tau[active] = a_new, b_new, tau_new
-            norms = np.linalg.norm(step, axis=1)
-            still = np.zeros_like(active)
-            still[idx[norms >= tol]] = True
-            active = still
+            a[idx] = ai + step[:, 0]
+            b[idx] = bi + step[:, 1]
+            tau[idx] = np.clip(taui + step[:, 2], 1e-3, 1e7)
+            idx = idx[np.linalg.norm(step, axis=1) >= tol]
 
         rmse = np.concatenate(list(run(lambda s: _rmse_rows(y[s], t, a[s], b[s], tau[s]), rows)))
     degenerate = degenerate | (tau < TAU_MIN) | (tau > TAU_MAX) | ~np.isfinite(rmse)
@@ -582,7 +576,7 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
         "tau": tau,
         "rmse": np.where(np.isfinite(rmse), rmse, 0.0),
         "degenerate": degenerate,
-        "converged": ~active,
+        "converged": np.isin(np.arange(len(y)), idx, invert=True),
     }
 
 

@@ -20,7 +20,33 @@ def random_sequence(seed=0, shape=(3, 6, 5)):
     return ThermalSequence(data, times, 250e-6)
 
 
+def loop_sequence_bytes(seq):
+    """The per-frame writer the record dtype replaced, kept as its reference."""
+    h, w = seq.frame_shape
+    chunks = [io.MAGIC + struct.pack("<HIIId", io.VERSION, w, h, seq.n_frames, seq.pixel_size)]
+    for i in range(seq.n_frames):
+        chunks.append(struct.pack("<d", float(seq.timestamps[i])))
+        chunks.append(np.ascontiguousarray(seq.data[i], dtype="<f4").tobytes())
+    return b"".join(chunks)
+
+
 class TestSequenceContainer:
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 6, 5), (2, 1, 7), (4, 9, 1)])
+    def test_bytes_match_the_per_frame_layout(self, tmp_path, shape):
+        seq = random_sequence(seed=sum(shape), shape=shape)
+        path = tmp_path / "a.irts"
+        io.write_sequence(path, seq)
+        assert path.read_bytes() == loop_sequence_bytes(seq)
+        back = io.read_sequence(path)
+        assert back.data.flags.writeable and back.data.flags.c_contiguous
+        assert back.data.dtype == np.float32 and back.timestamps.dtype == np.float64
+
+    def test_frame_too_large_for_a_record_is_format_error(self, tmp_path):
+        path = tmp_path / "a.irts"
+        path.write_bytes(io.MAGIC + struct.pack("<HIIId", io.VERSION, 70000, 70000, 0, 250e-6))
+        with pytest.raises(io.FormatError):
+            io.read_sequence(path)
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         seq = random_sequence()
         path = tmp_path / "a.irts"
@@ -313,9 +339,31 @@ class TestModelFile:
         assert leftovers == []
 
 
+def loop_region_boundary(region):
+    """The 4-shift loop _region_boundary replaced, kept as its reference."""
+    r = region.astype(bool)
+    edge = np.zeros(r.shape, dtype=bool)
+    for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        shifted = np.zeros_like(r)
+        ys = slice(max(dy, 0), r.shape[0] + min(dy, 0))
+        xs = slice(max(dx, 0), r.shape[1] + min(dx, 0))
+        ys2 = slice(max(-dy, 0), r.shape[0] + min(-dy, 0))
+        xs2 = slice(max(-dx, 0), r.shape[1] + min(-dx, 0))
+        shifted[ys, xs] = r[ys2, xs2]
+        edge |= r & ~shifted
+    return edge
+
+
 class TestOverlay:
     def background(self):
         return np.linspace(20.0, 40.0, 100).reshape(10, 10)
+
+    def test_region_boundary_matches_shift_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            h, w = rng.integers(1, 14, size=2)
+            region = rng.random((h, w)) < rng.random()
+            assert np.array_equal(io._region_boundary(region), loop_region_boundary(region))
 
     def test_empty_masks_give_grayscale_interior(self):
         img = io.render_overlay(self.background(), None, None)

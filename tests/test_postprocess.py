@@ -175,6 +175,174 @@ class TestTopologicalFilter:
             topological_filter(np.zeros((3, 3)), 250e-6, min_area_mm2=-1.0)
 
 
+def oracle_boundary_majority(lm, comp_mask, struct, total_counts):
+    """Majority label among pixels adjacent to the component. Ties: the label
+    covering more total frame area, then smallest label code."""
+    from scipy import ndimage
+
+    dil = ndimage.binary_dilation(comp_mask, structure=struct) & ~comp_mask
+    if not dil.any():
+        return None
+    vals, counts = np.unique(lm[dil], return_counts=True)
+    best = None
+    for v, c in zip(vals.tolist(), counts.tolist()):
+        key = (c, total_counts.get(v, 0), -v)
+        if best is None or key > best[0]:
+            best = (key, v)
+    return best[1]
+
+
+def oracle_topological_filter(label_map, pixel_size, min_area_mm2=2.0,
+                              connectivity=8, max_passes=10):
+    """The full-frame implementation topological_filter replaced, kept as its
+    oracle: a full-frame np.unique and dilation per small component, and a
+    fresh labelling for every pass and for the final listing."""
+    from irzone.postprocess import ComponentReport, _structure
+
+    if min_area_mm2 < 0:
+        raise ValueError("min_area_mm2 must be nonnegative")
+    lm = np.asarray(label_map).copy()
+    struct = _structure(connectivity)
+    px_mm2 = (pixel_size * 1e3) ** 2
+    report = ComponentReport(pixel_size=pixel_size)
+
+    frame_area = lm.size * px_mm2
+    if frame_area < min_area_mm2:
+        report.entries.append({
+            "label": -1, "count": lm.size, "area_mm2": frame_area,
+            "action": "warning: whole frame below threshold, unchanged",
+        })
+        return lm, report
+
+    for _ in range(max_passes):
+        comps = connected_components(lm, connectivity)
+        small = [c for c in comps if c.size * px_mm2 < min_area_mm2 and c.size < lm.size]
+        if not small:
+            break
+        small.sort(key=lambda c: (c.size, int(c.pixels[0])))
+        changed = False
+        for c in small:
+            mask = np.zeros(lm.shape, dtype=bool)
+            mask.ravel()[c.pixels] = True
+            # component membership may have changed earlier this pass
+            if not np.all(lm[mask] == c.label):
+                continue
+            vals, counts = np.unique(lm, return_counts=True)
+            totals = dict(zip(vals.tolist(), counts.tolist()))
+            new = oracle_boundary_majority(lm, mask, struct, totals)
+            if new is None or new == c.label:
+                continue
+            lm[mask] = new
+            changed = True
+            report.entries.append({
+                "label": c.label, "count": c.size,
+                "area_mm2": c.size * px_mm2, "action": f"relabeled to {new}",
+            })
+        if not changed:
+            break
+
+    for c in connected_components(lm, connectivity):
+        report.entries.append({
+            "label": c.label, "count": c.size,
+            "area_mm2": c.size * px_mm2, "action": "kept",
+        })
+    return lm, report
+
+
+PX = 250e-6  # 0.0625 mm^2 per pixel
+
+
+def square_rings(k, labels=(0, 1, 2)):
+    """A centre pixel inside k concentric one-pixel square rings, in a
+    two-pixel border; the codes cycle through `labels` outward. Each pass of
+    the filter moves every ring's code one ring outward and merges the
+    outermost ring into the border, so the map needs k + 1 relabelling
+    passes."""
+    c = k + 2
+    yy, xx = np.indices((2 * c + 1, 2 * c + 1))
+    ring = np.minimum(np.maximum(abs(yy - c), abs(xx - c)), k + 1)
+    return np.asarray(labels, dtype=np.uint8)[ring % len(labels)]
+
+
+class TestTopologicalFilterMatchesOracle:
+    """Same labels, dtype and report entries as the full-frame oracle."""
+
+    def check(self, lm, min_area_mm2):
+        want, want_report = oracle_topological_filter(lm, PX, min_area_mm2)
+        got, got_report = topological_filter(lm, PX, min_area_mm2)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got_report.entries == want_report.entries
+        assert got_report.lines() == want_report.lines()
+        return got, got_report
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_speckle(self, dtype):
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            lm = np.full((40, 48), NA, dtype=dtype)
+            lm[:, 30:] = HA
+            speck = rng.random(lm.shape) < 0.03
+            lm[speck] = rng.choice([0, NA, HA, 7], size=int(speck.sum()))
+            for area in (0.1, 0.5, 2.0):
+                self.check(lm, area)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_blocky(self, dtype):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            h, w = rng.integers(3, 9, size=2)
+            block = rng.integers(1, 4, size=2)
+            lm = np.kron(rng.integers(0, 4, size=(h, w)), np.ones(block, dtype=int))
+            self.check(lm.astype(dtype), float(rng.choice([0.2, 0.5, 1.0, 3.0])))
+
+    def test_random_maps_with_several_passes(self):
+        rng = np.random.default_rng(13)
+        multi_pass = 0
+        for _ in range(60):
+            h, w = rng.integers(4, 14, size=2)
+            lm = rng.integers(0, rng.integers(2, 6), size=(h, w))
+            area = float(rng.integers(1, h * w)) * 0.0625
+            got, _ = self.check(lm, area)
+            one_pass, _ = oracle_topological_filter(lm, PX, area, max_passes=1)
+            multi_pass += not np.array_equal(got, one_pass)
+        assert multi_pass >= 10
+
+    def test_components_touching_the_frame_edge(self):
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            h, w = rng.integers(3, 16, size=2)
+            lm = np.full((h, w), NA, dtype=np.uint8)
+            edge = np.zeros((h, w), dtype=bool)
+            edge[[0, -1], :] = edge[:, [0, -1]] = True
+            speck = edge & (rng.random((h, w)) < 0.3)
+            lm[speck] = rng.choice([0, HA], size=int(speck.sum()))
+            lm[0, 0] = lm[-1, -1] = HA  # corners
+            self.check(lm, float(rng.choice([0.1, 0.3, 1.0])))
+
+    def test_zero_and_huge_areas(self):
+        rng = np.random.default_rng(15)
+        lm = rng.integers(0, 3, size=(9, 11))
+        reports = {area: self.check(lm, area)[1] for area in (0.0, lm.size * 0.0625, 1e9)}
+        assert all(e["action"] == "kept" for e in reports[0.0].entries)
+        assert [e["action"] for e in reports[1e9].entries] == [
+            "warning: whole frame below threshold, unchanged"]
+
+    def test_one_pass_per_ring(self):
+        # nine rings take all ten passes: the tenth relabels the centre pixel
+        lm = square_rings(9)
+        area = 8 * 11 * 0.0625
+        out, _ = self.check(lm, area)
+        nine, _ = oracle_topological_filter(lm, PX, area, max_passes=9)
+        assert not np.array_equal(out, nine)
+        assert np.array_equal(topological_filter(out, PX, area)[0], out)
+        # ten rings run out of passes before the centre pixel is relabelled
+        lm = square_rings(10)
+        area = 8 * 12 * 0.0625
+        out, _ = self.check(lm, area)
+        assert not np.array_equal(topological_filter(out, PX, area)[0], out)
+
+
 class TestProbabilisticFilter:
     def test_radius_zero_is_identity(self):
         rng = np.random.default_rng(4)
