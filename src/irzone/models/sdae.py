@@ -34,18 +34,34 @@ class SDAEConfig:
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
+    """1 / (1 + exp(-x)) with x clipped to [-60, 60], built in the clipped
+    copy. np.maximum and np.minimum give np.clip's values (NaN included) for
+    a fraction of its call overhead."""
+    s = np.maximum(x, -60.0)
+    np.minimum(s, 60.0, out=s)
+    np.exp(np.negative(s, out=s), out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax of z, computed in z."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
-def _cross_entropy(p, y):
-    """Mean cross-entropy of softmax outputs p [N, 2] at integer labels y."""
-    return float(-np.mean(np.log(p[np.arange(len(y)), y] + 1e-12)))
+def _cross_entropy(p_true):
+    """Mean cross-entropy from the softmax probabilities of the true labels."""
+    return -float(np.log(p_true + 1e-12).sum()) / len(p_true)  # np.mean's sum / n
+
+
+def _flat_views(arrays):
+    """A flat copy of `arrays` and views of it in their shapes."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    parts = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
+    return flat, [v.reshape(a.shape) for v, a in zip(parts, arrays)]
 
 
 def pretrain_dae_layer(X, hidden_size, corruption=0.2, epochs=15, lr=0.05,
@@ -69,29 +85,25 @@ def pretrain_dae_layer(X, hidden_size, corruption=0.2, epochs=15, lr=0.05,
     bd = np.zeros(d)
     losses = []
     for _ in range(epochs):
-        order = rng.permutation(n)
+        # the epoch's rows in visiting order, and one mask draw for all of
+        # them: the same random stream as one draw per batch
+        Xo = X[rng.permutation(n)]
+        Xc = Xo * (rng.random((n, d)) >= corruption) if corruption > 0 else Xo
         total = 0.0
         for s in range(0, n, batch_size):
-            idx = order[s : s + batch_size]
-            xb = X[idx]
-            keep = (rng.random(xb.shape) >= corruption) if corruption > 0 else None
-            xc = xb * keep if keep is not None else xb
+            xb, xc = Xo[s : s + batch_size], Xc[s : s + batch_size]
             h = _sigmoid(xc @ W + b)
-            xr = h @ Wd + bd
-            err = xr - xb
+            err = h @ Wd + bd - xb
             total += float((err**2).sum())
-            m = len(idx)
-            g_xr = 2.0 * err / m
+            g_xr = 2.0 * err / len(xb)
             g_Wd = h.T @ g_xr
             g_bd = g_xr.sum(axis=0)
-            g_h = g_xr @ Wd.T
-            g_z = g_h * h * (1 - h)
+            g_z = (g_xr @ Wd.T) * h * (1 - h)
             g_W = xc.T @ g_z
             g_b = g_z.sum(axis=0)
-            W -= lr * g_W
-            b -= lr * g_b
-            Wd -= lr * g_Wd
-            bd -= lr * g_bd
+            for p, g in ((W, g_W), (b, g_b), (Wd, g_Wd), (bd, g_bd)):
+                g *= lr
+                p -= g
         loss = total / n
         if not np.isfinite(loss):
             raise TrainingDiverged("pretraining loss diverged", losses + [loss])
@@ -109,14 +121,12 @@ class SDAEModel:
 
     def forward(self, X):
         """Returns (activations per layer, softmax output [N, 2])."""
-        X = np.asarray(X, dtype=np.float64)
-        acts = [X]
-        h = X
-        for i in range(len(self.weights) - 1):
-            h = _sigmoid(h @ self.weights[i] + self.biases[i])
+        h = np.asarray(X, dtype=np.float64)
+        acts = [h]
+        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = _sigmoid(h @ W + b)
             acts.append(h)
-        logits = h @ self.weights[-1] + self.biases[-1]
-        return acts, _softmax(logits)
+        return acts, _softmax(h @ self.weights[-1] + self.biases[-1])
 
     def predict_proba(self, X) -> np.ndarray:
         """P(class 1) per row."""
@@ -134,23 +144,24 @@ class SDAEModel:
     def loss(self, X, y) -> float:
         """Mean cross-entropy, from a forward pass only."""
         _, p = self.forward(X)
-        return _cross_entropy(p, np.asarray(y, dtype=np.int64))
+        return _cross_entropy(p[np.arange(len(p)), np.asarray(y, dtype=np.int64)])
 
-    def loss_and_grads(self, X, y):
-        """Mean cross-entropy and analytic gradients for every parameter."""
-        X = np.asarray(X, dtype=np.float64)
+    def loss_and_grads(self, X, y, out=None):
+        """Mean cross-entropy and analytic gradients for every parameter, as
+        (loss, weight gradients, bias gradients). If given, `out` is a pair of
+        lists of arrays shaped like the weights and the biases; the gradients
+        are written into them."""
         y = np.asarray(y, dtype=np.int64)
-        n = X.shape[0]
-        acts, p = self.forward(X)
-        loss = _cross_entropy(p, y)
-        delta = p.copy()
-        delta[np.arange(n), y] -= 1.0
+        acts, delta = self.forward(X)
+        n = len(delta)
+        rows = np.arange(n)
+        loss = _cross_entropy(delta[rows, y])
+        delta[rows, y] -= 1.0
         delta /= n
-        gw = [None] * len(self.weights)
-        gb = [None] * len(self.biases)
+        gw, gb = out or ([None] * len(self.weights), [None] * len(self.biases))
         for i in range(len(self.weights) - 1, -1, -1):
-            gw[i] = acts[i].T @ delta
-            gb[i] = delta.sum(axis=0)
+            gw[i] = np.matmul(acts[i].T, delta, out=gw[i])
+            gb[i] = delta.sum(axis=0, out=gb[i])
             if i > 0:
                 delta = (delta @ self.weights[i].T) * acts[i] * (1 - acts[i])
         return loss, gw, gb
@@ -186,7 +197,16 @@ class SDAEModel:
 
 
 def train_sdae(X, y, config: SDAEConfig = SDAEConfig(), seed: int = 0) -> SDAEModel:
-    """Layerwise pretraining followed by supervised fine-tuning."""
+    """Layerwise pretraining followed by supervised fine-tuning.
+
+    Fine-tuning holds out `holdout_frac` of the rows and stops once the
+    hold-out loss has not improved for `patience` epochs; the weights with
+    the best hold-out loss are kept. `trace["finetune_losses"]` holds one
+    entry per epoch: the mean of that epoch's minibatch losses, weighted by
+    batch size, each taken before its batch's update. Training never runs a
+    forward pass over the whole training split: on thousands of rows the
+    product is large enough for OpenBLAS to wake its second thread, which
+    then busy-waits through the small minibatch products that follow."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if not np.isin(y, [0, 1]).all():
@@ -231,32 +251,43 @@ def train_sdae(X, y, config: SDAEConfig = SDAEConfig(), seed: int = 0) -> SDAEMo
     if len(train) == 0:
         train, hold = order, order[:0]
     Xt, yt = X[train], y[train]
+    Xh, yh = X[hold], y[hold]
+    bs = config.batch_size
+    # the parameters are views into one flat array and their gradients into
+    # another, so that an SGD step is two numpy calls
+    k = len(model.weights)
+    theta, views = _flat_views(model.weights + model.biases)
+    model.weights, model.biases = views[:k], views[k:]
+    grad, views = _flat_views(views)
+    grads = (views[:k], views[k:])
     ft_losses = []
     best_hold = np.inf
     best = None
     since_best = 0
     for _ in range(config.finetune_epochs):
         perm = rng.permutation(len(Xt))
-        for s in range(0, len(Xt), config.batch_size):
-            idx = perm[s : s + config.batch_size]
-            loss, gw, gb = model.loss_and_grads(Xt[idx], yt[idx])
+        Xp, yp = Xt[perm], yt[perm]
+        total = 0.0
+        for s in range(0, len(Xp), bs):
+            yb = yp[s : s + bs]
+            loss = model.loss_and_grads(Xp[s : s + bs], yb, out=grads)[0]
             if not np.isfinite(loss):
                 raise TrainingDiverged("fine-tune loss diverged", ft_losses + [loss])
-            for i in range(len(model.weights)):
-                model.weights[i] -= config.lr * gw[i]
-                model.biases[i] -= config.lr * gb[i]
-        ft_losses.append(model.loss(Xt, yt))
+            total += loss * len(yb)
+            grad *= config.lr
+            theta -= grad
+        ft_losses.append(total / len(Xp))
         if len(hold) > 0:
-            hold_loss = model.loss(X[hold], y[hold])
+            hold_loss = model.loss(Xh, yh)
             if hold_loss < best_hold - 1e-9:
                 best_hold = hold_loss
-                best = ([w.copy() for w in model.weights], [b.copy() for b in model.biases])
+                best = theta.copy()
                 since_best = 0
             else:
                 since_best += 1
                 if since_best >= config.patience:
                     break
     if best is not None:
-        model.weights, model.biases = best
+        theta[:] = best
     model.trace = {"pretrain_losses": pre_losses, "finetune_losses": ft_losses}
     return model

@@ -15,7 +15,6 @@ STRUCTURE_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 STRUCTURE_8 = np.ones((3, 3), dtype=bool)
 
 DEFAULT_MIN_AREA_MM2 = 2.0
-MAX_PASSES = 10  # topological-filter passes
 
 
 @dataclass
@@ -67,8 +66,10 @@ def connected_components(label_map, connectivity: int = 8) -> list[Component]:
 
 def topological_filter(label_map, pixel_size, min_area_mm2=DEFAULT_MIN_AREA_MM2):
     """Relabel 8-connected regions smaller than `min_area_mm2` to the majority
-    label of their boundary neighbors, in passes until stable (at most
-    MAX_PASSES).
+    label of their boundary neighbors, in passes until a pass relabels
+    nothing. Every relabel merges a component into a neighbor, so there are
+    at most as many passes as components, and the result holds no component
+    below `min_area_mm2` unless it is the whole frame.
 
     Each pass visits the small components of the map as it stood at the start
     of the pass, smallest first, ties by first pixel in raster order. A
@@ -94,7 +95,7 @@ def topological_filter(label_map, pixel_size, min_area_mm2=DEFAULT_MIN_AREA_MM2)
     comps = connected_components(lm, 8)
     vals, counts = np.unique(lm, return_counts=True)
     totals = dict(zip(vals.tolist(), counts.tolist()))  # kept current through relabels
-    for _ in range(MAX_PASSES):
+    while True:
         small = sorted((c for c in comps if c.size * px_mm2 < min_area_mm2),
                        key=lambda c: (c.size, int(c.pixels[0])))
         changed = False
@@ -103,9 +104,14 @@ def topological_filter(label_map, pixel_size, min_area_mm2=DEFAULT_MIN_AREA_MM2)
             rows, cols = np.divmod(c.pixels, lm.shape[1])
             r0, c0 = max(rows.min() - 1, 0), max(cols.min() - 1, 0)
             box = lm[r0:rows.max() + 2, c0:cols.max() + 2]
-            mask = np.zeros(box.shape, dtype=bool)
-            mask[rows - r0, cols - c0] = True
-            ring = ndimage.binary_dilation(mask, structure=STRUCTURE_8) & ~mask
+            # the ring is the OR of the nine shifts of the zero-padded mask,
+            # taken as three column shifts, then three row shifts
+            h, w = box.shape
+            pad = np.zeros((h + 2, w + 2), dtype=bool)
+            pad[rows - r0 + 1, cols - c0 + 1] = True
+            mask = pad[1:-1, 1:-1]
+            cols3 = pad[:, :w] | pad[:, 1:-1] | pad[:, 2:]
+            ring = (cols3[:h] | cols3[1:-1] | cols3[2:]) & ~mask
             vals, counts = np.unique(box[ring], return_counts=True)
             new = max(zip(counts.tolist(), vals.tolist()),
                       key=lambda cv: (cv[0], totals[cv[1]], -cv[1]))[1]

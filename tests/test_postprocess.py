@@ -265,10 +265,13 @@ def square_rings(k, labels=(0, 1, 2)):
 
 
 class TestTopologicalFilterMatchesOracle:
-    """Same labels, dtype and report entries as the full-frame oracle."""
+    """Same labels, dtype and report entries as the full-frame oracle run to
+    its fixed point: every pass that relabels merges at least one component
+    away, so `lm.size` passes always suffice."""
 
     def check(self, lm, min_area_mm2):
-        want, want_report = oracle_topological_filter(lm, PX, min_area_mm2)
+        want, want_report = oracle_topological_filter(lm, PX, min_area_mm2,
+                                                      max_passes=lm.size)
         got, got_report = topological_filter(lm, PX, min_area_mm2)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -329,18 +332,16 @@ class TestTopologicalFilterMatchesOracle:
             "warning: whole frame below threshold, unchanged"]
 
     def test_one_pass_per_ring(self):
-        # nine rings take all ten passes: the tenth relabels the centre pixel
-        lm = square_rings(9)
-        area = 8 * 11 * 0.0625
-        out, _ = self.check(lm, area)
-        nine, _ = oracle_topological_filter(lm, PX, area, max_passes=9)
-        assert not np.array_equal(out, nine)
-        assert np.array_equal(topological_filter(out, PX, area)[0], out)
-        # ten rings run out of passes before the centre pixel is relabelled
-        lm = square_rings(10)
-        area = 8 * 12 * 0.0625
-        out, _ = self.check(lm, area)
-        assert not np.array_equal(topological_filter(out, PX, area)[0], out)
+        # k rings take k + 1 passes: the last relabels the centre pixel, and
+        # the result is a fixed point however many passes that takes
+        for k in (9, 10, 16):
+            lm = square_rings(k)
+            area = 8 * (k + 2) * 0.0625
+            out, report = self.check(lm, area)
+            short, _ = oracle_topological_filter(lm, PX, area, max_passes=k)
+            assert not np.array_equal(out, short)
+            assert [e["action"] for e in report.entries].count("kept") == 1
+            assert np.array_equal(topological_filter(out, PX, area)[0], out)
 
 
 class TestProbabilisticFilter:

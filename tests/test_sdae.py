@@ -7,6 +7,7 @@ from irzone.io_formats import FormatError
 from irzone.models.sdae import (
     SDAEConfig,
     SDAEModel,
+    TrainingDiverged,
     pretrain_dae_layer,
     train_sdae,
 )
@@ -105,6 +106,299 @@ class TestTrainSDAE:
         model = train_sdae(x, y, SDAEConfig(hidden_sizes=(4,), finetune_epochs=5), seed=0)
         assert len(model.trace["pretrain_losses"]) == 1
         assert len(model.trace["finetune_losses"]) >= 1
+
+
+def oracle_sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
+
+
+def oracle_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def oracle_cross_entropy(p, y):
+    return float(-np.mean(np.log(p[np.arange(len(y)), y] + 1e-12)))
+
+
+class OracleSDAE(SDAEModel):
+    """The forward pass, loss and gradients the current ones replaced, kept
+    verbatim as their oracle."""
+
+    def forward(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        acts = [X]
+        h = X
+        for i in range(len(self.weights) - 1):
+            h = oracle_sigmoid(h @ self.weights[i] + self.biases[i])
+            acts.append(h)
+        logits = h @ self.weights[-1] + self.biases[-1]
+        return acts, oracle_softmax(logits)
+
+    def loss(self, X, y) -> float:
+        _, p = self.forward(X)
+        return oracle_cross_entropy(p, np.asarray(y, dtype=np.int64))
+
+    def loss_and_grads(self, X, y):
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.int64)
+        n = X.shape[0]
+        acts, p = self.forward(X)
+        loss = oracle_cross_entropy(p, y)
+        delta = p.copy()
+        delta[np.arange(n), y] -= 1.0
+        delta /= n
+        gw = [None] * len(self.weights)
+        gb = [None] * len(self.biases)
+        for i in range(len(self.weights) - 1, -1, -1):
+            gw[i] = acts[i].T @ delta
+            gb[i] = delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ self.weights[i].T) * acts[i] * (1 - acts[i])
+        return loss, gw, gb
+
+
+def oracle_pretrain_dae_layer(X, hidden_size, corruption=0.2, epochs=15, lr=0.05,
+                              seed=0, batch_size=64):
+    """The loop pretrain_dae_layer replaced, kept verbatim as its oracle: one
+    corruption draw per batch and out-of-place updates."""
+    if not 0.0 <= corruption < 1.0:
+        raise ValueError("corruption must be in [0, 1)")
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / np.sqrt(d)
+    W = rng.uniform(-scale, scale, size=(d, hidden_size))
+    b = np.zeros(hidden_size)
+    Wd = rng.uniform(-1.0 / np.sqrt(hidden_size), 1.0 / np.sqrt(hidden_size),
+                     size=(hidden_size, d))
+    bd = np.zeros(d)
+    losses = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for s in range(0, n, batch_size):
+            idx = order[s : s + batch_size]
+            xb = X[idx]
+            keep = (rng.random(xb.shape) >= corruption) if corruption > 0 else None
+            xc = xb * keep if keep is not None else xb
+            h = oracle_sigmoid(xc @ W + b)
+            xr = h @ Wd + bd
+            err = xr - xb
+            total += float((err**2).sum())
+            m = len(idx)
+            g_xr = 2.0 * err / m
+            g_Wd = h.T @ g_xr
+            g_bd = g_xr.sum(axis=0)
+            g_h = g_xr @ Wd.T
+            g_z = g_h * h * (1 - h)
+            g_W = xc.T @ g_z
+            g_b = g_z.sum(axis=0)
+            W -= lr * g_W
+            b -= lr * g_b
+            Wd -= lr * g_Wd
+            bd -= lr * g_bd
+        loss = total / n
+        if not np.isfinite(loss):
+            raise TrainingDiverged("pretraining loss diverged", losses + [loss])
+        losses.append(loss)
+    return (W, b), (Wd, bd), losses
+
+
+def oracle_train_sdae(X, y, config=SDAEConfig(), seed=0):
+    """The train_sdae loop the current one replaced, kept verbatim as its
+    oracle: a forward pass over the whole training split after every
+    fine-tune epoch. It also records (loss, rows) of every minibatch, per
+    epoch, in trace["batch_losses"]."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    if not np.isin(y, [0, 1]).all():
+        raise ValueError("labels must be binary 0/1")
+    n, d = X.shape
+    rng = np.random.default_rng(seed)
+
+    weights, biases = [], []
+    codes = X
+    pre_losses = []
+    for li, h in enumerate(config.hidden_sizes):
+        (W, b), _, losses = oracle_pretrain_dae_layer(
+            codes,
+            h,
+            corruption=config.corruption,
+            epochs=config.pretrain_epochs,
+            lr=config.lr,
+            seed=seed + 1000 * (li + 1),
+            batch_size=config.batch_size,
+        )
+        weights.append(W)
+        biases.append(b)
+        codes = oracle_sigmoid(codes @ W + b)
+        pre_losses.append(losses)
+
+    h_last = config.hidden_sizes[-1] if config.hidden_sizes else d
+    scale = 1.0 / np.sqrt(h_last)
+    weights.append(rng.uniform(-scale, scale, size=(h_last, 2)))
+    biases.append(np.zeros(2))
+    model = OracleSDAE(
+        layer_sizes=[d, *config.hidden_sizes, 2],
+        weights=weights,
+        biases=biases,
+        corruption=config.corruption,
+    )
+
+    order = rng.permutation(n)
+    n_hold = max(1, int(round(config.holdout_frac * n))) if n > 10 else 0
+    hold, train = order[:n_hold], order[n_hold:]
+    if len(train) == 0:
+        train, hold = order, order[:0]
+    Xt, yt = X[train], y[train]
+    ft_losses = []
+    batch_losses = []
+    best_hold = np.inf
+    best = None
+    since_best = 0
+    for _ in range(config.finetune_epochs):
+        perm = rng.permutation(len(Xt))
+        batch_losses.append([])
+        for s in range(0, len(Xt), config.batch_size):
+            idx = perm[s : s + config.batch_size]
+            loss, gw, gb = model.loss_and_grads(Xt[idx], yt[idx])
+            if not np.isfinite(loss):
+                raise TrainingDiverged("fine-tune loss diverged", ft_losses + [loss])
+            batch_losses[-1].append((loss, len(idx)))
+            for i in range(len(model.weights)):
+                model.weights[i] -= config.lr * gw[i]
+                model.biases[i] -= config.lr * gb[i]
+        ft_losses.append(model.loss(Xt, yt))
+        if len(hold) > 0:
+            hold_loss = model.loss(X[hold], y[hold])
+            if hold_loss < best_hold - 1e-9:
+                best_hold = hold_loss
+                best = ([w.copy() for w in model.weights], [b.copy() for b in model.biases])
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= config.patience:
+                    break
+    if best is not None:
+        model.weights, model.biases = best
+    model.trace = {"pretrain_losses": pre_losses, "finetune_losses": ft_losses,
+                   "batch_losses": batch_losses}
+    return model
+
+
+def noisy_data(n, d=3, seed=0, flip=0.2):
+    """Linearly separable labels with a fraction `flip` of them flipped."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    y = (x @ np.linspace(1.0, -0.5, d) > 0).astype(np.int64)
+    y[rng.random(n) < flip] ^= 1
+    return x, y
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+ORACLE_CASES = {
+    "corruption-0": (noisy_data(300, seed=1),
+                     SDAEConfig(hidden_sizes=(6, 4), corruption=0.0, pretrain_epochs=4,
+                                finetune_epochs=15, batch_size=32)),
+    "corruption-0.2": (noisy_data(300, seed=2),
+                       SDAEConfig(hidden_sizes=(6, 4), corruption=0.2, pretrain_epochs=4,
+                                  finetune_epochs=15, batch_size=32)),
+    "ragged-batches": (noisy_data(203, d=5, seed=3),
+                       SDAEConfig(hidden_sizes=(7,), pretrain_epochs=3, finetune_epochs=12,
+                                  batch_size=24)),
+    "patience-stop": (noisy_data(240, seed=4, flip=0.5),
+                      SDAEConfig(hidden_sizes=(5,), pretrain_epochs=2, finetune_epochs=200,
+                                 lr=0.3, batch_size=16, patience=3)),
+    "no-holdout": (noisy_data(9, seed=5),
+                   SDAEConfig(hidden_sizes=(4, 3), pretrain_epochs=5, finetune_epochs=20,
+                              batch_size=4)),
+    "no-hidden-layer": (noisy_data(150, seed=6),
+                        SDAEConfig(hidden_sizes=(), finetune_epochs=25, batch_size=20)),
+}
+
+
+class TestTrainingMatchesOracle:
+    """Same weights, biases, epochs and pretraining losses as the old loops,
+    without their full training-set loss pass."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_train_sdae(self, case):
+        (x, y), config = ORACLE_CASES[case]
+        for seed in (0, 11):
+            want = oracle_train_sdae(x, y, config, seed=seed)
+            got = train_sdae(x, y, config, seed=seed)
+            assert_same_bytes(got.weights, want.weights)
+            assert_same_bytes(got.biases, want.biases)
+            assert got.trace["pretrain_losses"] == want.trace["pretrain_losses"]
+            epochs = len(want.trace["finetune_losses"])
+            assert len(got.trace["finetune_losses"]) == epochs
+            if case == "patience-stop":
+                assert epochs < config.finetune_epochs
+            else:
+                assert epochs == config.finetune_epochs
+            weighted = [sum(loss * m for loss, m in batches) / sum(m for _, m in batches)
+                        for batches in want.trace["batch_losses"]]
+            assert got.trace["finetune_losses"] == weighted
+
+    @pytest.mark.parametrize("corruption", [0.0, 0.2, 0.5])
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_pretrain_dae_layer(self, corruption, n):
+        x, _ = noisy_data(n, d=4, seed=n)
+        kwargs = dict(corruption=corruption, epochs=5, lr=0.1, seed=3, batch_size=32)
+        got = pretrain_dae_layer(x, 6, **kwargs)
+        want = oracle_pretrain_dae_layer(x, 6, **kwargs)
+        assert_same_bytes([*got[0], *got[1]], [*want[0], *want[1]])
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("scale", [3.0, 100.0])  # 100: sigmoid inputs beyond +-60
+    def test_loss_and_grads(self, scale):
+        rng = np.random.default_rng(12)
+        for sizes in ([4, 2], [4, 5, 2], [3, 6, 4, 2]):
+            weights = [rng.normal(size=io) for io in zip(sizes[:-1], sizes[1:])]
+            biases = [rng.normal(size=o) for o in sizes[1:]]
+            x = rng.normal(scale=scale, size=(17, sizes[0]))
+            x[0, 0] = np.nan
+            y = rng.integers(0, 2, size=17)
+            got = SDAEModel(sizes, weights, biases, 0.0)
+            want = OracleSDAE(sizes, weights, biases, 0.0)
+            assert_same_bytes([got.predict_proba(x)], [want.predict_proba(x)])
+            x = x[1:]
+            y = y[1:]
+            loss, gw, gb = got.loss_and_grads(x, y)
+            want_loss, want_gw, want_gb = want.loss_and_grads(x, y)
+            assert loss == want_loss == got.loss(x, y) == want.loss(x, y)
+            assert_same_bytes(gw, want_gw)
+            assert_same_bytes(gb, want_gb)
+            out = ([np.full_like(w, np.nan) for w in weights],
+                   [np.full_like(b, np.nan) for b in biases])
+            assert got.loss_and_grads(x, y, out=out)[0] == loss
+            assert_same_bytes(out[0], want_gw)
+            assert_same_bytes(out[1], want_gb)
+
+
+def test_fine_tuning_never_runs_a_full_training_set_pass(monkeypatch):
+    x, y = noisy_data(1000, seed=7)
+    config = SDAEConfig(hidden_sizes=(4,), pretrain_epochs=1, finetune_epochs=5,
+                        batch_size=32)
+    rows = []
+    forward = SDAEModel.forward
+
+    def recording_forward(self, X):
+        rows.append(len(X))
+        return forward(self, X)
+
+    monkeypatch.setattr(SDAEModel, "forward", recording_forward)
+    train_sdae(x, y, config, seed=0)
+    n_hold = round(config.holdout_frac * len(x))
+    assert rows and max(rows) == max(config.batch_size, n_hold)
 
 
 class TestGradients:
