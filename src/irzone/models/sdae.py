@@ -4,10 +4,22 @@ inputs, then supervised fine-tuning with a softmax head.
 Pure-numpy SGD. Hidden units are sigmoid; decoders are affine with squared
 reconstruction error (inputs are standardized real values); the classifier
 head is a 2-way softmax trained with cross-entropy and early stopping.
+
+Training makes tens of thousands of minibatch steps of 64 rows. Each step is
+a few dozen numpy calls on arrays of a few kilobytes, so the calls' fixed
+cost, not their arithmetic, sets the time. A step therefore writes every
+result into buffers allocated once per training call (`_Workspace`), and
+every product is `np.dot(a, b, out=buf)`: the same `cblas_dgemm` call as
+`a @ b`, with less dispatch. The floats are those of the out-of-place
+expressions, which the tests keep as the oracle. (`np.dot` and `@` part ways
+only on a non-contiguous input times a one-column matrix; no layer here is
+one column wide unless configured so, and the pipeline's inputs are
+contiguous.)
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,28 +45,34 @@ class SDAEConfig:
     holdout_frac: float = 0.1
 
 
-def _sigmoid(x):
-    """1 / (1 + exp(-x)) with x clipped to [-60, 60], built in the clipped
-    copy. np.maximum and np.minimum give np.clip's values (NaN included) for
-    a fraction of its call overhead."""
-    s = np.maximum(x, -60.0)
-    np.minimum(s, 60.0, out=s)
-    np.exp(np.negative(s, out=s), out=s)
-    s += 1.0
-    return np.divide(1.0, s, out=s)
+def _sigmoid(z):
+    """1 / (1 + exp(-z)), computed in z. z is clipped below at -60, so
+    exp(-z) cannot overflow. An upper clip would change nothing: for every
+    z >= 60, +inf included, 1 + exp(-z) rounds to exactly 1.0, as it does at
+    z = 60. NaN propagates."""
+    np.maximum(z, -60.0, out=z)
+    np.exp(np.negative(z, out=z), out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)  # 1.0 / z, rounded once
 
 
-def _softmax(z):
-    """Row softmax of z, computed in z."""
-    z -= z.max(axis=1, keepdims=True)
+def _softmax(z, pair):
+    """Row softmax of the two-column z, computed in z, with `pair` [N, 1] as
+    scratch. The row max and row sum are the elementwise max and sum of the
+    two columns: the floats of the axis=1 reductions, at a fraction of their
+    call cost."""
+    a, b = z[:, :1], z[:, 1:]
+    z -= np.maximum(a, b, out=pair)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= np.add(a, b, out=pair)
     return z
 
 
-def _cross_entropy(p_true):
-    """Mean cross-entropy from the softmax probabilities of the true labels."""
-    return -float(np.log(p_true + 1e-12).sum()) / len(p_true)  # np.mean's sum / n
+def _affine(x, W, b, out):
+    """x @ W + b, written into `out`."""
+    np.dot(x, W, out=out)
+    out += b
+    return out
 
 
 def _flat_views(arrays):
@@ -64,6 +82,51 @@ def _flat_views(arrays):
     return flat, [v.reshape(a.shape) for v, a in zip(parts, arrays)]
 
 
+class _Workspace:
+    """Buffers for the passes of an `SDAEModel` over up to `rows` rows, so
+    that a training step allocates nothing. It holds:
+
+    - `acts`: each layer's output, the softmax probabilities last;
+    - `pair`: [rows, 1] scratch for the softmax's row max and row sum;
+    - `first`: the flat index of each row's first class in the [rows, 2]
+      softmax output;
+    - with `backward`: `deltas`, each hidden layer's back-propagated error,
+      and `grad`, one flat gradient array, with `gw` and `gb` its views
+      shaped like the weights and the biases.
+
+    A pass over fewer rows, such as the ragged last batch of an epoch, uses
+    the leading rows of each buffer; they are C-contiguous, as `np.dot`'s
+    `out` must be."""
+
+    def __init__(self, model, rows, backward=True):
+        widths = model.layer_sizes[1:]
+        self.acts = [np.empty((rows, w)) for w in widths]
+        self.pair = np.empty((rows, 1))
+        self.first = np.arange(0, 2 * rows, 2)
+        if backward:
+            self.deltas = [np.empty((rows, w)) for w in widths[:-1]]
+            k = len(model.weights)
+            self.grad, views = _flat_views(model.weights + model.biases)
+            self.gw, self.gb = views[:k], views[k:]
+
+
+def _binary_labels(y):
+    """y as an int64 array; raises unless every label is 0 or 1."""
+    y = np.asarray(y)
+    if not np.isin(y, [0, 1]).all():
+        raise ValueError("labels must be binary 0/1")
+    return y.astype(np.int64)
+
+
+def _cross_entropy(p, true):
+    """Mean cross-entropy of the softmax output p [N, 2], given the flat
+    index of each row's true class in p."""
+    p_true = p.reshape(-1).take(true)
+    p_true += 1e-12
+    np.log(p_true, out=p_true)
+    return -float(p_true.sum()) / len(p_true)  # np.mean's sum / n
+
+
 def pretrain_dae_layer(X, hidden_size, corruption=0.2, epochs=15, lr=0.05,
                        seed=0, batch_size=64):
     """One denoising autoencoder layer.
@@ -71,6 +134,9 @@ def pretrain_dae_layer(X, hidden_size, corruption=0.2, epochs=15, lr=0.05,
     Each input coordinate is zeroed with probability `corruption`; the layer
     learns to reconstruct the clean input. Returns ((W, b) encoder,
     (W_dec, b_dec) decoder, losses per epoch).
+
+    As in fine-tuning, the parameters are views into one flat array and their
+    gradients into another, and every batch writes into the same buffers.
     """
     if not 0.0 <= corruption < 1.0:
         raise ValueError("corruption must be in [0, 1)")
@@ -83,6 +149,11 @@ def pretrain_dae_layer(X, hidden_size, corruption=0.2, epochs=15, lr=0.05,
     Wd = rng.uniform(-1.0 / np.sqrt(hidden_size), 1.0 / np.sqrt(hidden_size),
                      size=(hidden_size, d))
     bd = np.zeros(d)
+    theta, (W, b, Wd, bd) = _flat_views([W, b, Wd, bd])
+    grad, (g_W, g_b, g_Wd, g_bd) = _flat_views([W, b, Wd, bd])
+    rows = min(batch_size, n)
+    h_buf, g_z_buf = np.empty((rows, hidden_size)), np.empty((rows, hidden_size))
+    err_buf, sq_buf = np.empty((rows, d)), np.empty((rows, d))
     losses = []
     for _ in range(epochs):
         # the epoch's rows in visiting order, and one mask draw for all of
@@ -92,20 +163,24 @@ def pretrain_dae_layer(X, hidden_size, corruption=0.2, epochs=15, lr=0.05,
         total = 0.0
         for s in range(0, n, batch_size):
             xb, xc = Xo[s : s + batch_size], Xc[s : s + batch_size]
-            h = _sigmoid(xc @ W + b)
-            err = h @ Wd + bd - xb
-            total += float((err**2).sum())
-            g_xr = 2.0 * err / len(xb)
-            g_Wd = h.T @ g_xr
-            g_bd = g_xr.sum(axis=0)
-            g_z = (g_xr @ Wd.T) * h * (1 - h)
-            g_W = xc.T @ g_z
-            g_b = g_z.sum(axis=0)
-            for p, g in ((W, g_W), (b, g_b), (Wd, g_Wd), (bd, g_bd)):
-                g *= lr
-                p -= g
+            m = len(xb)
+            h = _sigmoid(_affine(xc, W, b, h_buf[:m]))
+            err = _affine(h, Wd, bd, err_buf[:m])
+            err -= xb
+            total += float(np.square(err, out=sq_buf[:m]).sum())
+            err *= 2.0
+            err /= m  # the reconstruction's gradient
+            np.dot(h.T, err, out=g_Wd)
+            np.add.reduce(err, axis=0, out=g_bd)
+            g_z = np.dot(err, Wd.T, out=g_z_buf[:m])
+            g_z *= h
+            g_z *= np.subtract(1.0, h, out=h)  # h is not read again
+            np.dot(xc.T, g_z, out=g_W)
+            np.add.reduce(g_z, axis=0, out=g_b)
+            grad *= lr
+            theta -= grad
         loss = total / n
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise TrainingDiverged("pretraining loss diverged", losses + [loss])
         losses.append(loss)
     return (W, b), (Wd, bd), losses
@@ -119,14 +194,20 @@ class SDAEModel:
     corruption: float
     trace: dict = field(default_factory=dict)
 
-    def forward(self, X):
-        """Returns (activations per layer, softmax output [N, 2])."""
+    def forward(self, X, work=None):
+        """Returns (activations per layer, softmax output [N, 2]), written
+        into the workspace `work`, or into a new one without the backward
+        buffers if it is None."""
         h = np.asarray(X, dtype=np.float64)
+        n = len(h)
+        if work is None:
+            work = _Workspace(self, n, backward=False)
         acts = [h]
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = _sigmoid(h @ W + b)
+        for W, b, buf in zip(self.weights[:-1], self.biases[:-1], work.acts):
+            h = _sigmoid(_affine(h, W, b, buf[:n]))
             acts.append(h)
-        return acts, _softmax(h @ self.weights[-1] + self.biases[-1])
+        z = _affine(h, self.weights[-1], self.biases[-1], work.acts[-1][:n])
+        return acts, _softmax(z, work.pair[:n])
 
     def predict_proba(self, X) -> np.ndarray:
         """P(class 1) per row."""
@@ -142,29 +223,39 @@ class SDAEModel:
         return float(p[0, 1]) if single else p[:, 1]
 
     def loss(self, X, y) -> float:
-        """Mean cross-entropy, from a forward pass only."""
-        _, p = self.forward(X)
-        return _cross_entropy(p[np.arange(len(p)), np.asarray(y, dtype=np.int64)])
+        """Mean cross-entropy against the labels y in {0, 1}, from a forward
+        pass only."""
+        y = _binary_labels(y)
+        work = _Workspace(self, len(X), backward=False)
+        _, p = self.forward(X, work)
+        return _cross_entropy(p, work.first[:len(p)] + y)
 
-    def loss_and_grads(self, X, y, out=None):
-        """Mean cross-entropy and analytic gradients for every parameter, as
-        (loss, weight gradients, bias gradients). If given, `out` is a pair of
-        lists of arrays shaped like the weights and the biases; the gradients
-        are written into them."""
-        y = np.asarray(y, dtype=np.int64)
-        acts, delta = self.forward(X)
+    def loss_and_grads(self, X, y, work=None):
+        """Mean cross-entropy against the labels y in {0, 1} and analytic
+        gradients for every parameter, as (loss, weight gradients, bias
+        gradients). The pass writes into the workspace `work`, built for at
+        least len(X) rows, and returns its gradient views; if `work` is None,
+        into a new workspace. The labels are checked only then: with a
+        workspace, as in `train_sdae`, they were checked once before
+        training. The hidden activations are overwritten on the way back."""
+        if work is None:
+            work = _Workspace(self, len(X))
+            y = _binary_labels(y)
+        acts, delta = self.forward(X, work)
         n = len(delta)
-        rows = np.arange(n)
-        loss = _cross_entropy(delta[rows, y])
-        delta[rows, y] -= 1.0
+        true = work.first[:n] + y
+        loss = _cross_entropy(delta, true)
+        delta.reshape(-1)[true] -= 1.0
         delta /= n
-        gw, gb = out or ([None] * len(self.weights), [None] * len(self.biases))
         for i in range(len(self.weights) - 1, -1, -1):
-            gw[i] = np.matmul(acts[i].T, delta, out=gw[i])
-            gb[i] = delta.sum(axis=0, out=gb[i])
+            np.dot(acts[i].T, delta, out=work.gw[i])
+            np.add.reduce(delta, axis=0, out=work.gb[i])
             if i > 0:
-                delta = (delta @ self.weights[i].T) * acts[i] * (1 - acts[i])
-        return loss, gw, gb
+                a = acts[i]
+                delta = np.dot(delta, self.weights[i].T, out=work.deltas[i - 1][:n])
+                delta *= a
+                delta *= np.subtract(1.0, a, out=a)  # a is not read again
+        return loss, work.gw, work.gb
 
     def to_state(self) -> dict:
         return {
@@ -206,11 +297,13 @@ def train_sdae(X, y, config: SDAEConfig = SDAEConfig(), seed: int = 0) -> SDAEMo
     batch size, each taken before its batch's update. Training never runs a
     forward pass over the whole training split: on thousands of rows the
     product is large enough for OpenBLAS to wake its second thread, which
-    then busy-waits through the small minibatch products that follow."""
+    then busy-waits through the small minibatch products that follow.
+
+    Every fine-tune step is one `SDAEModel.loss_and_grads` call into a
+    workspace built once for `batch_size` rows, followed by one in-place SGD
+    update of the flat parameter array from the workspace's flat gradient."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if not np.isin(y, [0, 1]).all():
-        raise ValueError("labels must be binary 0/1")
+    y = _binary_labels(y)
     n, d = X.shape
     rng = np.random.default_rng(seed)
 
@@ -253,13 +346,13 @@ def train_sdae(X, y, config: SDAEConfig = SDAEConfig(), seed: int = 0) -> SDAEMo
     Xt, yt = X[train], y[train]
     Xh, yh = X[hold], y[hold]
     bs = config.batch_size
-    # the parameters are views into one flat array and their gradients into
-    # another, so that an SGD step is two numpy calls
+    # the parameters are views into one flat array and their gradients, in
+    # the workspace, into another, so that an SGD step is two numpy calls
     k = len(model.weights)
     theta, views = _flat_views(model.weights + model.biases)
     model.weights, model.biases = views[:k], views[k:]
-    grad, views = _flat_views(views)
-    grads = (views[:k], views[k:])
+    work = _Workspace(model, min(bs, len(Xt)))
+    grad = work.grad
     ft_losses = []
     best_hold = np.inf
     best = None
@@ -270,8 +363,8 @@ def train_sdae(X, y, config: SDAEConfig = SDAEConfig(), seed: int = 0) -> SDAEMo
         total = 0.0
         for s in range(0, len(Xp), bs):
             yb = yp[s : s + bs]
-            loss = model.loss_and_grads(Xp[s : s + bs], yb, out=grads)[0]
-            if not np.isfinite(loss):
+            loss = model.loss_and_grads(Xp[s : s + bs], yb, work)[0]
+            if not math.isfinite(loss):
                 raise TrainingDiverged("fine-tune loss diverged", ft_losses + [loss])
             total += loss * len(yb)
             grad *= config.lr

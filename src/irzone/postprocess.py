@@ -111,10 +111,11 @@ def topological_filter(label_map, pixel_size, min_area_mm2=DEFAULT_MIN_AREA_MM2)
             pad[rows - r0 + 1, cols - c0 + 1] = True
             mask = pad[1:-1, 1:-1]
             cols3 = pad[:, :w] | pad[:, 1:-1] | pad[:, 2:]
-            ring = (cols3[:h] | cols3[1:-1] | cols3[2:]) & ~mask
-            vals, counts = np.unique(box[ring], return_counts=True)
-            new = max(zip(counts.tolist(), vals.tolist()),
-                      key=lambda cv: (cv[0], totals[cv[1]], -cv[1]))[1]
+            ring = box[(cols3[:h] | cols3[1:-1] | cols3[2:]) & ~mask]
+            # the vote runs over the frame's few codes, not a sort of the ring
+            votes = {v: int(np.count_nonzero(ring == v)) for v in totals}
+            new = max((v for v in votes if votes[v]),
+                      key=lambda v: (votes[v], totals[v], -v))
             if new == c.label:  # a neighbor took this label earlier in the pass
                 continue
             box[mask] = new

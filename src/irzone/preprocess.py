@@ -397,7 +397,7 @@ class RecoveryFit:
     degenerate: bool
 
 
-GN_BLOCK = 4096  # pixels per Gauss-Newton block; keeps each [T, block] array in cache
+GN_BLOCK = 4096  # most pixels per Gauss-Newton block; keeps each [T, block] array in cache
 ROW_BLOCK = 512  # pixels per block of the initialisation and rmse passes
 
 
@@ -418,6 +418,18 @@ def _row_blocks(n):
     edges = list(range(0, max(n, 1), ROW_BLOCK)) + [n]
     if len(edges) > 2 and n - edges[-2] == 1:
         del edges[-2]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _gn_blocks(n, workers):
+    """Slices covering range(n) for one Gauss-Newton iteration: one block if
+    n fits GN_BLOCK, else a multiple of `workers` blocks of at most GN_BLOCK
+    whose sizes differ by at most one, so that no worker is left with a
+    short last block."""
+    k = -(-n // GN_BLOCK)
+    if k > 1:
+        k = -(-k // workers) * workers
+    edges = [n * i // k for i in range(k + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
@@ -523,9 +535,10 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
 
     The work runs in pixel blocks on a thread pool with one worker per CPU
     this process may use; numpy releases the GIL in the block arithmetic.
-    With one worker no thread is started. Neither the blocks nor the threads
-    change a float. Every quantity is per pixel: a Gauss-Newton block
-    (GN_BLOCK active pixels) computes each pixel's step from that pixel's
+    With one worker no thread is started, and an iteration whose active
+    pixels fit one block (`_gn_blocks`) steps them on the calling thread.
+    Neither the blocks nor the threads change a float. Every quantity is per
+    pixel: a Gauss-Newton block computes each pixel's step from that pixel's
     column alone, whichever block or thread it lands in. The initialisation
     and the rmse pass reduce each pixel's row with the same numpy call on a
     row block (ROW_BLOCK) of the same memory layout as the whole series, so
@@ -556,8 +569,8 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
             if not len(idx):
                 break
             ai, bi, taui = a[idx], b[idx], tau[idx]
-            blocks = [slice(k, k + GN_BLOCK) for k in range(0, len(idx), GN_BLOCK)]
-            systems = run(
+            blocks = _gn_blocks(len(idx), workers)
+            systems = (run if len(blocks) > 1 else map)(
                 lambda s: _step_columns(yT, idx[s], ai[s], bi[s], taui[s], t, scratch),
                 blocks,
             )  # solved here, each as it arrives, while the pool builds the next

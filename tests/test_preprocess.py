@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -681,6 +682,49 @@ class TestFitRecoveryWorkers:
         fit_recovery_batch(series, times)
         fit_recovery_batch(series[:2 * preprocess.ROW_BLOCK], times)
         assert pools == [3, 2]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 6912, 8192, 8193, 76800])
+    def test_gauss_newton_blocks_are_balanced(self, n, workers):
+        blocks = preprocess._gn_blocks(n, workers)
+        sizes = [s.stop - s.start for s in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) <= preprocess.GN_BLOCK and max(sizes) - min(sizes) <= 1
+        assert len(blocks) == 1 if n <= preprocess.GN_BLOCK else len(blocks) % workers == 0
+        if (n, workers) == (6912, 2):  # a 96x72 frame: 2 x 3456, not 4096 + 2816
+            assert sizes == [3456, 3456]
+
+    def test_a_single_block_steps_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(preprocess, "ROW_BLOCK", 16)
+        monkeypatch.setattr(preprocess, "GN_BLOCK", 24)
+        events = []
+        gn_blocks, step = preprocess._gn_blocks, preprocess._gauss_newton_step
+
+        def recording_blocks(n, workers):
+            blocks = gn_blocks(n, workers)
+            events.append(len(blocks))
+            return blocks
+
+        def recording_step(yT, *args):
+            events.append(threading.current_thread() is threading.main_thread())
+            return step(yT, *args)
+
+        monkeypatch.setattr(preprocess, "_gn_blocks", recording_blocks)
+        monkeypatch.setattr(preprocess, "_gauss_newton_step", recording_step)
+        series, times = cleaned_phantom_series(12)
+        assert_fit_matches_einsum(series[:300], times)
+        iterations = []
+        for e in events:
+            if type(e) is int:
+                iterations.append((e, []))
+            else:
+                iterations[-1][1].append(e)
+        assert {len(on_main) == count for count, on_main in iterations} == {True}
+        assert {count > 1 for count, _ in iterations} == {False, True}
+        for count, on_main in iterations:
+            assert count % 2 == 0 and not any(on_main) if count > 1 else on_main == [True]
 
     @pytest.mark.parametrize("columns", [1, 2, 3, 17, 4096])
     def test_time_sum_adds_rows_in_order_from_zero(self, columns):

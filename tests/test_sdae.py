@@ -1,5 +1,7 @@
 """Autoencoder backend: pretraining, fine-tuning, gradients, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from irzone.models.sdae import (
     SDAEConfig,
     SDAEModel,
     TrainingDiverged,
+    _sigmoid,
+    _Workspace,
     pretrain_dae_layer,
     train_sdae,
 )
@@ -95,6 +99,17 @@ class TestTrainSDAE:
     def test_rejects_nonbinary_labels(self):
         with pytest.raises(ValueError, match="binary"):
             train_sdae(np.zeros((4, 2)), np.array([0, 2, 1, 0]))
+
+    @pytest.mark.parametrize("y", [[0, 2, 1, 0], [-1, 0, 1, 0], [0, 1, 0.5, 1]])
+    def test_loss_rejects_nonbinary_labels(self, y):
+        rng = np.random.default_rng(0)
+        model = SDAEModel([3, 4, 2], [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))],
+                          [np.zeros(4), np.zeros(2)], 0.0)
+        x = rng.normal(size=(4, 3))
+        with pytest.raises(ValueError, match="binary"):
+            model.loss(x, y)
+        with pytest.raises(ValueError, match="binary"):
+            model.loss_and_grads(x, y)
 
     def test_forward_only_loss_equals_loss_and_grads(self):
         x, y = separable_data(seed=5)
@@ -377,11 +392,76 @@ class TestTrainingMatchesOracle:
             assert loss == want_loss == got.loss(x, y) == want.loss(x, y)
             assert_same_bytes(gw, want_gw)
             assert_same_bytes(gb, want_gb)
-            out = ([np.full_like(w, np.nan) for w in weights],
-                   [np.full_like(b, np.nan) for b in biases])
-            assert got.loss_and_grads(x, y, out=out)[0] == loss
-            assert_same_bytes(out[0], want_gw)
-            assert_same_bytes(out[1], want_gb)
+            work = nan_workspace(got, len(x))
+            got_loss, got_gw, got_gb = got.loss_and_grads(x, y, work)
+            assert got_loss == loss
+            assert_same_bytes(got_gw, want_gw)
+            assert_same_bytes(got_gb, want_gb)
+            assert got_gw[0].base is work.grad  # the views an SGD step reads
+
+
+def nan_workspace(model, rows, backward=True):
+    """A workspace whose every float buffer holds NaN, so that a value the
+    pass does not write shows up in its result."""
+    work = _Workspace(model, rows, backward)
+    bufs = work.acts + [work.pair]
+    if backward:
+        bufs += work.deltas + [work.grad]
+    for buf in bufs:
+        buf.fill(np.nan)
+    return work
+
+
+class TestWorkspace:
+    """A pass into a reused workspace, built for more rows than it gets,
+    gives the bytes of a pass into a fresh one and of the oracle."""
+
+    @pytest.mark.parametrize("sizes", [[4, 2], [4, 5, 2], [3, 6, 4, 2]],
+                             ids=["no-hidden-layer", "one-hidden-layer", "two-hidden-layers"])
+    def test_ragged_passes_match_fresh_ones(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        weights = [rng.normal(size=io) for io in zip(sizes[:-1], sizes[1:])]
+        biases = [rng.normal(size=o) for o in sizes[1:]]
+        model = SDAEModel(sizes, weights, biases, 0.0)
+        oracle = OracleSDAE(sizes, weights, biases, 0.0)
+        work = nan_workspace(model, 24)
+        for rows, scale in ((24, 1.0), (17, 100.0), (1, 3.0), (24, 100.0), (5, 1.0)):
+            x = rng.normal(scale=scale, size=(rows, sizes[0]))  # 100: beyond +-60
+            if rows == 5:
+                x[0, -1] = np.inf  # a non-finite loss and gradients
+                x[1] = np.nan
+            y = rng.integers(0, 2, size=rows)
+            with np.errstate(invalid="ignore"):  # inf - inf in the rows = 5 pass
+                want = oracle.loss_and_grads(x, y)
+                fresh = model.loss_and_grads(x, y)
+                got = model.loss_and_grads(x, y, work)
+            assert_same_bytes([np.array([got[0], fresh[0]])], [np.array([want[0]] * 2)])
+            for grads in (1, 2):
+                assert_same_bytes(got[grads], want[grads])
+                assert_same_bytes(fresh[grads], want[grads])
+
+    def test_forward_with_and_without_workspace(self):
+        rng = np.random.default_rng(5)
+        sizes = [3, 6, 4, 2]
+        model = SDAEModel(sizes, [rng.normal(size=io) for io in zip(sizes[:-1], sizes[1:])],
+                          [rng.normal(size=o) for o in sizes[1:]], 0.0)
+        for backward in (False, True):
+            work = nan_workspace(model, 30, backward)
+            for rows in (30, 11):
+                x = rng.normal(scale=100.0, size=(rows, 3))
+                x[1] = np.nan
+                acts, p = model.forward(x, work)
+                want_acts, want_p = model.forward(x)
+                assert_same_bytes(acts, want_acts)
+                assert_same_bytes([p], [want_p])
+                assert np.isnan(p[1]).all() and not np.isnan(np.delete(p, 1, axis=0)).any()
+
+    def test_sigmoid_without_upper_clip(self):
+        x = np.array([-np.inf, -1e308, -745.2, -60.5, -60.0, -59.9, -1e-300, -0.0, 0.0,
+                      1e-300, 36.7, 37.5, 59.9, 60.0, 60.5, 745.2, 1e308, np.inf, np.nan])
+        want = oracle_sigmoid(x)
+        assert_same_bytes([_sigmoid(x.copy())], [want])
+        assert (want[x >= 60] == 1.0).all()
 
 
 def test_fine_tuning_never_runs_a_full_training_set_pass(monkeypatch):
@@ -391,14 +471,41 @@ def test_fine_tuning_never_runs_a_full_training_set_pass(monkeypatch):
     rows = []
     forward = SDAEModel.forward
 
-    def recording_forward(self, X):
+    def recording_forward(self, X, work=None):
         rows.append(len(X))
-        return forward(self, X)
+        return forward(self, X, work)
 
     monkeypatch.setattr(SDAEModel, "forward", recording_forward)
     train_sdae(x, y, config, seed=0)
     n_hold = round(config.holdout_frac * len(x))
     assert rows and max(rows) == max(config.batch_size, n_hold)
+
+
+def test_every_fine_tune_step_is_one_loss_and_grads_call(monkeypatch):
+    """Training updates the weights only from the gradients that
+    SDAEModel.loss_and_grads returns, one call per minibatch, so criterion 3
+    and the finite-difference test check the gradient code training runs."""
+    x, y = noisy_data(203, d=5, seed=3)
+    config = SDAEConfig(hidden_sizes=(7,), pretrain_epochs=1, finetune_epochs=4,
+                        batch_size=24)
+    rows = []
+    loss_and_grads = SDAEModel.loss_and_grads
+
+    def zeroing_loss_and_grads(self, X, y, work=None):
+        loss, gw, gb = loss_and_grads(self, X, y, work)
+        rows.append(len(X))
+        for g in gw + gb:
+            g[...] = 0.0
+        return loss, gw, gb
+
+    monkeypatch.setattr(SDAEModel, "loss_and_grads", zeroing_loss_and_grads)
+    frozen = train_sdae(x, y, config, seed=0)
+    # 203 rows less 20 held out leave 183 = 7 * 24 + 15 per epoch
+    assert rows == ([24] * 7 + [15]) * config.finetune_epochs
+    assert len(frozen.trace["finetune_losses"]) == config.finetune_epochs
+    untrained = train_sdae(x, y, replace(config, finetune_epochs=0), seed=0)
+    assert_same_bytes(frozen.weights, untrained.weights)
+    assert_same_bytes(frozen.biases, untrained.biases)
 
 
 class TestGradients:
