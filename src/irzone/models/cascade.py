@@ -51,7 +51,6 @@ class CascadeConfig:
     rf: RFConfig = field(default_factory=RFConfig)
     sdae: SDAEConfig = field(default_factory=SDAEConfig)
     max_train_pixels: int = 20_000  # per-stage subsample cap
-    min_samples_per_class: int = MIN_SAMPLES_PER_CLASS
 
 
 @dataclass
@@ -166,10 +165,10 @@ def cascade_train(features, labels, mode: Mode,
         n0 = int(np.count_nonzero(ys == 0))
         n1 = int(np.count_nonzero(ys == 1))
         counts[name] = (n0, n1)
-        if min(n0, n1) < config.min_samples_per_class:
+        if min(n0, n1) < MIN_SAMPLES_PER_CLASS:
             raise ValueError(
                 f"stage {name}: insufficient samples per class {counts}; "
-                f"need >= {config.min_samples_per_class}"
+                f"need >= {MIN_SAMPLES_PER_CLASS}"
             )
         Xs = std.apply(X[sel])
         Xs, ys = _subsample(Xs, ys, config.max_train_pixels,

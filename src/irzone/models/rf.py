@@ -101,6 +101,8 @@ class RFModel:
                          features_per_split=int, n_features=int, seed=int,
                          single_class=bool, trees=list)
         )
+        if not trees:
+            raise FormatError("forest has no trees")
         return cls(
             config=RFConfig(n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
                             features_per_split=per_split or None),
@@ -207,6 +209,8 @@ def train_rf(X, y, config: RFConfig = RFConfig(), seed: int = 0) -> RFModel:
         raise ValueError("X must be [N, D] with matching labels")
     if not np.isin(y, [0, 1]).all():
         raise ValueError("labels must be binary 0/1")
+    if config.n_trees < 1:
+        raise ValueError(f"n_trees must be >= 1, got {config.n_trees}")
     d = X.shape[1]
     k = config.features_per_split or math.ceil(math.sqrt(d))
     k = min(k, d)

@@ -43,26 +43,15 @@ class EllipseSpec:
 
     center: tuple[float, float]  # (x, y) pixels
     axes: tuple[float, float]    # semi-axes (ax, ay) pixels
-    params: ParamRange | None = None  # None: use the zone default
 
 
 @dataclass(frozen=True)
 class SegmentSpec:
-    """Thick line segment (vessel). Labeled NA but can carry HA-like dynamics."""
+    """Thick line segment (vessel). Labeled NA but carries HA dynamics."""
 
     p0: tuple[float, float]
     p1: tuple[float, float]
     width: float  # pixels
-    params: ParamRange | None = None
-
-
-@dataclass(frozen=True)
-class BandSpec:
-    """Horizontal band (sinus). Labeled NA but can carry HA-like dynamics."""
-
-    y_center: float
-    height: float
-    params: ParamRange | None = None
 
 
 @dataclass(frozen=True)
@@ -101,14 +90,10 @@ class PhantomConfig:
     frame_period: float = 1.0     # seconds; sampling rate is not fixed by the protocol
     n_frames: int = 60
     pixel_size: float = 250e-6    # meters, in [220e-6, 289e-6]
-    coolant_temp: float = 21.0    # °C
-    coolant_duration: float = 30.0
-    baseline_temp: float = 36.5
     noise_sigma: float = 0.03     # °C, imager sensitivity band
     mode: Mode = Mode.ON
     tumors: list[EllipseSpec] = field(default_factory=list)
     vessels: list[SegmentSpec] = field(default_factory=list)
-    sinus: BandSpec | None = None
     nwa_margin: int = 16          # frame-border band labeled NWA
     bc_fraction: float = 0.5      # In mode: left fraction of WA that is BC
     shift_schedule: list[tuple[float, float]] | None = None  # per-frame (dx, dy)
@@ -124,8 +109,6 @@ class PhantomConfig:
             raise ValueError("frame_period must be positive")
         if not 0 < self.pixel_size < 1e-2:
             raise ValueError("pixel_size out of range")
-        if self.coolant_temp >= self.baseline_temp:
-            raise ValueError("coolant_temp must be below baseline_temp")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
         if self.nwa_margin * 2 >= min(self.width, self.height):
@@ -152,7 +135,6 @@ class ThermalSequence:
     data: np.ndarray
     timestamps: np.ndarray
     pixel_size: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float32)
@@ -194,7 +176,7 @@ def recovery_curve(params, t):
 
 
 def _sample_param_maps(labels, overrides, recovery, rng, shape):
-    """Per-pixel (T_base, dT, tau) maps from zone ranges plus structure overrides.
+    """Per-pixel (T_base, dT, tau) maps from zone ranges plus vessel overrides.
 
     Maps are smoothed spatially (tissue parameters are not i.i.d. pixel
     noise); without coherent structure the frames decorrelate over the
@@ -211,9 +193,9 @@ def _sample_param_maps(labels, overrides, recovery, rng, shape):
         ZoneLabel.HA_BC: "HA",
     }
     zones = [(labels == int(label), recovery[zone]) for label, zone in zone_of_label.items()]
-    # then the overrides: vessels/sinus keep their NA label but redraw the dynamics
+    # then the overrides: vessels keep their NA label but redraw the dynamics
     for sel, pr in [*zones, *overrides]:
-        if pr is None or not np.any(sel):
+        if not np.any(sel):
             continue
         n = int(np.count_nonzero(sel))
         for key, (lo, hi) in (("t_base", pr.t_base), ("dt", pr.dt), ("tau", pr.tau)):
@@ -271,25 +253,13 @@ def build_zone_mask(config: PhantomConfig) -> tuple[ZoneMask, list]:
     for ves in config.vessels:
         sel = _segment_mask((h, w), ves.p0, ves.p1, ves.width) & wa
         # vessel stays NA-labeled (a deliberate confusion source); only params change
-        pr = ves.params if ves.params is not None else config.recovery["HA"]
-        keep = sel & ~np.isin(labels, HA_LEAVES)
-        overrides.append((keep, pr))
-    if config.sinus is not None:
-        s = config.sinus
-        sel = np.zeros((h, w), dtype=bool)
-        y0 = int(round(s.y_center - s.height / 2))
-        y1 = int(round(s.y_center + s.height / 2))
-        sel[max(y0, 0) : min(y1, h), :] = True
-        sel &= wa
-        pr = s.params if s.params is not None else config.recovery["HA"]
-        keep = sel & ~np.isin(labels, HA_LEAVES)
-        overrides.append((keep, pr))
+        overrides.append((sel & ~np.isin(labels, HA_LEAVES), config.recovery["HA"]))
 
     return ZoneMask(labels, config.pixel_size), overrides
 
 
 def generate_phantom(config: PhantomConfig, seed: int):
-    """Deterministic (config, seed) -> (ThermalSequence, ZoneMask, report)."""
+    """Deterministic (config, seed) -> (ThermalSequence, ZoneMask)."""
     config.validate()
     rng = np.random.default_rng(seed)
     mask, overrides = build_zone_mask(config)
@@ -315,24 +285,11 @@ def generate_phantom(config: PhantomConfig, seed: int):
             ideal[occ.y0 : occ.y0 + oh, occ.x0 : occ.x0 + ow] = occ.temp
         frames[i] = ideal.astype(np.float32)
 
-    seq = ThermalSequence(
-        data=frames,
-        timestamps=times,
-        pixel_size=config.pixel_size,
-        meta={"mode": config.mode.value, "source": f"phantom-{seed}"},
-    )
-    report = {
-        "seed": seed,
-        "mode": config.mode.value,
-        "class_counts": mask.class_counts(),
-        "n_damaged": len(config.damaged_frames),
-    }
-    return seq, mask, report
+    return ThermalSequence(frames, times, config.pixel_size), mask
 
 
 def default_config_sampler(mode: Mode, recovery=None, *, width=320, height=240,
-                           n_frames=60, noise_sigma=0.03, nwa_margin=16,
-                           vessel_prob=0.5, sinus_prob=0.0):
+                           n_frames=60, noise_sigma=0.03, nwa_margin=16):
     """Returns config_sampler(rng) -> PhantomConfig with randomized geometry."""
     recovery = dict(recovery or DEFAULT_RECOVERY)
 
@@ -344,7 +301,7 @@ def default_config_sampler(mode: Mode, recovery=None, *, width=320, height=240,
         ay = rng.uniform(0.10, 0.22) * (height - 2 * m)
         tumors = [EllipseSpec(center=(cx, cy), axes=(ax, ay))]
         vessels = []
-        if rng.random() < vessel_prob:
+        if rng.random() < 0.5:
             x0 = rng.uniform(m, width - m)
             y0 = rng.uniform(m, height - m)
             ang = rng.uniform(0, 2 * np.pi)
@@ -356,9 +313,9 @@ def default_config_sampler(mode: Mode, recovery=None, *, width=320, height=240,
                     width=rng.uniform(1.5, 2.5),
                 )
             )
-        sinus = None
-        if rng.random() < sinus_prob:
-            sinus = BandSpec(y_center=rng.uniform(m, height - m), height=rng.uniform(3, 6))
+        # a draw whose value is unused; dropping it would shift every later
+        # draw and so change every phantom
+        rng.random()
         return PhantomConfig(
             width=width,
             height=height,
@@ -367,7 +324,6 @@ def default_config_sampler(mode: Mode, recovery=None, *, width=320, height=240,
             mode=mode,
             tumors=tumors,
             vessels=vessels,
-            sinus=sinus,
             nwa_margin=m,
             pixel_size=rng.uniform(220e-6, 289e-6),
             recovery=recovery,

@@ -29,6 +29,9 @@ from .preprocess import (
 from .zones import HA_LEAVES, LAYERS, LEAF_LABELS, Mode, ZoneMask
 
 
+CALIBRATION_PIXELS_PER_SEQ = 4000  # WA scores sampled per calibration sequence
+
+
 @dataclass
 class ManifestEntry:
     seq_path: str
@@ -42,10 +45,13 @@ class ManifestEntry:
 
     @classmethod
     def parse(cls, line: str) -> "ManifestEntry":
-        seq_path, mask_path, mode, counts_str = line.rstrip("\n").split("\t")
-        toks = counts_str.split()
-        counts = {toks[i]: int(toks[i + 1]) for i in range(0, len(toks), 2)}
-        return cls(seq_path, mask_path, Mode.parse(mode), counts)
+        try:
+            seq_path, mask_path, mode, counts_str = line.rstrip("\n").split("\t")
+            toks = counts_str.split()
+            counts = {k: int(v) for k, v in zip(toks[::2], toks[1::2], strict=True)}
+            return cls(seq_path, mask_path, Mode.parse(mode), counts)
+        except ValueError as e:
+            raise ValueError(f"malformed manifest line {line!r}: {e}") from None
 
 
 def write_manifest(path, entries: list[ManifestEntry]):
@@ -63,28 +69,31 @@ def read_manifest(path) -> list[ManifestEntry]:
 def make_dataset(out_dir, mode_mix, config_sampler=None, seed=0) -> list[ManifestEntry]:
     """Generate phantoms to disk plus a manifest of per-class pixel counts.
 
-    `mode_mix` is {mode name: count}. Deterministic for a fixed seed.
+    `mode_mix` is {mode value ("On", "In" or "Off"): count}; any other key is
+    a ValueError. Deterministic for a fixed seed.
     """
     from .phantom import default_config_sampler
 
     out_dir = Path(out_dir)
+    unknown = set(mode_mix) - {m.value for m in Mode}
+    if unknown:
+        raise ValueError(f"unknown modes in mode_mix: {sorted(unknown)}; expected On, In, Off")
     if any(v < 0 for v in mode_mix.values()):
         raise ValueError("mode counts must be nonnegative")
 
     rng = np.random.default_rng(seed)
     entries = []
     idx = 0
-    for mode_name in ("On", "In", "Off"):
-        count = int(mode_mix.get(mode_name, 0))
+    for mode in Mode:  # On, In, Off
+        count = int(mode_mix.get(mode.value, 0))
         if count == 0:
             continue
-        mode = Mode.parse(mode_name)
         sampler = config_sampler or default_config_sampler(mode)
         for _ in range(count):
             config = sampler(rng)
             config.mode = mode
             seq_seed = int(rng.integers(0, 2**31 - 1))
-            seq, mask, _ = generate_phantom(config, seq_seed)
+            seq, mask = generate_phantom(config, seq_seed)
             seq_path = out_dir / f"seq_{idx:04d}.irts"
             mask_path = out_dir / f"mask_{idx:04d}.pgm"
             try:
@@ -128,20 +137,19 @@ def load_features(seq_path) -> SequenceFeatures:
     return _FEATURE_CACHE[key]
 
 
-def preprocess_sequence(seq: ThermalSequence, max_shift=5) -> SequenceFeatures:
+def preprocess_sequence(seq: ThermalSequence) -> SequenceFeatures:
     """EDR + RDF + per-pixel fit + feature extraction for one sequence."""
-    registered, rep = register_sequence(seq, max_shift=max_shift)
+    registered, rep = register_sequence(seq)
     cleaned, rep = remove_damaged_frames(registered, rep)
     h, w = cleaned.frame_shape
     series = cleaned.data.reshape(cleaned.n_frames, -1).T.astype(np.float64)  # [N, T]
     fits = fit_recovery_batch(series, cleaned.timestamps)
-    valid = rep.valid_mask if rep.valid_mask is not None else np.ones((h, w), dtype=bool)
     # pixels exposed by registration carry no trustworthy dynamics
-    fits["degenerate"] = fits["degenerate"] | ~valid.ravel()
+    fits["degenerate"] = fits["degenerate"] | ~rep.valid_mask.ravel()
     feats = extract_features_batch(fits, series, cleaned.timestamps)
     return SequenceFeatures(
         features=feats, shape=(h, w), pixel_size=seq.pixel_size,
-        valid_mask=valid, report=rep,
+        valid_mask=rep.valid_mask, report=rep,
     )
 
 
@@ -235,7 +243,6 @@ class E2EConfig:
     alpha: float = 0.05
     beta: float = 0.05
     backends: tuple[str, ...] = ("rf", "sdae")
-    recovery: dict | None = None  # None: phantom defaults
     rf_trees: int = 30
     max_train_pixels: int = 8000
     pixels_per_seq: int = 6000
@@ -255,8 +262,7 @@ def run_e2e(out_dir, seed: int, config: E2EConfig = E2EConfig()) -> dict:
 
     out_dir = Path(out_dir)
     sampler = default_config_sampler(
-        config.mode, recovery=config.recovery, width=config.width,
-        height=config.height, n_frames=config.n_frames,
+        config.mode, width=config.width, height=config.height, n_frames=config.n_frames,
         noise_sigma=config.noise_sigma, nwa_margin=config.nwa_margin,
     )
     make_dataset(out_dir / "train", mode_mix={config.mode.value: config.n_train},
@@ -300,8 +306,8 @@ def run_e2e(out_dir, seed: int, config: E2EConfig = E2EConfig()) -> dict:
 
 
 def calibrate_thresholds(model: CascadeModel, manifest_path, alpha: float,
-                         beta: float, max_pixels_per_seq: int = 4000,
-                         seed: int = 0, pf_radius: int = 1) -> DecisionThresholds:
+                         beta: float, seed: int = 0,
+                         pf_radius: int = 1) -> DecisionThresholds:
     """Fit the HA decision threshold on labeled calibration sequences.
 
     Probabilities are smoothed exactly as at decision time, otherwise the
@@ -317,8 +323,8 @@ def calibrate_thresholds(model: CascadeModel, manifest_path, alpha: float,
         wa = mask.wa.ravel()
         p = p_ha[wa]
         is_ha = mask.ha.ravel()[wa]
-        if max_pixels_per_seq and len(p) > max_pixels_per_seq:
-            pick = rng.choice(len(p), size=max_pixels_per_seq, replace=False)
+        if len(p) > CALIBRATION_PIXELS_PER_SEQ:
+            pick = rng.choice(len(p), size=CALIBRATION_PIXELS_PER_SEQ, replace=False)
             p, is_ha = p[pick], is_ha[pick]
         p_all.append(p)
         ha_all.append(is_ha)

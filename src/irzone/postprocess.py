@@ -136,8 +136,6 @@ def probabilistic_filter(prob_maps: dict, radius: int) -> dict:
     renormalization (in-frame neighbor count). Per-pixel sums are preserved."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if radius == 0:
-        return {k: np.asarray(v, dtype=np.float64).copy() for k, v in prob_maps.items()}
     size = 2 * radius + 1
     any_map = next(iter(prob_maps.values()))
     ones = np.ones(np.asarray(any_map).shape, dtype=np.float64)

@@ -256,7 +256,7 @@ def bilinear_sample(frame, dx, dy):
 SNAP_EPS = 0.15  # px; sub-snap estimates are treated as zero (idempotence)
 
 
-def register_sequence(seq, max_shift=DEFAULT_MAX_SHIFT):
+def register_sequence(seq):
     """Align every frame onto the first frame's grid (translation only).
 
     Each frame is estimated against the previously aligned frame rather than
@@ -281,7 +281,7 @@ def register_sequence(seq, max_shift=DEFAULT_MAX_SHIFT):
     out = np.empty_like(seq.data, dtype=np.float32)
     out[0] = seq.data[0]
     report.shifts.append(ShiftEstimate(0.0, 0.0, 1.0))
-    m = int(max_shift)
+    m = DEFAULT_MAX_SHIFT
     prev = _prepare(seq.data[0], HIGHPASS_SIGMA, m)  # the reference
     for i in range(1, seq.n_frames):
         cur = _prepare(seq.data[i], HIGHPASS_SIGMA, m)
@@ -306,10 +306,7 @@ def register_sequence(seq, max_shift=DEFAULT_MAX_SHIFT):
         raise PipelineAbort("all frames flagged fatal during registration")
     report.valid_mask = valid
     report.kept = list(range(seq.n_frames))
-    return (
-        ThermalSequence(out, seq.timestamps.copy(), seq.pixel_size, dict(seq.meta)),
-        report,
-    )
+    return ThermalSequence(out, seq.timestamps.copy(), seq.pixel_size), report
 
 
 def _window_median(frames):
@@ -380,12 +377,7 @@ def remove_damaged_frames(seq, report):
         kept=kept,
         valid_mask=report.valid_mask,
     )
-    return (
-        ThermalSequence(
-            seq.data[kept], seq.timestamps[kept], seq.pixel_size, dict(seq.meta)
-        ),
-        out_report,
-    )
+    return ThermalSequence(seq.data[kept], seq.timestamps[kept], seq.pixel_size), out_report
 
 
 @dataclass

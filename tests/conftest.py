@@ -45,13 +45,13 @@ def small_config(**overrides) -> PhantomConfig:
 
 @pytest.fixture
 def clean_phantom():
-    """Noiseless small phantom: (sequence, mask, report)."""
+    """Noiseless small phantom: (sequence, mask)."""
     return generate_phantom(small_config(), seed=11)
 
 
 @pytest.fixture
 def noisy_phantom():
-    """Sensor-noise-level small phantom: (sequence, mask, report)."""
+    """Sensor-noise-level small phantom: (sequence, mask)."""
     return generate_phantom(small_config(noise_sigma=0.03), seed=12)
 
 

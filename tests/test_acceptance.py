@@ -134,7 +134,7 @@ def test_criterion_4_registration_residuals():
                 width=96, height=72, n_frames=40, nwa_margin=10,
                 noise_sigma=sigma, shift_schedule=[tuple(p) for p in xy],
             )
-            seq, _, _ = generate_phantom(config, seed=seed + 50)
+            seq, _ = generate_phantom(config, seed=seed + 50)
             _, report = register_sequence(seq)
             assert not any(s.fatal for s in report.shifts)
             est = np.array([(s.dx, s.dy) for s in report.shifts])

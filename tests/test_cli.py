@@ -35,6 +35,15 @@ class TestExitCodes:
         assert "ends inside a value" in capsys.readouterr().err
 
 
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("a.irts\ta.pgm\tOn\tNWA 5 NA_DM\n")
+        code = main(["train", "--manifest", str(manifest),
+                     "--model-out", str(tmp_path / "model.izm")])
+        assert code == 2
+        assert "malformed manifest line" in capsys.readouterr().err
+        assert not (tmp_path / "model.izm").exists()
+
     def test_model_header_without_magic_is_data_error(self, tmp_path, capsys):
         model = write_model_block(tmp_path / "bad.izm", io._pack({"kind": "cascade"}))
         model.write_text(model.read_text().replace("irzone-model 1", "Irzone-model 1"))
@@ -201,6 +210,16 @@ class TestFlow:
             "--config", str(overrides), "--model-out", str(tmp_path / "model.izm"),
         ]) == 2
         assert "'rf.n_tree'" in capsys.readouterr().err
+        assert not (tmp_path / "model.izm").exists()
+
+    def test_train_zero_trees_is_data_error(self, workspace, tmp_path, capsys):
+        overrides = tmp_path / "overrides.txt"
+        overrides.write_text("rf.n_trees = 0\n")
+        assert main([
+            "train", "--manifest", str(workspace / "train" / "manifest.txt"),
+            "--config", str(overrides), "--model-out", str(tmp_path / "model.izm"),
+        ]) == 2
+        assert "n_trees must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "model.izm").exists()
 
     def test_infer_without_calibration_uses_neutral_threshold(self, workspace, tmp_path):

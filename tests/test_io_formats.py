@@ -289,6 +289,14 @@ class TestModelFile:
         with pytest.raises(io.FormatError, match="missing params"):
             io.read_model_state(path)
 
+    def test_cascade_with_an_empty_forest_rejected(self, tmp_path):
+        model = tiny_cascade()
+        next(iter(model.stages.values())).trees = []
+        path = tmp_path / "model.izm"
+        io.write_model(path, model, header_extra={"mode": "On"})
+        with pytest.raises(io.FormatError, match="no trees"):
+            io.load_cascade(path)
+
     def test_non_cascade_kind_rejected(self, tmp_path):
         from irzone.models.rf import RFConfig, train_rf
 

@@ -68,6 +68,22 @@ class TestMakeDataset:
         with pytest.raises(ValueError, match="nonnegative"):
             make_dataset(tmp_path, mode_mix={"On": -1})
 
+    def test_rejects_unknown_mode(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown modes in mode_mix: \\['on'\\]"):
+            make_dataset(tmp_path, mode_mix={"on": 3})
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("line", [
+        "a.irts\ta.pgm\tOn\tNWA 5 NA_DM",     # a count name without its count
+        "a.irts\ta.pgm\tOn",                   # no count field
+        "a.irts\ta.pgm\tOn\tNWA five",        # a count that is not an integer
+        "a.irts\ta.pgm\tSideways\tNWA 5",     # no such mode
+    ])
+    def test_malformed_manifest_line_names_the_line(self, line):
+        with pytest.raises(ValueError, match="malformed manifest line") as err:
+            ManifestEntry.parse(line)
+        assert repr(line) in str(err.value)
+
     def test_manifest_line_round_trip(self):
         entry = ManifestEntry("a.irts", "a.pgm", Mode.IN,
                               {"NWA": 10, "NA_DM": 5, "HA_DM": 1, "NA_BC": 3, "HA_BC": 2})
@@ -110,7 +126,7 @@ class TestAprioriMasks:
 
 class TestPreprocessSequence:
     def test_feature_map_shape_and_validity(self):
-        seq, _, _ = generate_phantom(small_config(noise_sigma=0.03), seed=5)
+        seq, _ = generate_phantom(small_config(noise_sigma=0.03), seed=5)
         sf = preprocess_sequence(seq)
         h, w = seq.frame_shape
         assert sf.features.shape == (h * w, FEATURE_DIM)

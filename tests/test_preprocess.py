@@ -142,7 +142,7 @@ class TestEstimateShiftMatchesLoop:
         rng = np.random.default_rng(seed)
         schedule = [tuple(v) for v in np.cumsum(rng.uniform(-0.6, 0.6, (30, 2)), axis=0)]
         config = small_config(shift_schedule=schedule, noise_sigma=0.03)
-        seq, _, _ = generate_phantom(config, seed=seed)
+        seq, _ = generate_phantom(config, seed=seed)
         for i in range(1, seq.n_frames):
             assert_matches_loop(seq.data[i - 1], seq.data[i], highpass_sigma=highpass_sigma)
 
@@ -208,7 +208,7 @@ class TestRegisterSequence:
         config = PhantomConfig(width=96, height=72, n_frames=12, nwa_margin=8,
                                tumors=[EllipseSpec(center=(48.0, 36.0), axes=(14.0, 10.0))],
                                shift_schedule=schedule)
-        seq, _, _ = generate_phantom(config, seed=5)
+        seq, _ = generate_phantom(config, seed=5)
         _, report = register_sequence(seq)
         assert report.shifts == [ShiftEstimate(*v) for v in [
             (0.0, 0.0, 1.0, False),
@@ -226,14 +226,14 @@ class TestRegisterSequence:
         ]]
 
     def test_zero_schedule_is_identity(self, clean_phantom):
-        seq, _, _ = clean_phantom
+        seq, _ = clean_phantom
         out, report = register_sequence(seq)
         assert np.array_equal(out.data, seq.data)
         assert all(not s.fatal for s in report.shifts)
 
     def test_registration_is_idempotent(self):
         schedule = [(0.4 * i % 2.0, 0.3 * i % 1.5) for i in range(30)]
-        seq, _, _ = generate_phantom(small_config(shift_schedule=schedule), seed=6)
+        seq, _ = generate_phantom(small_config(shift_schedule=schedule), seed=6)
         once, _ = register_sequence(seq)
         twice, _ = register_sequence(once)
         assert float(np.max(np.abs(twice.data - once.data))) <= 1e-6
@@ -242,12 +242,12 @@ class TestRegisterSequence:
         schedule = [(0.0, 0.0)] * 30
         schedule[12] = (8.0, 0.0)  # beyond the search window
         schedule[13] = (8.0, 0.0)  # stays shifted so only the jump is fatal
-        seq, _, _ = generate_phantom(small_config(shift_schedule=schedule), seed=6)
+        seq, _ = generate_phantom(small_config(shift_schedule=schedule), seed=6)
         _, report = register_sequence(seq)
         assert report.shifts[12].fatal
 
     def test_aborts_below_two_frames(self, clean_phantom):
-        seq, _, _ = clean_phantom
+        seq, _ = clean_phantom
         from irzone.phantom import ThermalSequence
 
         one = ThermalSequence(seq.data[:1], seq.timestamps[:1], seq.pixel_size)
@@ -255,7 +255,7 @@ class TestRegisterSequence:
             register_sequence(one)
 
     def test_report_serializes_to_lines(self, clean_phantom):
-        seq, _, _ = clean_phantom
+        seq, _ = clean_phantom
         _, report = register_sequence(seq)
         lines = report.lines()
         assert lines[0].startswith("kept ")
@@ -299,7 +299,7 @@ class TestRegisterPreparedFrames:
         prepare = preprocess._prepare
         monkeypatch.setattr(preprocess, "_prepare",
                             lambda *args: prepared.append(1) or prepare(*args))
-        seq, _, _ = generate_phantom(small_config(**overrides), seed=seed)
+        seq, _ = generate_phantom(small_config(**overrides), seed=seed)
         registered, report = register_sequence(seq)
         shifts = [(s.dx, s.dy, s.peak_score, s.fatal) for s in report.shifts]
         assert sha16(repr(shifts).encode()) == shifts_sha
@@ -312,7 +312,7 @@ class TestRegisterPreparedFrames:
 class TestRemoveDamagedFrames:
     def test_occluded_frame_deleted_others_kept(self):
         config = small_config(damaged_frames={7: OccluderSpec()}, noise_sigma=0.03)
-        seq, _, _ = generate_phantom(config, seed=8)
+        seq, _ = generate_phantom(config, seed=8)
         registered, report = register_sequence(seq)
         cleaned, report = remove_damaged_frames(registered, report)
         assert (7, "foreign object") in report.deleted
@@ -320,7 +320,7 @@ class TestRemoveDamagedFrames:
         assert 7 not in report.kept
 
     def test_clean_sequence_keeps_everything(self, noisy_phantom):
-        seq, _, _ = noisy_phantom
+        seq, _ = noisy_phantom
         registered, report = register_sequence(seq)
         cleaned, report = remove_damaged_frames(registered, report)
         assert report.deleted == []
@@ -328,7 +328,7 @@ class TestRemoveDamagedFrames:
 
     def test_timestamps_of_kept_frames_preserved(self):
         config = small_config(damaged_frames={3: OccluderSpec()})
-        seq, _, _ = generate_phantom(config, seed=8)
+        seq, _ = generate_phantom(config, seed=8)
         registered, report = register_sequence(seq)
         cleaned, report = remove_damaged_frames(registered, report)
         assert np.array_equal(cleaned.timestamps, seq.timestamps[report.kept])
@@ -342,7 +342,7 @@ class TestRemoveDamagedFrames:
                 2: OccluderSpec(x0=20, y0=10),
             },
         )
-        seq, _, _ = generate_phantom(config, seed=8)
+        seq, _ = generate_phantom(config, seed=8)
         registered, report = register_sequence(seq)
         with pytest.raises(PipelineAbort, match="remain"):
             remove_damaged_frames(registered, report)
@@ -542,7 +542,7 @@ def assert_fit_matches_einsum(series, times, **kw):
 def cleaned_phantom_series(seed, **overrides):
     """[N, T] series and times of a 96x72x40 phantom as the pipeline fits them."""
     config = PhantomConfig(width=96, height=72, n_frames=40, noise_sigma=0.03, **overrides)
-    seq, _, _ = generate_phantom(config, seed=seed)
+    seq, _ = generate_phantom(config, seed=seed)
     cleaned, _ = remove_damaged_frames(*register_sequence(seq))
     series = cleaned.data.reshape(cleaned.n_frames, -1).T.astype(np.float64)
     return series, cleaned.timestamps

@@ -70,6 +70,11 @@ class TestPredictProba:
         assert rf_predict_proba(model, np.array([-1.0, 9.9])) == 0.0
         assert rf_predict_proba(model, np.array([1.0, -9.9])) == 1.0
 
+    def test_zero_trees_rejected(self):
+        x, y = separable_1d()
+        with pytest.raises(ValueError, match="n_trees must be >= 1"):
+            train_rf(x, y, RFConfig(n_trees=0))
+
     def test_empty_forest_rejected(self):
         model = RFModel(config=RFConfig(), trees=[], n_features=2, seed=0)
         with pytest.raises(ValueError, match="empty forest"):
@@ -128,6 +133,12 @@ class TestFromStateValidation:
         state = two_split_state()
         state["trees"][0][key][node] = value
         with pytest.raises(FormatError, match=match):
+            RFModel.from_state(state)
+
+    def test_forest_without_trees_rejected(self):
+        state = two_split_state()
+        state["trees"] = []
+        with pytest.raises(FormatError, match="no trees"):
             RFModel.from_state(state)
 
     def test_tree_arrays_of_different_length_rejected(self):
