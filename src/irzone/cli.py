@@ -165,10 +165,13 @@ def _cmd_train(args) -> int:
     for key, text in overrides.items():
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}; known: {', '.join(_CONFIG_KEYS)}")
-        if key == "pixels_per_seq":
-            kwargs["max_pixels_per_seq"] = int(text)
-        else:
-            config = _override(config, key.split("."), text)
+        try:
+            if key == "pixels_per_seq":
+                kwargs["max_pixels_per_seq"] = int(text)
+            else:
+                config = _override(config, key.split("."), text)
+        except ValueError as e:
+            raise ValueError(f"config key {key!r}: {e}") from None
     model = train_from_manifest(args.manifest, mode, config, seed=args.seed, **kwargs)
     io.write_model(args.model_out, model,
                    header_extra={"mode": mode.value, "seed": args.seed})

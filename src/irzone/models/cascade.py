@@ -150,6 +150,8 @@ def cascade_train(features, labels, mode: Mode,
     mode.check_labels(y)
     if config.backend not in ("rf", "sdae"):
         raise ValueError(f"unknown backend {config.backend!r}")
+    if config.max_train_pixels < 2:  # a balanced draw takes half of it per class
+        raise ValueError(f"max_train_pixels must be >= 2, got {config.max_train_pixels}")
 
     usable = X[:, FEATURE_DIM - 1] < 0.5  # degenerate pixels are hard-ruled NWA
     std = fit_standardizer(X[usable]) if usable.any() else fit_standardizer(X)

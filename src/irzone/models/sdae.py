@@ -302,6 +302,8 @@ def train_sdae(X, y, config: SDAEConfig = SDAEConfig(), seed: int = 0) -> SDAEMo
     Every fine-tune step is one `SDAEModel.loss_and_grads` call into a
     workspace built once for `batch_size` rows, followed by one in-place SGD
     update of the flat parameter array from the workspace's flat gradient."""
+    if config.finetune_epochs < 1:  # else the softmax head is never trained
+        raise ValueError(f"finetune_epochs must be >= 1, got {config.finetune_epochs}")
     X = np.asarray(X, dtype=np.float64)
     y = _binary_labels(y)
     n, d = X.shape

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .preprocess import bilinear_sample
-from .zones import HA_LEAVES, Mode, ZoneLabel, ZoneMask
+from .zones import HA_LEAVES, NA_LEAVES, Mode, ZoneLabel, ZoneMask
 
 INSTRUMENT_TEMP_C = 25.0  # occluder temperature for damaged frames
+OCCLUDER_FRAC = (0.6, 0.4)  # occluder (width, height) as fractions of the frame
 PARAM_SMOOTH_SIGMA = 1.2  # px, Gaussian smoothing of the parameter maps
 
 
@@ -56,13 +57,11 @@ class SegmentSpec:
 
 @dataclass(frozen=True)
 class OccluderSpec:
-    """Rectangular foreign object at instrument temperature."""
+    """Rectangular foreign object at instrument temperature, `OCCLUDER_FRAC`
+    of the frame in size, with its top-left corner at (x0, y0)."""
 
     x0: int = 0
     y0: int = 0
-    frac_w: float = 0.6
-    frac_h: float = 0.4
-    temp: float = INSTRUMENT_TEMP_C
 
 
 # Defaults give NA and HA disjoint tau ranges (the separability knob) and a
@@ -87,8 +86,7 @@ REDUCED_CONTRAST_RECOVERY = {
 class PhantomConfig:
     width: int = 320
     height: int = 240
-    frame_period: float = 1.0     # seconds; sampling rate is not fixed by the protocol
-    n_frames: int = 60
+    n_frames: int = 60            # one frame per second
     pixel_size: float = 250e-6    # meters, in [220e-6, 289e-6]
     noise_sigma: float = 0.03     # °C, imager sensitivity band
     mode: Mode = Mode.ON
@@ -105,8 +103,6 @@ class PhantomConfig:
             raise ValueError("frame too small")
         if self.n_frames < 3:
             raise ValueError("n_frames must be >= 3")
-        if self.frame_period <= 0:
-            raise ValueError("frame_period must be positive")
         if not 0 < self.pixel_size < 1e-2:
             raise ValueError("pixel_size out of range")
         if self.noise_sigma < 0:
@@ -185,13 +181,8 @@ def _sample_param_maps(labels, overrides, recovery, rng, shape):
     from scipy.ndimage import gaussian_filter
 
     maps = {k: np.zeros(shape) for k in ("t_base", "dt", "tau")}
-    zone_of_label = {
-        ZoneLabel.NWA: "NWA",
-        ZoneLabel.NA_DM: "NA",
-        ZoneLabel.NA_BC: "NA",
-        ZoneLabel.HA_DM: "HA",
-        ZoneLabel.HA_BC: "HA",
-    }
+    zone_of_label = {ZoneLabel.NWA: "NWA", **dict.fromkeys(NA_LEAVES, "NA"),
+                     **dict.fromkeys(HA_LEAVES, "HA")}  # in the order of the draws
     zones = [(labels == int(label), recovery[zone]) for label, zone in zone_of_label.items()]
     # then the overrides: vessels keep their NA label but redraw the dynamics
     for sel, pr in [*zones, *overrides]:
@@ -260,13 +251,12 @@ def build_zone_mask(config: PhantomConfig) -> tuple[ZoneMask, list]:
 
 def generate_phantom(config: PhantomConfig, seed: int):
     """Deterministic (config, seed) -> (ThermalSequence, ZoneMask)."""
-    config.validate()
     rng = np.random.default_rng(seed)
     mask, overrides = build_zone_mask(config)
     t_base, dt, tau = _sample_param_maps(
         mask.labels, overrides, config.recovery, rng, (config.height, config.width)
     )
-    times = np.arange(config.n_frames, dtype=np.float64) * config.frame_period
+    times = np.arange(config.n_frames, dtype=np.float64)
     frames = np.empty((config.n_frames, config.height, config.width), dtype=np.float32)
     schedule = config.shift_schedule or [(0.0, 0.0)] * config.n_frames
 
@@ -279,10 +269,10 @@ def generate_phantom(config: PhantomConfig, seed: int):
             ideal = ideal + rng.normal(0.0, config.noise_sigma, size=ideal.shape)
         if i in config.damaged_frames:
             occ = config.damaged_frames[i]
-            ow = int(round(occ.frac_w * config.width))
-            oh = int(round(occ.frac_h * config.height))
+            ow = int(round(OCCLUDER_FRAC[0] * config.width))
+            oh = int(round(OCCLUDER_FRAC[1] * config.height))
             ideal = ideal.copy()
-            ideal[occ.y0 : occ.y0 + oh, occ.x0 : occ.x0 + ow] = occ.temp
+            ideal[occ.y0 : occ.y0 + oh, occ.x0 : occ.x0 + ow] = INSTRUMENT_TEMP_C
         frames[i] = ideal.astype(np.float32)
 
     return ThermalSequence(frames, times, config.pixel_size), mask

@@ -12,7 +12,8 @@ import numpy as np
 from . import io_formats as io
 from .features import extract_features_batch
 from .models.cascade import CascadeConfig, CascadeModel, cascade_predict, cascade_train
-from .phantom import ThermalSequence, generate_phantom
+from .models.rf import RFConfig
+from .phantom import ThermalSequence, default_config_sampler, generate_phantom
 from .postprocess import (
     DEFAULT_MIN_AREA_MM2,
     DecisionThresholds,
@@ -72,8 +73,6 @@ def make_dataset(out_dir, mode_mix, config_sampler=None, seed=0) -> list[Manifes
     `mode_mix` is {mode value ("On", "In" or "Off"): count}; any other key is
     a ValueError. Deterministic for a fixed seed.
     """
-    from .phantom import default_config_sampler
-
     out_dir = Path(out_dir)
     unknown = set(mode_mix) - {m.value for m in Mode}
     if unknown:
@@ -116,7 +115,6 @@ class SequenceFeatures:
     features: np.ndarray   # [H*W, D]
     shape: tuple[int, int]
     pixel_size: float
-    valid_mask: np.ndarray
     report: object
 
 
@@ -147,33 +145,39 @@ def preprocess_sequence(seq: ThermalSequence) -> SequenceFeatures:
     # pixels exposed by registration carry no trustworthy dynamics
     fits["degenerate"] = fits["degenerate"] | ~rep.valid_mask.ravel()
     feats = extract_features_batch(fits, series, cleaned.timestamps)
-    return SequenceFeatures(
-        features=feats, shape=(h, w), pixel_size=seq.pixel_size,
-        valid_mask=rep.valid_mask, report=rep,
-    )
+    return SequenceFeatures(features=feats, shape=(h, w), pixel_size=seq.pixel_size, report=rep)
+
+
+def _pooled(manifest_path, mode: Mode, seed: int, cap: int, columns) -> list[np.ndarray]:
+    """Per-pixel arrays pooled over the manifest's `mode` sequences: the one
+    place that loads a manifest's features.
+
+    `columns(mask, features)` gives one sequence's arrays, all of one length
+    n. When `cap` is set and n exceeds it, the sequence contributes `cap`
+    rows drawn without replacement from one generator seeded by `seed`."""
+    entries = [e for e in read_manifest(manifest_path) if e.mode is mode]
+    if not entries:
+        raise ValueError(f"manifest has no {mode.value}-mode sequences")
+    rng = np.random.default_rng(seed)
+    per_seq = []
+    for e in entries:
+        mask, _ = io.read_mask(e.mask_path)
+        cols = columns(mask, load_features(e.seq_path))
+        n = len(cols[0])
+        if cap and n > cap:
+            pick = rng.choice(n, size=cap, replace=False)
+            cols = [c[pick] for c in cols]
+        per_seq.append(cols)
+    return [np.concatenate(c) for c in zip(*per_seq)]
 
 
 def train_from_manifest(manifest_path, mode: Mode, config: CascadeConfig,
                         seed: int = 0, max_pixels_per_seq: int = 0) -> CascadeModel:
     """Pool features and ground-truth labels over the manifest and train."""
-    entries = [e for e in read_manifest(manifest_path) if e.mode is mode]
-    if not entries:
-        raise ValueError(f"manifest has no {mode.value}-mode sequences")
-    feats = []
-    labels = []
-    rng = np.random.default_rng(seed)
-    for e in entries:
-        mask, _ = io.read_mask(e.mask_path)
-        sf = load_features(e.seq_path)
-        x = sf.features
-        y = mask.labels.ravel()
-        if max_pixels_per_seq and len(y) > max_pixels_per_seq:
-            pick = rng.choice(len(y), size=max_pixels_per_seq, replace=False)
-            x, y = x[pick], y[pick]
-        feats.append(x)
-        labels.append(y)
-    X = np.concatenate(feats, axis=0)
-    y = np.concatenate(labels, axis=0)
+    if max_pixels_per_seq < 0:
+        raise ValueError(f"max_pixels_per_seq must be >= 0, got {max_pixels_per_seq}")
+    X, y = _pooled(manifest_path, mode, seed, max_pixels_per_seq,
+                   lambda mask, sf: (sf.features, mask.labels.ravel()))
     return cascade_train(X, y, mode, config, seed=seed)
 
 
@@ -207,9 +211,6 @@ def smoothed_probs(model: CascadeModel, sf: SequenceFeatures, radius: int) -> di
 class InferenceResult:
     z_ps: ZoneMask
     prob_maps: dict
-    thresholds: DecisionThresholds
-    tf_report: object
-    preprocess_report: object
 
 
 def infer_sequence(model: CascadeModel, seq: ThermalSequence, z_pr: ZoneMask,
@@ -220,17 +221,14 @@ def infer_sequence(model: CascadeModel, seq: ThermalSequence, z_pr: ZoneMask,
     sf = features if features is not None else preprocess_sequence(seq)
     smoothed = smoothed_probs(model, sf, pf_radius)
     z_ps = lps_decide(smoothed, z_pr, model.mode, thresholds)
-    filtered, tf_report = topological_filter(z_ps.labels, z_ps.pixel_size,
-                                             min_area_mm2=min_area_mm2)
+    filtered, _ = topological_filter(z_ps.labels, z_ps.pixel_size,
+                                     min_area_mm2=min_area_mm2)
     z_final = ZoneMask(filtered, z_ps.pixel_size)
     z_final.check_mode(model.mode)
-    return InferenceResult(
-        z_ps=z_final, prob_maps=smoothed, thresholds=thresholds,
-        tf_report=tf_report, preprocess_report=sf.report,
-    )
+    return InferenceResult(z_ps=z_final, prob_maps=smoothed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class E2EConfig:
     n_train: int = 8
     n_test: int = 4
@@ -257,8 +255,6 @@ def run_e2e(out_dir, seed: int, config: E2EConfig = E2EConfig()) -> dict:
     Everything on disk (datasets, models, predicted masks, report) is a pure
     function of (seed, config)."""
     from .evaluation import report as make_report
-    from .models.rf import RFConfig
-    from .phantom import default_config_sampler
 
     out_dir = Path(out_dir)
     sampler = default_config_sampler(
@@ -273,7 +269,6 @@ def run_e2e(out_dir, seed: int, config: E2EConfig = E2EConfig()) -> dict:
     test_entries = read_manifest(out_dir / "test" / "manifest.txt")
 
     results = {}
-    models = {}
     for backend in config.backends:
         cconfig = CascadeConfig(
             backend=backend,
@@ -298,11 +293,10 @@ def run_e2e(out_dir, seed: int, config: E2EConfig = E2EConfig()) -> dict:
             io.write_mask(out_dir / f"pred_{backend}_{i:04d}.pgm", res.z_ps, config.mode)
             items.append((f"seq_{i:04d}", res.z_ps, ref))
         results[backend.upper()] = items
-        models[backend] = model
 
     text = make_report(results)
     io._atomic_write(out_dir / "report.txt", text.encode())
-    return {"report": text, "results": results, "models": models}
+    return {"report": text, "results": results}
 
 
 def calibrate_thresholds(model: CascadeModel, manifest_path, alpha: float,
@@ -313,19 +307,11 @@ def calibrate_thresholds(model: CascadeModel, manifest_path, alpha: float,
     Probabilities are smoothed exactly as at decision time, otherwise the
     fitted threshold is calibrated against a different distribution than the
     one it will cut; both go through `smoothed_probs`."""
-    entries = [e for e in read_manifest(manifest_path) if e.mode is model.mode]
-    p_all, ha_all = [], []
-    rng = np.random.default_rng(seed)
-    for e in entries:
-        mask, _ = io.read_mask(e.mask_path)
-        smoothed = smoothed_probs(model, load_features(e.seq_path), pf_radius)
-        p_ha = sum(smoothed[l] for l in HA_LEAVES).ravel()
+    def wa_scores(mask, sf):
+        smoothed = smoothed_probs(model, sf, pf_radius)  # once per sequence
         wa = mask.wa.ravel()
-        p = p_ha[wa]
-        is_ha = mask.ha.ravel()[wa]
-        if len(p) > CALIBRATION_PIXELS_PER_SEQ:
-            pick = rng.choice(len(p), size=CALIBRATION_PIXELS_PER_SEQ, replace=False)
-            p, is_ha = p[pick], is_ha[pick]
-        p_all.append(p)
-        ha_all.append(is_ha)
-    return fit_thresholds(np.concatenate(p_all), np.concatenate(ha_all), alpha, beta)
+        return sum(smoothed[l] for l in HA_LEAVES).ravel()[wa], mask.ha.ravel()[wa]
+
+    p_ha, is_ha = _pooled(manifest_path, model.mode, seed, CALIBRATION_PIXELS_PER_SEQ,
+                          wa_scores)
+    return fit_thresholds(p_ha, is_ha, alpha, beta)

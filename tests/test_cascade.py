@@ -120,6 +120,13 @@ class TestTrainingErrors:
         with pytest.raises(ValueError, match="features must be"):
             cascade_train(np.zeros((10, 3)), np.zeros(10, dtype=np.uint8), Mode.ON, FAST_RF)
 
+    @pytest.mark.parametrize("backend", ["rf", "sdae"])
+    def test_sample_cap_below_two_rejected(self, backend):
+        # a cap of one leaves the balanced (SDAE) draw no rows of either class
+        x, y = synthetic_dataset(Mode.ON)
+        with pytest.raises(ValueError, match="max_train_pixels must be >= 2, got 1"):
+            cascade_train(x, y, Mode.ON, CascadeConfig(backend=backend, max_train_pixels=1))
+
 
 class TestPredict:
     def test_product_rule_by_hand(self):

@@ -222,6 +222,45 @@ class TestFlow:
         assert "n_trees must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "model.izm").exists()
 
+    @pytest.mark.parametrize("backend, line, key", [
+        ("sdae", "sdae.finetune_epochs = 0", "finetune_epochs"),
+        ("sdae", "max_train_pixels = 1", "max_train_pixels"),
+        ("rf", "pixels_per_seq = -5", "pixels_per_seq"),
+        ("rf", "rf.n_trees = ten", "'rf.n_trees'"),
+    ])
+    def test_train_bad_config_value_names_its_key(self, workspace, tmp_path, capsys,
+                                                   backend, line, key):
+        overrides = tmp_path / "overrides.txt"
+        overrides.write_text(line + "\n")
+        assert main([
+            "train", "--manifest", str(workspace / "train" / "manifest.txt"),
+            "--backend", backend, "--config", str(overrides),
+            "--model-out", str(tmp_path / "model.izm"),
+        ]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "model.izm").exists()
+
+    def test_calibration_without_the_model_mode_is_data_error(self, workspace, tmp_path,
+                                                               capsys):
+        overrides = tmp_path / "overrides.txt"
+        overrides.write_text("rf.n_trees = 2\nmax_train_pixels = 2000\n")
+        model = tmp_path / "model.izm"
+        assert main([
+            "train", "--manifest", str(workspace / "train" / "manifest.txt"),
+            "--config", str(overrides), "--model-out", str(model),
+        ]) == 0
+        off = tmp_path / "off"
+        assert main(["gen", "--mode", "Off", "--n", "1", "--out", str(off),
+                     "--width", "48", "--height", "36", "--frames", "10"]) == 0
+        pred = tmp_path / "pred.pgm"
+        assert main([
+            "infer", "--model", str(model),
+            "--in", str(workspace / "train" / "seq_0000.irts"),
+            "--calib", str(off / "manifest.txt"), "--out-mask", str(pred),
+        ]) == 2
+        assert "manifest has no On-mode sequences" in capsys.readouterr().err
+        assert not pred.exists()
+
     def test_infer_without_calibration_uses_neutral_threshold(self, workspace, tmp_path):
         overrides = tmp_path / "overrides.txt"
         overrides.write_text("rf.n_trees = 5\nmax_train_pixels = 3000\n")

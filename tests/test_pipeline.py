@@ -150,3 +150,32 @@ class TestLoadFeatures:
         make_dataset(tmp_path, mode_mix={"On": 1}, config_sampler=tiny_sampler(Mode.ON), seed=1)
         path = tmp_path / "seq_0000.irts"
         assert load_features(path) is load_features(tmp_path / "." / "seq_0000.irts")
+
+
+def test_every_default_argument_is_hashable():
+    """A mutable default is one object shared by every call that omits it:
+    module-level state. Defaults must be immutable, so every one is hashable
+    (numbers, strings, tuples, enums, frozen dataclasses)."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import irzone
+
+    unhashable = []
+    for info in pkgutil.walk_packages(irzone.__path__, "irzone."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != info.name:
+                continue
+            if inspect.isclass(obj):
+                funcs = [getattr(f, "__func__", f) for f in vars(obj).values()]
+            else:
+                funcs = [obj]
+            for f in filter(inspect.isfunction, funcs):
+                for p in inspect.signature(f).parameters.values():
+                    try:
+                        hash(p.default)
+                    except TypeError:
+                        unhashable.append(f"{f.__qualname__}({p.name})")
+    assert unhashable == []

@@ -1,7 +1,5 @@
 """Autoencoder backend: pretraining, fine-tuning, gradients, determinism."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -99,6 +97,12 @@ class TestTrainSDAE:
     def test_rejects_nonbinary_labels(self):
         with pytest.raises(ValueError, match="binary"):
             train_sdae(np.zeros((4, 2)), np.array([0, 2, 1, 0]))
+
+    def test_rejects_zero_finetune_epochs(self):
+        # without a fine-tune epoch the softmax head keeps its random weights
+        x, y = separable_data()
+        with pytest.raises(ValueError, match="finetune_epochs must be >= 1, got 0"):
+            train_sdae(x, y, SDAEConfig(hidden_sizes=(4,), finetune_epochs=0))
 
     @pytest.mark.parametrize("y", [[0, 2, 1, 0], [-1, 0, 1, 0], [0, 1, 0.5, 1]])
     def test_loss_rejects_nonbinary_labels(self, y):
@@ -489,9 +493,12 @@ def test_every_fine_tune_step_is_one_loss_and_grads_call(monkeypatch):
     config = SDAEConfig(hidden_sizes=(7,), pretrain_epochs=1, finetune_epochs=4,
                         batch_size=24)
     rows = []
+    untrained = []  # the parameters as the first fine-tune step finds them
     loss_and_grads = SDAEModel.loss_and_grads
 
     def zeroing_loss_and_grads(self, X, y, work=None):
+        if not untrained:
+            untrained.extend(a.copy() for a in self.weights + self.biases)
         loss, gw, gb = loss_and_grads(self, X, y, work)
         rows.append(len(X))
         for g in gw + gb:
@@ -503,9 +510,7 @@ def test_every_fine_tune_step_is_one_loss_and_grads_call(monkeypatch):
     # 203 rows less 20 held out leave 183 = 7 * 24 + 15 per epoch
     assert rows == ([24] * 7 + [15]) * config.finetune_epochs
     assert len(frozen.trace["finetune_losses"]) == config.finetune_epochs
-    untrained = train_sdae(x, y, replace(config, finetune_epochs=0), seed=0)
-    assert_same_bytes(frozen.weights, untrained.weights)
-    assert_same_bytes(frozen.biases, untrained.biases)
+    assert_same_bytes(frozen.weights + frozen.biases, untrained)
 
 
 class TestGradients:
