@@ -18,6 +18,12 @@ class RFConfig:
     min_leaf: int = 5
     features_per_split: int | None = None  # None: ceil(sqrt(D))
 
+    def __post_init__(self):
+        for name in ("n_trees", "max_depth", "min_leaf", "features_per_split"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
 
 @dataclass
 class Tree:
@@ -50,18 +56,39 @@ class Tree:
                 raise FormatError("tree child does not point forward within the tree")
         return tree
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature[node]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            idx = np.flatnonzero(internal)
-            f = feat[idx]
-            go_left = X[idx, f] <= self.threshold[node[idx]]
-            node[idx] = np.where(go_left, self.left[node[idx]], self.right[node[idx]])
-        return self.leaf_frac[node]
+    def predict_proba(self, XT: np.ndarray) -> np.ndarray:
+        """Class-1 leaf fraction of each column of the feature-major XT [D, N].
+
+        Only the rows still at an internal node are walked. Each level steps
+        them down one split, writes out the `leaf_frac` of the rows that
+        reached a leaf and drops those rows. A walk of every row at every
+        level makes the same comparisons (`x <= threshold` goes left, NaN
+        goes right) and stops each row at the same leaf, so the result has
+        the same bytes.
+        """
+        n = XT.shape[1]
+        out = np.empty(n)
+        is_leaf = self.feature < 0
+        if is_leaf[0]:
+            out.fill(self.leaf_frac[0])
+            return out
+        # child slot 2k + 1 holds node k's left child, slot 2k its right one
+        kids = np.empty(2 * len(is_leaf), dtype=np.int64)
+        kids[0::2], kids[1::2] = self.right, self.left
+        offset = self.feature * n  # where each split's feature row starts in x
+        x = XT.reshape(-1)
+        rows = np.arange(n)
+        node = np.zeros(n, dtype=np.int64)
+        while len(rows):
+            go_left = x.take(offset.take(node) + rows) <= self.threshold.take(node)
+            node = kids.take(2 * node + go_left)
+            leaf = is_leaf.take(node)
+            if leaf.any():
+                done = np.flatnonzero(leaf)
+                out[rows.take(done)] = self.leaf_frac.take(node.take(done))
+                live = np.flatnonzero(~leaf)
+                rows, node = rows.take(live), node.take(live)
+        return out
 
 
 @dataclass
@@ -103,9 +130,13 @@ class RFModel:
         )
         if not trees:
             raise FormatError("forest has no trees")
+        try:
+            config = RFConfig(n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
+                              features_per_split=per_split or None)
+        except ValueError as e:
+            raise FormatError(f"forest config: {e}") from None
         return cls(
-            config=RFConfig(n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
-                            features_per_split=per_split or None),
+            config=config,
             trees=[Tree.from_state(t, n_features) for t in trees],
             n_features=n_features,
             seed=seed,
@@ -209,8 +240,6 @@ def train_rf(X, y, config: RFConfig = RFConfig(), seed: int = 0) -> RFModel:
         raise ValueError("X must be [N, D] with matching labels")
     if not np.isin(y, [0, 1]).all():
         raise ValueError("labels must be binary 0/1")
-    if config.n_trees < 1:
-        raise ValueError(f"n_trees must be >= 1, got {config.n_trees}")
     d = X.shape[1]
     k = config.features_per_split or math.ceil(math.sqrt(d))
     k = min(k, d)
@@ -241,9 +270,10 @@ def rf_predict_proba(model: RFModel, X) -> np.ndarray:
         raise ValueError(f"dimension mismatch: got {X.shape[1]}, expected {model.n_features}")
     if not model.trees:
         raise ValueError("empty forest")
+    XT = np.ascontiguousarray(X.T)  # one copy, read by every tree
     p = np.zeros(X.shape[0])
     for t in model.trees:
-        p += t.predict_proba(X)
+        p += t.predict_proba(XT)
     p /= len(model.trees)
     return float(p[0]) if single else p
 

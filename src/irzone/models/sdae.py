@@ -44,6 +44,18 @@ class SDAEConfig:
     patience: int = 20
     holdout_frac: float = 0.1
 
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("hidden_sizes", all(h >= 1 for h in self.hidden_sizes), ">= 1 each"),
+            # without a fine-tune epoch the softmax head keeps its random weights
+            ("finetune_epochs", self.finetune_epochs >= 1, ">= 1"),
+            ("lr", self.lr > 0.0, "> 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("holdout_frac", 0.0 <= self.holdout_frac < 1.0, "in [0, 1)"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
 
 def _sigmoid(z):
     """1 / (1 + exp(-z)), computed in z. z is clipped below at -60, so
@@ -302,8 +314,6 @@ def train_sdae(X, y, config: SDAEConfig = SDAEConfig(), seed: int = 0) -> SDAEMo
     Every fine-tune step is one `SDAEModel.loss_and_grads` call into a
     workspace built once for `batch_size` rows, followed by one in-place SGD
     update of the flat parameter array from the workspace's flat gradient."""
-    if config.finetune_epochs < 1:  # else the softmax head is never trained
-        raise ValueError(f"finetune_epochs must be >= 1, got {config.finetune_epochs}")
     X = np.asarray(X, dtype=np.float64)
     y = _binary_labels(y)
     n, d = X.shape

@@ -227,6 +227,9 @@ class TestFlow:
         ("sdae", "max_train_pixels = 1", "max_train_pixels"),
         ("rf", "pixels_per_seq = -5", "pixels_per_seq"),
         ("rf", "rf.n_trees = ten", "'rf.n_trees'"),
+        ("rf", "rf.max_depth = 0", "'rf.max_depth'"),
+        ("rf", "rf.min_leaf = 0", "'rf.min_leaf'"),
+        ("sdae", "sdae.lr = -1", "'sdae.lr'"),
     ])
     def test_train_bad_config_value_names_its_key(self, workspace, tmp_path, capsys,
                                                    backend, line, key):

@@ -292,21 +292,47 @@ class TestRegisterPreparedFrames:
                      23, "5dca35c84cb3d17d", "35ee2cab1fc80817", 28),
     }
 
-    @pytest.mark.parametrize("name", list(CASES))
-    def test_shifts_and_data_match_pinned_hashes(self, name, monkeypatch):
+    @pytest.mark.parametrize("name, ahead", [
+        pytest.param(name, ahead, id=name + ("-ahead" if ahead else ""))
+        for name in CASES for ahead in (False, True)
+    ])
+    def test_shifts_and_data_match_pinned_hashes(self, name, ahead, monkeypatch):
+        # with two CPUs, these frames are below AHEAD_MIN_PIXELS unless "-ahead"
+        # lowers it to 0
         overrides, seed, shifts_sha, data_sha, moved = self.CASES[name]
-        prepared = []
-        prepare = preprocess._prepare
+        prepared, handed_out = [], []
+        prepare, blurred_targets = preprocess._prepare, preprocess._blurred_targets
         monkeypatch.setattr(preprocess, "_prepare",
                             lambda *args: prepared.append(1) or prepare(*args))
+        monkeypatch.setattr(preprocess, "_blurred_targets",
+                            lambda *args: handed_out.append(1) or blurred_targets(*args))
+        monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
+        if ahead:
+            monkeypatch.setattr(preprocess, "AHEAD_MIN_PIXELS", 0)
         seq, _ = generate_phantom(small_config(**overrides), seed=seed)
-        registered, report = register_sequence(seq)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6 if ahead else interval)  # frequent thread switches
+        try:
+            registered, report = register_sequence(seq)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(handed_out) == ahead
         shifts = [(s.dx, s.dy, s.peak_score, s.fatal) for s in report.shifts]
         assert sha16(repr(shifts).encode()) == shifts_sha
         assert sha16(registered.data.tobytes() + report.valid_mask.tobytes()) == data_sha
         assert sum(s.dx != 0.0 or s.dy != 0.0 for s in report.shifts if not s.fatal) == moved
         # once per frame as a target, plus once more for every frame moved
         assert len(prepared) == seq.n_frames + moved
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "ThreadPoolExecutor", None)  # calling it fails
+        monkeypatch.setattr(preprocess, "AHEAD_MIN_PIXELS", 0)
+        monkeypatch.setattr(preprocess, "_cpu_count", lambda: 1)
+        overrides, seed, shifts_sha, _, _ = self.CASES["drift"]
+        seq, _ = generate_phantom(small_config(**overrides), seed=seed)
+        _, report = register_sequence(seq)
+        shifts = [(s.dx, s.dy, s.peak_score, s.fatal) for s in report.shifts]
+        assert sha16(repr(shifts).encode()) == shifts_sha
 
 
 class TestRemoveDamagedFrames:

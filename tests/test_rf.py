@@ -1,8 +1,11 @@
 """Random-forest backend: CART splits, bagging, determinism."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from irzone import io_formats as io
 from irzone.io_formats import FormatError, _pack
 from irzone.models.rf import (
     RFConfig,
@@ -106,6 +109,81 @@ class TestPersistence:
         )
 
 
+def reference_predict_proba(model, X):
+    """The per-level traversal `Tree.predict_proba` replaced, kept verbatim
+    as its oracle: every row is re-read at every level, leaves included,
+    and the trees are summed in order."""
+    X = np.asarray(X, dtype=np.float64)
+    p = np.zeros(X.shape[0])
+    for t in model.trees:
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        while True:
+            feat = t.feature[node]
+            internal = feat >= 0
+            if not internal.any():
+                break
+            idx = np.flatnonzero(internal)
+            f = feat[idx]
+            go_left = X[idx, f] <= t.threshold[node[idx]]
+            node[idx] = np.where(go_left, t.left[node[idx]], t.right[node[idx]])
+        p += t.leaf_frac[node]
+    p /= len(model.trees)
+    return p
+
+
+def noisy_forest(n_trees=12, max_depth=12, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(1500, 6))
+    y = (x[:, 0] + x[:, 1] * x[:, 2] + rng.normal(size=1500) > 0).astype(np.int64)
+    return train_rf(x, y, RFConfig(n_trees=n_trees, max_depth=max_depth, min_leaf=1), seed=3)
+
+
+class TestTraversalMatchesOracle:
+    """Walking only the rows still at an internal node gives the bytes of
+    walking every row at every level."""
+
+    def assert_same_bytes(self, model, x):
+        got = rf_predict_proba(model, x)
+        assert got.dtype == np.float64 and got.shape == (len(x),)
+        assert got.tobytes() == reference_predict_proba(model, x).tobytes()
+
+    def test_deep_forest_on_noisy_data(self):
+        model = noisy_forest()
+        assert max(len(t.feature) for t in model.trees) > 200
+        self.assert_same_bytes(model, np.random.default_rng(1).normal(size=(5000, 6)))
+
+    def test_nan_and_infinities(self):
+        model = noisy_forest(n_trees=6)
+        x = np.random.default_rng(2).normal(size=(600, 6))
+        x[::3, 0] = np.nan
+        x[1::5, 2] = np.inf
+        x[2::7, 1] = -np.inf
+        x[:27, :3] = list(itertools.product([np.nan, np.inf, -np.inf], repeat=3))
+        self.assert_same_bytes(model, x)
+
+    def test_one_row_and_zero_rows(self):
+        model = noisy_forest(n_trees=6)
+        x = np.random.default_rng(3).normal(size=(1, 6))
+        self.assert_same_bytes(model, x)
+        assert rf_predict_proba(model, x[0]) == reference_predict_proba(model, x)[0]
+        self.assert_same_bytes(model, np.empty((0, 6)))
+
+    def test_single_leaf_tree(self):
+        x = np.random.default_rng(4).normal(size=(40, 3))
+        model = train_rf(x, np.ones(40, dtype=np.int64), RFConfig(n_trees=2))
+        assert all(len(t.feature) == 1 for t in model.trees)
+        self.assert_same_bytes(model, x)
+
+    def test_round_tripped_model_file(self, tmp_path):
+        model = noisy_forest(n_trees=8, max_depth=9)
+        path = tmp_path / "rf.izm"
+        io.write_model(path, model)
+        restored = RFModel.from_state(io.read_model_state(path)[1])
+        x = np.random.default_rng(5).normal(size=(3000, 6))
+        self.assert_same_bytes(restored, x)
+        assert rf_predict_proba(restored, x).tobytes() == rf_predict_proba(model, x).tobytes()
+
+
 def two_split_state():
     """A valid forest state with two splits: node 0 -> (1, 2), node 2 -> (3, 4)."""
     tree = Tree(
@@ -133,6 +211,15 @@ class TestFromStateValidation:
         state = two_split_state()
         state["trees"][0][key][node] = value
         with pytest.raises(FormatError, match=match):
+            RFModel.from_state(state)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_trees", 0), ("max_depth", 0), ("min_leaf", 0), ("features_per_split", -1),
+    ])
+    def test_config_out_of_range_rejected(self, key, value):
+        state = two_split_state()
+        state[key] = value
+        with pytest.raises(FormatError, match=f"{key} must be >= 1"):
             RFModel.from_state(state)
 
     def test_forest_without_trees_rejected(self):
