@@ -140,8 +140,8 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
-# `--config` keys: "rf.n_trees" sets CascadeConfig.rf.n_trees and so on;
-# pixels_per_seq is train_from_manifest's max_pixels_per_seq
+# `--config` keys: "rf.n_trees" sets CascadeConfig.rf.n_trees (--backend rf only)
+# and so on; pixels_per_seq is train_from_manifest's max_pixels_per_seq
 _CONFIG_KEYS = (
     "rf.n_trees", "rf.max_depth", "rf.min_leaf",
     "sdae.corruption", "sdae.lr", "sdae.finetune_epochs",
@@ -165,9 +165,14 @@ def _cmd_train(args) -> int:
     for key, text in overrides.items():
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}; known: {', '.join(_CONFIG_KEYS)}")
+        scope, dot, _ = key.partition(".")
+        if dot and scope != args.backend:
+            raise ValueError(f"config key {key!r} applies only to --backend {scope}")
         try:
             if key == "pixels_per_seq":
                 kwargs["max_pixels_per_seq"] = int(text)
+                if kwargs["max_pixels_per_seq"] < 0:
+                    raise ValueError(f"must be >= 0, got {text}")
             else:
                 config = _override(config, key.split("."), text)
         except ValueError as e:

@@ -47,10 +47,16 @@ def stages_for_mode(mode: Mode) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class CascadeConfig:
-    backend: str = "rf"  # "rf" | "sdae"
+    backend: str = "rf"
     rf: RFConfig = field(default_factory=RFConfig)
     sdae: SDAEConfig = field(default_factory=SDAEConfig)
     max_train_pixels: int = 20_000  # per-stage subsample cap
+
+    def __post_init__(self):
+        if self.backend not in ("rf", "sdae"):
+            raise ValueError(f"unknown backend {self.backend!r}; expected 'rf' or 'sdae'")
+        if self.max_train_pixels < 2:  # a balanced draw takes half of it per class
+            raise ValueError(f"max_train_pixels must be >= 2, got {self.max_train_pixels}")
 
 
 @dataclass
@@ -148,10 +154,6 @@ def cascade_train(features, labels, mode: Mode,
     if X.shape[0] != y.shape[0]:
         raise ValueError("features/labels length mismatch")
     mode.check_labels(y)
-    if config.backend not in ("rf", "sdae"):
-        raise ValueError(f"unknown backend {config.backend!r}")
-    if config.max_train_pixels < 2:  # a balanced draw takes half of it per class
-        raise ValueError(f"max_train_pixels must be >= 2, got {config.max_train_pixels}")
 
     usable = X[:, FEATURE_DIM - 1] < 0.5  # degenerate pixels are hard-ruled NWA
     std = fit_standardizer(X[usable]) if usable.any() else fit_standardizer(X)

@@ -1,5 +1,6 @@
 """Random forest of binary CART trees: Gini splits, bootstrap bagging,
-random feature subsets, deterministic under a fixed seed."""
+random subsets of ceil(sqrt(D)) features per split, deterministic under a
+fixed seed."""
 
 from __future__ import annotations
 
@@ -16,12 +17,11 @@ class RFConfig:
     n_trees: int = 100
     max_depth: int = 12
     min_leaf: int = 5
-    features_per_split: int | None = None  # None: ceil(sqrt(D))
 
     def __post_init__(self):
-        for name in ("n_trees", "max_depth", "min_leaf", "features_per_split"):
+        for name in ("n_trees", "max_depth", "min_leaf"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
 
@@ -105,7 +105,7 @@ class RFModel:
             "n_trees": self.config.n_trees,
             "max_depth": self.config.max_depth,
             "min_leaf": self.config.min_leaf,
-            "features_per_split": self.config.features_per_split or 0,
+            "features_per_split": 0,  # the ceil(sqrt(D)) rule, kept in the format
             "n_features": self.n_features,
             "seed": self.seed,
             "single_class": int(self.single_class),
@@ -130,9 +130,10 @@ class RFModel:
         )
         if not trees:
             raise FormatError("forest has no trees")
+        if per_split != 0:
+            raise FormatError(f"forest config: features_per_split must be 0, got {per_split}")
         try:
-            config = RFConfig(n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
-                              features_per_split=per_split or None)
+            config = RFConfig(n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf)
         except ValueError as e:
             raise FormatError(f"forest config: {e}") from None
         return cls(
@@ -241,8 +242,7 @@ def train_rf(X, y, config: RFConfig = RFConfig(), seed: int = 0) -> RFModel:
     if not np.isin(y, [0, 1]).all():
         raise ValueError("labels must be binary 0/1")
     d = X.shape[1]
-    k = config.features_per_split or math.ceil(math.sqrt(d))
-    k = min(k, d)
+    k = math.ceil(math.sqrt(d))  # never above d
     rng = np.random.default_rng(seed)
     n = X.shape[0]
     trees = []

@@ -27,6 +27,9 @@ import numpy as np
 from ..io_formats import FormatError, state_array, state_fields
 
 
+HOLDOUT_FRAC = 0.1  # share of the rows held out for early stopping
+
+
 class TrainingDiverged(RuntimeError):
     def __init__(self, message, trace):
         super().__init__(message)
@@ -42,16 +45,17 @@ class SDAEConfig:
     lr: float = 0.05
     batch_size: int = 64
     patience: int = 20
-    holdout_frac: float = 0.1
 
     def __post_init__(self):
         for name, ok, rule in (
             ("hidden_sizes", all(h >= 1 for h in self.hidden_sizes), ">= 1 each"),
+            ("corruption", 0.0 <= self.corruption < 1.0, "in [0, 1)"),
+            ("pretrain_epochs", self.pretrain_epochs >= 0, ">= 0"),
             # without a fine-tune epoch the softmax head keeps its random weights
             ("finetune_epochs", self.finetune_epochs >= 1, ">= 1"),
             ("lr", self.lr > 0.0, "> 0"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
-            ("holdout_frac", 0.0 <= self.holdout_frac < 1.0, "in [0, 1)"),
+            ("patience", self.patience >= 1, ">= 1"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -302,7 +306,7 @@ class SDAEModel:
 def train_sdae(X, y, config: SDAEConfig = SDAEConfig(), seed: int = 0) -> SDAEModel:
     """Layerwise pretraining followed by supervised fine-tuning.
 
-    Fine-tuning holds out `holdout_frac` of the rows and stops once the
+    Fine-tuning holds out `HOLDOUT_FRAC` of the rows and stops once the
     hold-out loss has not improved for `patience` epochs; the weights with
     the best hold-out loss are kept. `trace["finetune_losses"]` holds one
     entry per epoch: the mean of that epoch's minibatch losses, weighted by
@@ -351,7 +355,7 @@ def train_sdae(X, y, config: SDAEConfig = SDAEConfig(), seed: int = 0) -> SDAEMo
 
     # supervised fine-tune with a 10% held-out split and patience early stop
     order = rng.permutation(n)
-    n_hold = max(1, int(round(config.holdout_frac * n))) if n > 10 else 0
+    n_hold = max(1, int(round(HOLDOUT_FRAC * n))) if n > 10 else 0
     hold, train = order[:n_hold], order[n_hold:]
     if len(train) == 0:
         train, hold = order, order[:0]

@@ -17,6 +17,7 @@ from .zones import HA_LEAVES, NA_LEAVES, Mode, ZoneLabel, ZoneMask
 
 INSTRUMENT_TEMP_C = 25.0  # occluder temperature for damaged frames
 OCCLUDER_FRAC = (0.6, 0.4)  # occluder (width, height) as fractions of the frame
+BC_FRACTION = 0.5  # In mode: the left fraction of the working area that is BC
 PARAM_SMOOTH_SIGMA = 1.2  # px, Gaussian smoothing of the parameter maps
 
 
@@ -93,7 +94,6 @@ class PhantomConfig:
     tumors: list[EllipseSpec] = field(default_factory=list)
     vessels: list[SegmentSpec] = field(default_factory=list)
     nwa_margin: int = 16          # frame-border band labeled NWA
-    bc_fraction: float = 0.5      # In mode: left fraction of WA that is BC
     shift_schedule: list[tuple[float, float]] | None = None  # per-frame (dx, dy)
     damaged_frames: dict[int, OccluderSpec] = field(default_factory=dict)
     recovery: dict[str, ParamRange] = field(default_factory=lambda: dict(DEFAULT_RECOVERY))
@@ -232,7 +232,7 @@ def build_zone_mask(config: PhantomConfig) -> tuple[ZoneMask, list]:
     layers = config.mode.layers
     pair = np.full((h, w, 2), layers[0], dtype=np.uint8)
     if len(layers) == 2:  # In: BC on the left fraction of WA, DM on the right
-        split = m + int(round(config.bc_fraction * (w - 2 * m)))
+        split = m + int(round(BC_FRACTION * (w - 2 * m)))
         pair[:, :split] = layers[1]
 
     labels[wa] = pair[wa, 0]

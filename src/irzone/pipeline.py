@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .postprocess import (
     DEFAULT_MIN_AREA_MM2,
     DecisionThresholds,
     fit_thresholds,
+    ha_score,
     lps_decide,
     probabilistic_filter,
     topological_filter,
@@ -27,7 +29,7 @@ from .preprocess import (
     register_sequence,
     remove_damaged_frames,
 )
-from .zones import HA_LEAVES, LAYERS, LEAF_LABELS, Mode, ZoneMask
+from .zones import LAYERS, LEAF_LABELS, Mode, ZoneMask
 
 
 CALIBRATION_PIXELS_PER_SEQ = 4000  # WA scores sampled per calibration sequence
@@ -232,20 +234,30 @@ def infer_sequence(model: CascadeModel, seq: ThermalSequence, z_pr: ZoneMask,
 class E2EConfig:
     n_train: int = 8
     n_test: int = 4
-    mode: Mode = Mode.ON
-    width: int = 96
-    height: int = 72
     n_frames: int = 40
-    nwa_margin: int = 10
-    noise_sigma: float = 0.03
-    alpha: float = 0.05
-    beta: float = 0.05
     backends: tuple[str, ...] = ("rf", "sdae")
-    rf_trees: int = 30
-    max_train_pixels: int = 8000
-    pixels_per_seq: int = 6000
-    pf_radius: int = 1
-    min_area_mm2: float = DEFAULT_MIN_AREA_MM2
+    # the same for every run: no caller sets them
+    mode: ClassVar[Mode] = Mode.ON
+    width: ClassVar[int] = 96
+    height: ClassVar[int] = 72
+    nwa_margin: ClassVar[int] = 10
+    noise_sigma: ClassVar[float] = 0.03
+    alpha: ClassVar[float] = 0.05
+    beta: ClassVar[float] = 0.05
+    rf_trees: ClassVar[int] = 30
+    max_train_pixels: ClassVar[int] = 8000
+    pixels_per_seq: ClassVar[int] = 6000
+    pf_radius: ClassVar[int] = 1
+    min_area_mm2: ClassVar[float] = DEFAULT_MIN_AREA_MM2
+
+    def __post_init__(self):
+        for name in ("n_train", "n_test"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.backends:
+            raise ValueError("backends must name at least one backend")
+        for backend in self.backends:
+            CascadeConfig(backend=backend)  # raises for an unknown one
 
 
 def run_e2e(out_dir, seed: int, config: E2EConfig = E2EConfig()) -> dict:
@@ -306,11 +318,11 @@ def calibrate_thresholds(model: CascadeModel, manifest_path, alpha: float,
 
     Probabilities are smoothed exactly as at decision time, otherwise the
     fitted threshold is calibrated against a different distribution than the
-    one it will cut; both go through `smoothed_probs`."""
+    one it will cut; both go through `smoothed_probs` and `ha_score`."""
     def wa_scores(mask, sf):
         smoothed = smoothed_probs(model, sf, pf_radius)  # once per sequence
         wa = mask.wa.ravel()
-        return sum(smoothed[l] for l in HA_LEAVES).ravel()[wa], mask.ha.ravel()[wa]
+        return ha_score(smoothed).ravel()[wa], mask.ha.ravel()[wa]
 
     p_ha, is_ha = _pooled(manifest_path, model.mode, seed, CALIBRATION_PIXELS_PER_SEQ,
                           wa_scores)

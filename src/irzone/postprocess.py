@@ -26,7 +26,6 @@ class Component:
 
 @dataclass
 class ComponentReport:
-    pixel_size: float
     entries: list[dict] = field(default_factory=list)  # label, count, area_mm2, action
 
     def lines(self) -> list[str]:
@@ -82,7 +81,7 @@ def topological_filter(label_map, pixel_size, min_area_mm2=DEFAULT_MIN_AREA_MM2)
         raise ValueError("min_area_mm2 must be nonnegative")
     lm = np.asarray(label_map).copy()
     px_mm2 = (pixel_size * 1e3) ** 2
-    report = ComponentReport(pixel_size=pixel_size)
+    report = ComponentReport()
 
     def entry(label, count, action):
         return {"label": label, "count": count, "area_mm2": count * px_mm2, "action": action}
@@ -189,6 +188,12 @@ def fit_thresholds(p_ha, is_ha, alpha, beta) -> DecisionThresholds:
                               achieved_alpha=ach_alpha, achieved_beta=ach_beta)
 
 
+def ha_score(prob_maps: dict) -> np.ndarray:
+    """P(HA) per pixel, the sum of the HA leaf maps: the score that
+    threshold calibration fits theta on and the decision cuts."""
+    return sum(np.asarray(prob_maps[l], dtype=np.float64) for l in HA_LEAVES)
+
+
 def lps_decide(prob_maps: dict, z_pr: ZoneMask, mode: Mode,
                thresholds: DecisionThresholds) -> ZoneMask:
     """Final decision: the a priori mask fixes NWA and the BC/DM split; within
@@ -198,8 +203,7 @@ def lps_decide(prob_maps: dict, z_pr: ZoneMask, mode: Mode,
     for v in prob_maps.values():
         if np.asarray(v).shape != shape:
             raise ValueError("probability map shape mismatch")
-    p_ha = sum(np.asarray(prob_maps[l], dtype=np.float64) for l in HA_LEAVES)
-    is_ha = p_ha >= thresholds.theta_ha
+    is_ha = ha_score(prob_maps) >= thresholds.theta_ha
 
     out = np.zeros(shape, dtype=np.uint8)  # NWA
     for na, ha in LAYERS:

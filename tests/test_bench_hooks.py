@@ -1,12 +1,14 @@
 """The traced benchmark run wraps pipeline functions by name; a refactor that
 drops or moves one of them must fail here as well as in the benchmark."""
 
+import re
 import sys
 from pathlib import Path
 
 import irzone.pipeline as pipeline
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 from spans import Tracer  # noqa: E402
 
 
@@ -22,3 +24,13 @@ def test_tracer_finds_every_wrapped_name():
 
 def test_feature_cache_can_be_cleared_between_repetitions():
     assert callable(pipeline._FEATURE_CACHE.clear)
+
+
+def test_e2e_config_has_every_value_the_workloads_read():
+    """The workloads read the run's settings off an `E2EConfig` as
+    `c.<name>` or `config.<name>`; each must still be there."""
+    source = (PERFBENCH / "workloads.py").read_text()
+    names = set(re.findall(r"\b(?:c|config)\.(\w+)", source))
+    assert {"mode", "rf_trees", "pf_radius", "min_area_mm2"} <= names
+    config = pipeline.E2EConfig()
+    assert [n for n in sorted(names) if not hasattr(config, n)] == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from irzone import io_formats as io
+from irzone import pipeline
 from irzone.cli import main
 
 from conftest import write_model_block
@@ -222,7 +223,7 @@ class TestFlow:
         assert "n_trees must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "model.izm").exists()
 
-    @pytest.mark.parametrize("backend, line, key", [
+    @pytest.mark.parametrize("backend, line, fragment", [
         ("sdae", "sdae.finetune_epochs = 0", "finetune_epochs"),
         ("sdae", "max_train_pixels = 1", "max_train_pixels"),
         ("rf", "pixels_per_seq = -5", "pixels_per_seq"),
@@ -230,9 +231,20 @@ class TestFlow:
         ("rf", "rf.max_depth = 0", "'rf.max_depth'"),
         ("rf", "rf.min_leaf = 0", "'rf.min_leaf'"),
         ("sdae", "sdae.lr = -1", "'sdae.lr'"),
+        ("sdae", "sdae.corruption = 1.0", "corruption must be in [0, 1)"),
+        # a key of the other backend would have no effect
+        ("rf", "sdae.lr = 0.5", "applies only to --backend sdae"),
+        ("sdae", "rf.n_trees = 3", "applies only to --backend rf"),
     ])
     def test_train_bad_config_value_names_its_key(self, workspace, tmp_path, capsys,
-                                                   backend, line, key):
+                                                   monkeypatch, backend, line, fragment):
+        # a bad value must fail before any sequence is preprocessed; an empty
+        # cache makes every feature load preprocess
+        def preprocess_sequence(seq):
+            raise AssertionError("a sequence was preprocessed before the error")
+
+        monkeypatch.setattr(pipeline, "_FEATURE_CACHE", {})
+        monkeypatch.setattr(pipeline, "preprocess_sequence", preprocess_sequence)
         overrides = tmp_path / "overrides.txt"
         overrides.write_text(line + "\n")
         assert main([
@@ -240,8 +252,21 @@ class TestFlow:
             "--backend", backend, "--config", str(overrides),
             "--model-out", str(tmp_path / "model.izm"),
         ]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config key {line.partition('=')[0].strip()!r}" in err
+        assert fragment in err
         assert not (tmp_path / "model.izm").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--backends", ","], "backends must name at least one backend"),
+        (["--backends", "svm"], "unknown backend 'svm'"),
+        (["--n-test", "0"], "n_test must be >= 1"),
+    ], ids=["no-backend", "unknown-backend", "no-test-sequence"])
+    def test_e2e_bad_setting_writes_nothing(self, tmp_path, capsys, args, message):
+        out = tmp_path / "e2e"
+        assert main(["e2e", "--out", str(out), *args]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_calibration_without_the_model_mode_is_data_error(self, workspace, tmp_path,
                                                                capsys):

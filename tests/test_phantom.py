@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from irzone.phantom import (
+    BC_FRACTION,
     INSTRUMENT_TEMP_C,
     OccluderSpec,
     PhantomConfig,
@@ -97,9 +98,9 @@ class TestGeneratePhantom:
         config = small_config(mode=Mode.IN)
         _, mask = generate_phantom(config, seed=4)
         assert mask.bc.any() and mask.dm.any()
-        # cortex on the left bc_fraction of the working area, dura on the right
+        # cortex on the left BC_FRACTION of the working area, dura on the right
         m = config.nwa_margin
-        split = m + int(round(config.bc_fraction * (config.width - 2 * m)))
+        split = m + int(round(BC_FRACTION * (config.width - 2 * m)))
         assert np.array_equal(mask.bc, mask.wa & (np.arange(config.width) < split))
 
     def test_damaged_frame_is_occluded_at_instrument_temperature(self):

@@ -204,7 +204,7 @@ def oracle_topological_filter(label_map, pixel_size, min_area_mm2=2.0,
     lm = np.asarray(label_map).copy()
     struct = _structure(connectivity)
     px_mm2 = (pixel_size * 1e3) ** 2
-    report = ComponentReport(pixel_size=pixel_size)
+    report = ComponentReport()
 
     frame_area = lm.size * px_mm2
     if frame_area < min_area_mm2:

@@ -219,7 +219,9 @@ class TestFromStateValidation:
     def test_config_out_of_range_rejected(self, key, value):
         state = two_split_state()
         state[key] = value
-        with pytest.raises(FormatError, match=f"{key} must be >= 1"):
+        # every forest draws ceil(sqrt(D)) features per split, written as 0
+        rule = "0" if key == "features_per_split" else ">= 1"
+        with pytest.raises(FormatError, match=f"{key} must be {rule}"):
             RFModel.from_state(state)
 
     def test_forest_without_trees_rejected(self):

@@ -1,10 +1,13 @@
 """Autoencoder backend: pretraining, fine-tuning, gradients, determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
 from irzone.io_formats import FormatError
 from irzone.models.sdae import (
+    HOLDOUT_FRAC,
     SDAEConfig,
     SDAEModel,
     TrainingDiverged,
@@ -103,6 +106,16 @@ class TestTrainSDAE:
         x, y = separable_data()
         with pytest.raises(ValueError, match="finetune_epochs must be >= 1, got 0"):
             train_sdae(x, y, SDAEConfig(hidden_sizes=(4,), finetune_epochs=0))
+
+    @pytest.mark.parametrize("name, value, rule", [
+        ("patience", 0, ">= 1"),
+        ("patience", -3, ">= 1"),
+        ("pretrain_epochs", -2, ">= 0"),
+        ("corruption", 1.0, "in [0, 1)"),
+    ])
+    def test_config_out_of_range_names_the_field(self, name, value, rule):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be {rule}, got {value!r}")):
+            SDAEConfig(**{name: value})
 
     @pytest.mark.parametrize("y", [[0, 2, 1, 0], [-1, 0, 1, 0], [0, 1, 0.5, 1]])
     def test_loss_rejects_nonbinary_labels(self, y):
@@ -267,7 +280,7 @@ def oracle_train_sdae(X, y, config=SDAEConfig(), seed=0):
     )
 
     order = rng.permutation(n)
-    n_hold = max(1, int(round(config.holdout_frac * n))) if n > 10 else 0
+    n_hold = max(1, int(round(HOLDOUT_FRAC * n))) if n > 10 else 0
     hold, train = order[:n_hold], order[n_hold:]
     if len(train) == 0:
         train, hold = order, order[:0]
@@ -481,7 +494,7 @@ def test_fine_tuning_never_runs_a_full_training_set_pass(monkeypatch):
 
     monkeypatch.setattr(SDAEModel, "forward", recording_forward)
     train_sdae(x, y, config, seed=0)
-    n_hold = round(config.holdout_frac * len(x))
+    n_hold = round(HOLDOUT_FRAC * len(x))
     assert rows and max(rows) == max(config.batch_size, n_hold)
 
 
