@@ -185,6 +185,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    for flag, value in (("--alpha", args.alpha), ("--beta", args.beta)):
+        if not 0 < value < 1:
+            raise ValueError(f"{flag} must be in (0, 1), got {value}")
     model = io.load_cascade(args.model)
     seq = io.read_sequence(args.input)
     h, w = seq.frame_shape

@@ -21,9 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io_formats import FormatError, state_array, state_fields
+from .preprocess import _row_blocks
 
 N_CURVE_SAMPLES = 8
 FEATURE_DIM = 16
+FEATURE_BLOCK = 4096  # pixels per block of `extract_features_batch`
 FEATURE_NAMES = (
     ["T_base", "dT", "tau", "rmse", "T_at_t0", "slope_initial", "t63"]
     + [f"curve_{k}" for k in range(N_CURVE_SAMPLES)]
@@ -33,22 +35,38 @@ FEATURE_NAMES = (
 
 def extract_features_batch(fits: dict, series, times) -> np.ndarray:
     """Vectorized feature extraction. fits: dict of [N] arrays from
-    fit_recovery_batch; series [N, T]; times [T]. Returns [N, 16] float64."""
-    y = np.asarray(series, dtype=np.float64)
+    fit_recovery_batch; series [N, T]; times [T]. Returns [N, 16] float64.
+
+    The series is read in blocks of FEATURE_BLOCK rows, each converted to
+    float64 on its own, so a float32 series is never copied whole. Every
+    feature is per pixel, and the reductions of a block run in the memory
+    layout of a whole-series conversion, so the blocks change no float.
+    """
+    y = np.asarray(series)
     t = np.asarray(times, dtype=np.float64)
     n, T = y.shape
     out = np.zeros((n, FEATURE_DIM), dtype=np.float64)
 
     a = np.asarray(fits["t_base"], dtype=np.float64)
     b = np.asarray(fits["dt"], dtype=np.float64)
-    tau = np.asarray(fits["tau"], dtype=np.float64)
-    rmse = np.asarray(fits["rmse"], dtype=np.float64)
     degen = np.asarray(fits["degenerate"], dtype=bool)
 
     out[:, 0] = a
     out[:, 1] = b
-    out[:, 2] = tau
-    out[:, 3] = rmse
+    out[:, 2] = fits["tau"]
+    out[:, 3] = fits["rmse"]
+    for s in _row_blocks(n, FEATURE_BLOCK):
+        _series_features(np.asarray(y[s], dtype=np.float64), t, a[s], b[s], out[s])
+
+    out[degen, :FEATURE_DIM - 1] = 0.0
+    out[:, 15] = degen.astype(np.float64)
+    return out
+
+
+def _series_features(y, t, a, b, out):
+    """Columns 4-14 of `out` [B, 16] from the rows y [B, T] and their fitted
+    T_base `a` and dT `b`."""
+    n, T = y.shape
     out[:, 4] = y[:, 0]
 
     k = min(3, T)
@@ -88,10 +106,6 @@ def extract_features_batch(fits: dict, series, times) -> np.ndarray:
     span = hi - lo
     normed = np.where(span > 1e-15, (samp - lo) / np.where(span > 0, span, 1.0), 0.0)
     out[:, 7 : 7 + N_CURVE_SAMPLES] = normed
-
-    out[degen, :FEATURE_DIM - 1] = 0.0
-    out[:, 15] = degen.astype(np.float64)
-    return out
 
 
 @dataclass

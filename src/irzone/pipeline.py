@@ -141,8 +141,11 @@ def preprocess_sequence(seq: ThermalSequence) -> SequenceFeatures:
     """EDR + RDF + per-pixel fit + feature extraction for one sequence."""
     registered, rep = register_sequence(seq)
     cleaned, rep = remove_damaged_frames(registered, rep)
+    del registered  # after a deletion, `cleaned` has its own copy of the kept frames
     h, w = cleaned.frame_shape
-    series = cleaned.data.reshape(cleaned.n_frames, -1).T.astype(np.float64)  # [N, T]
+    # [N, T] view of the float32 frames: the fit and the features convert
+    # them to float64 block by block, never the whole series at once
+    series = cleaned.data.reshape(cleaned.n_frames, -1).T
     fits = fit_recovery_batch(series, cleaned.timestamps)
     # pixels exposed by registration carry no trustworthy dynamics
     fits["degenerate"] = fits["degenerate"] | ~rep.valid_mask.ravel()
@@ -256,6 +259,8 @@ class E2EConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.backends:
             raise ValueError("backends must name at least one backend")
+        if len(set(self.backends)) < len(self.backends):
+            raise ValueError(f"backends must not repeat, got {','.join(self.backends)}")
         for backend in self.backends:
             CascadeConfig(backend=backend)  # raises for an unknown one
 

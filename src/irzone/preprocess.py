@@ -397,7 +397,8 @@ def remove_damaged_frames(seq, report):
     DEFAULT_OUTLIER_TEMP_DEV. The window keeps the detector blind to the recovery
     trend itself: against a whole-sequence median, normal recovery dynamics
     (several °C over the sequence) would flag every frame. Single pass;
-    timestamps of kept frames are preserved.
+    timestamps of kept frames are preserved. When no frame is deleted, the
+    returned sequence shares `seq`'s frame array instead of copying it.
     """
     from .phantom import ThermalSequence
 
@@ -432,7 +433,8 @@ def remove_damaged_frames(seq, report):
         kept=kept,
         valid_mask=report.valid_mask,
     )
-    return ThermalSequence(seq.data[kept], seq.timestamps[kept], seq.pixel_size), out_report
+    data = seq.data if len(kept) == n else seq.data[kept]
+    return ThermalSequence(data, seq.timestamps[kept], seq.pixel_size), out_report
 
 
 @dataclass
@@ -455,14 +457,14 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _row_blocks(n):
-    """Slices of about ROW_BLOCK covering range(n), none of one row unless n is 1.
+def _row_blocks(n, size):
+    """Slices of about `size` covering range(n), none of one row unless n is 1.
 
     numpy reduces a [1, T] block along another loop than a row of a taller
     array that is not C-ordered, with other rounding; a leftover single row
     therefore joins the block before it.
     """
-    edges = list(range(0, max(n, 1), ROW_BLOCK)) + [n]
+    edges = list(range(0, max(n, 1), size)) + [n]
     if len(edges) > 2 and n - edges[-2] == 1:
         del edges[-2]
     return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
@@ -497,6 +499,7 @@ def _time_sum(x):
 
 def _init_rows(y, t, degenerate_range):
     """Initial (T_base, dT, tau) and the degenerate flag of the rows y [B, T]."""
+    y = np.asarray(y, dtype=np.float64)
     a = y.max(axis=1)
     b = a - y[:, 0]
     rng_y = y.max(axis=1) - y.min(axis=1)
@@ -517,6 +520,7 @@ def _init_rows(y, t, degenerate_range):
 
 def _rmse_rows(y, t, a, b, tau):
     """Root-mean-square residual of the fitted curves to the rows y [B, T]."""
+    y = np.asarray(y, dtype=np.float64)
     e = np.exp(-t[None, :] / np.clip(tau, 1e-3, 1e7)[:, None])
     resid = y - (a[:, None] - b[:, None] * e)
     return np.sqrt(np.mean(resid**2, axis=1))
@@ -554,21 +558,30 @@ def _gauss_newton_step(yT, a, b, tau, t, scratch):
 
 def _step_columns(yT, cols, a, b, tau, t, scratch):
     """`_gauss_newton_step` for the columns `cols` of yT [T, N], in scratch
-    taken from the queue `scratch` and put back afterwards."""
-    bufs = scratch.get()
+    taken from the queue `scratch` and put back afterwards.
+
+    The scratch is five float64 arrays and one of yT's dtype to gather
+    into; for a float64 yT that one is the first float64 array. np.take
+    cannot cast into `out`, so float32 columns are gathered as they are and
+    then converted, which changes no value."""
+    bufs, gather = scratch.get()
     try:
-        y = bufs[0][: len(t) * len(cols)].reshape(len(t), len(cols))
-        np.take(yT, cols, axis=1, out=y, mode="clip")  # "clip": no copy before `out`
+        shape, size = (len(t), len(cols)), len(t) * len(cols)
+        y = bufs[0][:size].reshape(shape)
+        g = gather[:size].reshape(shape)
+        np.take(yT, cols, axis=1, out=g, mode="clip")  # "clip": no copy before `out`
+        if g.dtype != y.dtype:
+            np.copyto(y, g)
         return _gauss_newton_step(y, a, b, tau, t, bufs[1:])
     finally:
-        scratch.put(bufs)
+        scratch.put((bufs, gather))
 
 
 def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
                        degenerate_range=DEGENERATE_RANGE_C):
     """Vectorized least-squares fit of T(t) = T_base - dT exp(-t/tau).
 
-    series: [N, T] float array, times: [T]. Returns dict of [N] arrays
+    series: [N, T] array, times: [T]. Returns dict of [N] arrays
     (t_base, dt, tau, rmse, degenerate, converged). Init: T_base = max,
     dT = max - first sample, tau from log-linear regression; refined by
     Gauss-Newton on the pixels still moving. `converged` is False where a
@@ -590,8 +603,16 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
     and the rmse pass reduce each pixel's row with the same numpy call on a
     row block (ROW_BLOCK) of the same memory layout as the whole series, so
     numpy adds in the same order (`_row_blocks` keeps one-row blocks out).
+
+    A float32 series is read as it is, and no float64 copy of it is made:
+    each row block and each Gauss-Newton block converts its own pixels to
+    float64, which gives the values and, for the row blocks, the memory
+    layout (numpy keeps the axis order) of a whole-series conversion. The
+    pipeline passes the transposed view of the frames, [N, T] over a
+    C-ordered [T, N], so the time-major series the Gauss-Newton blocks
+    gather from is the frames themselves.
     """
-    y = np.asarray(series, dtype=np.float64)
+    y = np.asarray(series)
     t = np.asarray(times, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != t.shape[0]:
         raise ValueError("series must be [N, T] matching times")
@@ -600,17 +621,19 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
     if not np.all(np.diff(t) > 0):
         raise ValueError("times must be strictly increasing")
 
-    rows = _row_blocks(len(y))
+    rows = _row_blocks(len(y), ROW_BLOCK)
     workers = min(_cpu_count(), len(rows))
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         run = pool.map if pool else map
         init = list(run(lambda s: _init_rows(y[s], t, degenerate_range), rows))
         a, b, tau, degenerate = (np.concatenate(part) for part in zip(*init))
 
-        yT = np.ascontiguousarray(y.T)  # [T, N]
+        yT = np.ascontiguousarray(y.T)  # [T, N]; no copy of the pipeline's frames
         scratch = queue.SimpleQueue()
+        size = len(t) * min(len(y), GN_BLOCK)
         for _ in range(workers):
-            scratch.put(np.empty((5, len(t) * min(len(y), GN_BLOCK))))
+            bufs = np.empty((5, size))
+            scratch.put((bufs, bufs[0] if yT.dtype == bufs.dtype else np.empty(size, yT.dtype)))
         idx = np.flatnonzero(~degenerate)  # the pixels still moving
         for _ in range(max_iter):
             if not len(idx):

@@ -261,7 +261,8 @@ class TestFlow:
         (["--backends", ","], "backends must name at least one backend"),
         (["--backends", "svm"], "unknown backend 'svm'"),
         (["--n-test", "0"], "n_test must be >= 1"),
-    ], ids=["no-backend", "unknown-backend", "no-test-sequence"])
+        (["--backends", "rf,rf"], "backends must not repeat, got rf,rf"),
+    ], ids=["no-backend", "unknown-backend", "no-test-sequence", "repeated-backend"])
     def test_e2e_bad_setting_writes_nothing(self, tmp_path, capsys, args, message):
         out = tmp_path / "e2e"
         assert main(["e2e", "--out", str(out), *args]) == 2
@@ -305,3 +306,44 @@ class TestFlow:
             "--out-mask", str(pred),
         ]) == 0
         io.read_mask(pred)
+
+    @pytest.mark.parametrize("args, flag", [
+        (["--alpha", "7"], "--alpha"),
+        (["--beta", "0"], "--beta"),
+        (["--alpha", "0", "--calib"], "--alpha"),
+        (["--beta", "nan", "--calib"], "--beta"),
+    ], ids=["alpha-7", "beta-0", "alpha-0-calib", "beta-nan-calib"])
+    def test_infer_bad_rate_names_its_flag(self, workspace, tmp_path, capsys, monkeypatch,
+                                           args, flag):
+        # the rates are checked before any sequence is preprocessed, with or
+        # without calibration data; an empty cache makes every load preprocess
+        from irzone.features import FEATURE_DIM, Standardizer
+        from irzone.models import CascadeModel, RFConfig, RFModel
+        from irzone.models.rf import Tree
+        from irzone.zones import Mode
+
+        def preprocess_sequence(seq):
+            raise AssertionError("a sequence was preprocessed before the error")
+
+        leaf = Tree(feature=np.array([-1]), threshold=np.zeros(1), left=np.array([-1]),
+                    right=np.array([-1]), leaf_frac=np.array([0.5]))
+        forest = RFModel(config=RFConfig(n_trees=1), trees=[leaf], n_features=FEATURE_DIM,
+                         seed=0)
+        model = tmp_path / "leaf.izm"
+        io.write_model(model, CascadeModel(
+            mode=Mode.ON, backend="rf",
+            standardizer=Standardizer(np.zeros(FEATURE_DIM), np.ones(FEATURE_DIM)),
+            stages={"C1": forest, "C4": forest},
+        ))
+        monkeypatch.setattr(pipeline, "_FEATURE_CACHE", {})
+        monkeypatch.setattr(pipeline, "preprocess_sequence", preprocess_sequence)
+        if args[-1] == "--calib":
+            args = [*args, str(workspace / "train" / "manifest.txt")]
+        pred = tmp_path / "pred.pgm"
+        assert main([
+            "infer", "--model", str(model),
+            "--in", str(workspace / "train" / "seq_0001.irts"),
+            "--out-mask", str(pred), *args,
+        ]) == 2
+        assert f"{flag} must be in (0, 1)" in capsys.readouterr().err
+        assert not pred.exists()

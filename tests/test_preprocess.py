@@ -565,12 +565,13 @@ def assert_fit_matches_einsum(series, times, **kw):
     return res
 
 
-def cleaned_phantom_series(seed, **overrides):
-    """[N, T] series and times of a 96x72x40 phantom as the pipeline fits them."""
+def cleaned_phantom_series(seed, dtype=np.float64, **overrides):
+    """[N, T] series and times of a 96x72x40 phantom. In float32 the series is
+    the transposed view of the frames that the pipeline fits."""
     config = PhantomConfig(width=96, height=72, n_frames=40, noise_sigma=0.03, **overrides)
     seq, _ = generate_phantom(config, seed=seed)
     cleaned, _ = remove_damaged_frames(*register_sequence(seq))
-    series = cleaned.data.reshape(cleaned.n_frames, -1).T.astype(np.float64)
+    series = cleaned.data.reshape(cleaned.n_frames, -1).T.astype(dtype, copy=False)
     return series, cleaned.timestamps
 
 
@@ -652,37 +653,43 @@ class TestFitRecoveryMatchesEinsum:
 
 
 class TestFitRecoveryWorkers:
-    """Pixel blocks on a thread pool: the same bytes for any worker count."""
+    """Pixel blocks on a thread pool: the same bytes for any worker count.
+    A float32 series, converted block by block, fits to the bytes of its
+    float64 copy; the oracle converts the whole series up front."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_same_bytes_for_any_worker_count(self, workers, monkeypatch):
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: workers)
-        series, times = cleaned_phantom_series(12)
-        assert_fit_matches_einsum(series, times)
-        assert_fit_matches_einsum(series, times, max_iter=2)
+        for dtype in (np.float64, np.float32):
+            series, times = cleaned_phantom_series(12, dtype)
+            assert_fit_matches_einsum(series, times)
+            assert_fit_matches_einsum(series, times, max_iter=2)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("rows", [1, 2, 16 * 7, 16 * 7 + 1, 16 * 7 + 2])
+    @pytest.mark.parametrize("rows", [1, 2, 16 * 7, 16 * 7 + 1, 16 * 7 + 2, 24 * 10 + 1])
     def test_small_blocks_and_a_leftover_row(self, rows, workers, monkeypatch):
-        # the series the pipeline fits is a transposed, not C-ordered array
+        # the series the pipeline fits is a transposed, not C-ordered array;
+        # 16 * 7 + 1 is one past a row block, 24 * 10 + 1 past both blocks
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: workers)
         monkeypatch.setattr(preprocess, "ROW_BLOCK", 16)
         monkeypatch.setattr(preprocess, "GN_BLOCK", 24)
-        series, times = cleaned_phantom_series(13)
-        assert not series.flags.c_contiguous
-        for part in (series[:rows], np.ascontiguousarray(series[:rows])):
-            assert_fit_matches_einsum(part, times)
+        for dtype in (np.float64, np.float32):
+            series, times = cleaned_phantom_series(13, dtype)
+            assert not series.flags.c_contiguous
+            for part in (series[:rows], np.ascontiguousarray(series[:rows])):
+                assert_fit_matches_einsum(part, times)
 
     def test_more_workers_than_cores_with_frequent_switches(self, monkeypatch):
         # each block must have its scratch to itself; a shared one corrupts steps
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 8)
         monkeypatch.setattr(preprocess, "ROW_BLOCK", 16)
         monkeypatch.setattr(preprocess, "GN_BLOCK", 24)
-        series, times = cleaned_phantom_series(12)
+        series, times = cleaned_phantom_series(12, np.float32)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             assert_fit_matches_einsum(series[:1500], times)
+            assert_fit_matches_einsum(series[:1500].astype(np.float64), times)
         finally:
             sys.setswitchinterval(interval)
 
