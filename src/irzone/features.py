@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io_formats import FormatError, state_array, state_fields
-from .preprocess import _row_blocks
+from .preprocess import _blocks
 
 N_CURVE_SAMPLES = 8
 FEATURE_DIM = 16
-FEATURE_BLOCK = 4096  # pixels per block of `extract_features_batch`
 FEATURE_NAMES = (
     ["T_base", "dT", "tau", "rmse", "T_at_t0", "slope_initial", "t63"]
     + [f"curve_{k}" for k in range(N_CURVE_SAMPLES)]
@@ -37,10 +36,11 @@ def extract_features_batch(fits: dict, series, times) -> np.ndarray:
     """Vectorized feature extraction. fits: dict of [N] arrays from
     fit_recovery_batch; series [N, T]; times [T]. Returns [N, 16] float64.
 
-    The series is read in blocks of FEATURE_BLOCK rows, each converted to
-    float64 on its own, so a float32 series is never copied whole. Every
-    feature is per pixel, and the reductions of a block run in the memory
-    layout of a whole-series conversion, so the blocks change no float.
+    The series is read in the fit's pixel blocks (`preprocess._blocks`),
+    each converted to float64 on its own, so a float32 series is never
+    copied whole. Every feature is per pixel, and the reductions of a block
+    run in the memory layout of a whole-series conversion, so the blocks
+    change no float.
     """
     y = np.asarray(series)
     t = np.asarray(times, dtype=np.float64)
@@ -55,7 +55,7 @@ def extract_features_batch(fits: dict, series, times) -> np.ndarray:
     out[:, 1] = b
     out[:, 2] = fits["tau"]
     out[:, 3] = fits["rmse"]
-    for s in _row_blocks(n, FEATURE_BLOCK):
+    for s in _blocks(n):
         _series_features(np.asarray(y[s], dtype=np.float64), t, a[s], b[s], out[s])
 
     out[degen, :FEATURE_DIM - 1] = 0.0

@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -225,12 +226,17 @@ def _scalar(fmt: str, raw: bytes, off: int):
     return struct.unpack(fmt, chunk)[0], off
 
 
+_DTYPE_STR = re.compile(r"[<>|][biufcmMOSUV]\d*(\[\w+\])?")  # the form of `np.dtype.str`
+
+
 def _unpack(raw: bytes, off: int = 0):
     tag, off = _take(raw, off, 1)
     if tag == b"N":
         return None, off
     if tag == b"B":
         flag, off = _take(raw, off, 1)
+        if flag not in (b"\x00", b"\x01"):
+            raise FormatError(f"bad bool byte {flag!r} at offset {off - 1}")
         return flag == b"\x01", off
     if tag == b"I":
         return _scalar("<q", raw, off)
@@ -252,7 +258,11 @@ def _unpack(raw: bytes, off: int = 0):
             size, off = _scalar("<q", raw, off)
             shape.append(size)
         try:  # a dtype or shape numpy rejects; FormatError is a ValueError
-            dt = np.dtype(dt.decode())
+            text = dt.decode()
+            # numpy would parse a string with a comma as Python literals
+            dt = np.dtype(text) if _DTYPE_STR.fullmatch(text) else None
+            if dt is None or dt.str != text:  # `_pack` writes one spelling per dtype
+                raise ValueError(f"dtype {text!r} is not spelt as numpy writes it")
             body, off = _take(raw, off, dt.itemsize * math.prod(shape))
             return np.frombuffer(body, dtype=dt).reshape(shape).copy(), off
         except (TypeError, ValueError) as e:
@@ -271,6 +281,8 @@ def _unpack(raw: bytes, off: int = 0):
             k, off = _unpack(raw, off)
             if not isinstance(k, str):
                 raise FormatError(f"non-string key before offset {off}")
+            if k in out:
+                raise FormatError(f"repeated key {k!r} before offset {off}")
             v, off = _unpack(raw, off)
             out[k] = v
         return out, off

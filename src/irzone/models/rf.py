@@ -263,11 +263,8 @@ def train_rf(X, y, config: RFConfig = RFConfig(), seed: int = 0) -> RFModel:
 def rf_predict_proba(model: RFModel, X) -> np.ndarray:
     """Mean class-1 leaf fraction over the forest; [N] in [0, 1]."""
     X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    if X.shape[1] != model.n_features:
-        raise ValueError(f"dimension mismatch: got {X.shape[1]}, expected {model.n_features}")
+    if X.ndim != 2 or X.shape[1] != model.n_features:
+        raise ValueError(f"dimension mismatch: got {X.shape}, expected [N, {model.n_features}]")
     if not model.trees:
         raise ValueError("empty forest")
     XT = np.ascontiguousarray(X.T)  # one copy, read by every tree
@@ -275,5 +272,5 @@ def rf_predict_proba(model: RFModel, X) -> np.ndarray:
     for t in model.trees:
         p += t.predict_proba(XT)
     p /= len(model.trees)
-    return float(p[0]) if single else p
+    return p
 

@@ -228,15 +228,12 @@ class SDAEModel:
     def predict_proba(self, X) -> np.ndarray:
         """P(class 1) per row."""
         X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if X.shape[1] != self.layer_sizes[0]:
+        if X.ndim != 2 or X.shape[1] != self.layer_sizes[0]:
             raise ValueError(
-                f"dimension mismatch: got {X.shape[1]}, expected {self.layer_sizes[0]}"
+                f"dimension mismatch: got {X.shape}, expected [N, {self.layer_sizes[0]}]"
             )
         _, p = self.forward(X)
-        return float(p[0, 1]) if single else p[:, 1]
+        return p[:, 1]
 
     def loss(self, X, y) -> float:
         """Mean cross-entropy against the labels y in {0, 1}, from a forward

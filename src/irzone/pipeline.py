@@ -116,7 +116,6 @@ class SequenceFeatures:
 
     features: np.ndarray   # [H*W, D]
     shape: tuple[int, int]
-    pixel_size: float
     report: object
 
 
@@ -150,7 +149,7 @@ def preprocess_sequence(seq: ThermalSequence) -> SequenceFeatures:
     # pixels exposed by registration carry no trustworthy dynamics
     fits["degenerate"] = fits["degenerate"] | ~rep.valid_mask.ravel()
     feats = extract_features_batch(fits, series, cleaned.timestamps)
-    return SequenceFeatures(features=feats, shape=(h, w), pixel_size=seq.pixel_size, report=rep)
+    return SequenceFeatures(features=feats, shape=(h, w), report=rep)
 
 
 def _pooled(manifest_path, mode: Mode, seed: int, cap: int, columns) -> list[np.ndarray]:
@@ -159,7 +158,8 @@ def _pooled(manifest_path, mode: Mode, seed: int, cap: int, columns) -> list[np.
 
     `columns(mask, features)` gives one sequence's arrays, all of one length
     n. When `cap` is set and n exceeds it, the sequence contributes `cap`
-    rows drawn without replacement from one generator seeded by `seed`."""
+    rows drawn without replacement from one generator seeded by `seed`. A
+    mask of another frame size than its sequence is a ValueError."""
     entries = [e for e in read_manifest(manifest_path) if e.mode is mode]
     if not entries:
         raise ValueError(f"manifest has no {mode.value}-mode sequences")
@@ -167,7 +167,12 @@ def _pooled(manifest_path, mode: Mode, seed: int, cap: int, columns) -> list[np.
     per_seq = []
     for e in entries:
         mask, _ = io.read_mask(e.mask_path)
-        cols = columns(mask, load_features(e.seq_path))
+        sf = load_features(e.seq_path)
+        if mask.shape != sf.shape:
+            (mh, mw), (sh, sw) = mask.shape, sf.shape
+            raise ValueError(f"mask {e.mask_path} is {mw}x{mh}, "
+                             f"but sequence {e.seq_path} is {sw}x{sh}")
+        cols = columns(mask, sf)
         n = len(cols[0])
         if cap and n > cap:
             pick = rng.choice(n, size=cap, replace=False)

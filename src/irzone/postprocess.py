@@ -28,15 +28,6 @@ class Component:
 class ComponentReport:
     entries: list[dict] = field(default_factory=list)  # label, count, area_mm2, action
 
-    def lines(self) -> list[str]:
-        out = []
-        for e in self.entries:
-            out.append(
-                f"component label {e['label']} count {e['count']} "
-                f"area_mm2 {e['area_mm2']:.6f} {e['action']}"
-            )
-        return out
-
 
 def _structure(connectivity: int) -> np.ndarray:
     if connectivity == 4:
@@ -154,15 +145,6 @@ class DecisionThresholds:
     theta_ha: float
     achieved_alpha: float
     achieved_beta: float
-
-    def lines(self) -> list[str]:
-        return [
-            f"alpha {self.alpha:.6f}",
-            f"beta {self.beta:.6f}",
-            f"theta_ha {self.theta_ha:.9f}",
-            f"achieved_alpha {self.achieved_alpha:.6f}",
-            f"achieved_beta {self.achieved_beta:.6f}",
-        ]
 
 
 def fit_thresholds(p_ha, is_ha, alpha, beta) -> DecisionThresholds:

@@ -446,8 +446,7 @@ class RecoveryFit:
     degenerate: bool
 
 
-GN_BLOCK = 4096  # most pixels per Gauss-Newton block; keeps each [T, block] array in cache
-ROW_BLOCK = 512  # pixels per block of the initialisation and rmse passes
+BLOCK = 4096  # most pixels per block of the per-pixel passes; keeps each [T, block] array in cache
 
 
 def _cpu_count():
@@ -457,27 +456,18 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _row_blocks(n, size):
-    """Slices of about `size` covering range(n), none of one row unless n is 1.
+def _blocks(n, workers=1):
+    """Slices covering range(n): one if n fits BLOCK, else a multiple of
+    `workers` of at most BLOCK whose sizes differ by at most one, so that no
+    worker is left with a short last block.
 
-    numpy reduces a [1, T] block along another loop than a row of a taller
-    array that is not C-ordered, with other rounding; a leftover single row
-    therefore joins the block before it.
+    There are at most n // 2 blocks, so no block is a single row unless n
+    is 1: numpy reduces a [1, T] block along another loop than a row of a
+    taller array that is not C-ordered, with other rounding.
     """
-    edges = list(range(0, max(n, 1), size)) + [n]
-    if len(edges) > 2 and n - edges[-2] == 1:
-        del edges[-2]
-    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-
-
-def _gn_blocks(n, workers):
-    """Slices covering range(n) for one Gauss-Newton iteration: one block if
-    n fits GN_BLOCK, else a multiple of `workers` blocks of at most GN_BLOCK
-    whose sizes differ by at most one, so that no worker is left with a
-    short last block."""
-    k = -(-n // GN_BLOCK)
+    k = max(1, -(-n // BLOCK))
     if k > 1:
-        k = -(-k // workers) * workers
+        k = min(-(-k // workers) * workers, n // 2)
     edges = [n * i // k for i in range(k + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
@@ -502,15 +492,16 @@ def _init_rows(y, t, degenerate_range):
     y = np.asarray(y, dtype=np.float64)
     a = y.max(axis=1)
     b = a - y[:, 0]
-    rng_y = y.max(axis=1) - y.min(axis=1)
-    degenerate = rng_y < degenerate_range
+    degenerate = a - y.min(axis=1) < degenerate_range
 
-    # log-linear tau init: log(a + eps - y) ~ log b - t / tau
+    # log-linear tau init: log(a + eps - y) ~ log b - t / tau, in one [B, T]
+    # array of y's memory layout
     eps = 1e-6
-    z = np.log(np.maximum(a[:, None] + eps - y, 1e-12))
+    z = np.subtract(a[:, None] + eps, y)
+    np.log(np.maximum(z, 1e-12, out=z), out=z)
     t_mean = t.mean()
     denom = np.sum((t - t_mean) ** 2)
-    slope = (z * (t - t_mean)).sum(axis=1) / denom
+    slope = np.multiply(z, t - t_mean, out=z).sum(axis=1) / denom
     with np.errstate(divide="ignore"):
         tau = np.where(slope < -1e-12, -1.0 / slope, 30.0)
     tau = np.clip(tau, 1e-3, 1e7)
@@ -521,9 +512,10 @@ def _init_rows(y, t, degenerate_range):
 def _rmse_rows(y, t, a, b, tau):
     """Root-mean-square residual of the fitted curves to the rows y [B, T]."""
     y = np.asarray(y, dtype=np.float64)
-    e = np.exp(-t[None, :] / np.clip(tau, 1e-3, 1e7)[:, None])
-    resid = y - (a[:, None] - b[:, None] * e)
-    return np.sqrt(np.mean(resid**2, axis=1))
+    # [B, T], C-ordered: the layout numpy gives y - (a - b r), so the mean adds in its order
+    r = np.exp(-t[None, :] / np.clip(tau, 1e-3, 1e7)[:, None])
+    np.subtract(y, np.subtract(a[:, None], np.multiply(b[:, None], r, out=r), out=r), out=r)
+    return np.sqrt(np.square(r, out=r).mean(axis=1))
 
 
 def _gauss_newton_step(yT, a, b, tau, t, scratch):
@@ -593,24 +585,23 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
     number of active pixels, which is the order of an einsum contraction of
     the stacked [M, T, 3] Jacobian; the tests hold the two to the same bytes.
 
-    The work runs in pixel blocks on a thread pool with one worker per CPU
-    this process may use; numpy releases the GIL in the block arithmetic.
-    With one worker no thread is started, and an iteration whose active
-    pixels fit one block (`_gn_blocks`) steps them on the calling thread.
-    Neither the blocks nor the threads change a float. Every quantity is per
-    pixel: a Gauss-Newton block computes each pixel's step from that pixel's
-    column alone, whichever block or thread it lands in. The initialisation
-    and the rmse pass reduce each pixel's row with the same numpy call on a
-    row block (ROW_BLOCK) of the same memory layout as the whole series, so
-    numpy adds in the same order (`_row_blocks` keeps one-row blocks out).
+    The work runs in pixel blocks (`_blocks`). Every quantity is per pixel,
+    so the blocks change no float: a Gauss-Newton block computes each
+    pixel's step from that pixel's column alone, and the initialisation and
+    the rmse pass reduce each pixel's row with the same numpy call on a
+    block of the same memory layout as the whole series, so numpy adds in
+    the same order. Both run on the calling thread. The Gauss-Newton blocks
+    of an iteration with more than one block build their normal equations on
+    a thread pool with one worker per CPU this process may use (numpy
+    releases the GIL in the block arithmetic); a fit of one block starts no
+    thread.
 
     A float32 series is read as it is, and no float64 copy of it is made:
-    each row block and each Gauss-Newton block converts its own pixels to
-    float64, which gives the values and, for the row blocks, the memory
-    layout (numpy keeps the axis order) of a whole-series conversion. The
-    pipeline passes the transposed view of the frames, [N, T] over a
-    C-ordered [T, N], so the time-major series the Gauss-Newton blocks
-    gather from is the frames themselves.
+    each block converts its own pixels to float64, which gives the values
+    and, for the initialisation and rmse blocks, the memory layout (numpy
+    keeps the axis order) of a whole-series conversion. The pipeline passes the transposed view
+    of the frames, [N, T] over a C-ordered [T, N], so the time-major series
+    the Gauss-Newton blocks gather from is the frames themselves.
     """
     y = np.asarray(series)
     t = np.asarray(times, dtype=np.float64)
@@ -621,26 +612,26 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
     if not np.all(np.diff(t) > 0):
         raise ValueError("times must be strictly increasing")
 
-    rows = _row_blocks(len(y), ROW_BLOCK)
-    workers = min(_cpu_count(), len(rows))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
-        init = list(run(lambda s: _init_rows(y[s], t, degenerate_range), rows))
-        a, b, tau, degenerate = (np.concatenate(part) for part in zip(*init))
+    rows = _blocks(len(y))
+    init = [_init_rows(y[s], t, degenerate_range) for s in rows]
+    a, b, tau, degenerate = (np.concatenate(part) for part in zip(*init))
 
-        yT = np.ascontiguousarray(y.T)  # [T, N]; no copy of the pipeline's frames
-        scratch = queue.SimpleQueue()
-        size = len(t) * min(len(y), GN_BLOCK)
-        for _ in range(workers):
-            bufs = np.empty((5, size))
-            scratch.put((bufs, bufs[0] if yT.dtype == bufs.dtype else np.empty(size, yT.dtype)))
-        idx = np.flatnonzero(~degenerate)  # the pixels still moving
+    yT = np.ascontiguousarray(y.T)  # [T, N]; no copy of the pipeline's frames
+    cpus = _cpu_count()
+    workers = min(cpus, len(_blocks(len(y), cpus)))
+    scratch = queue.SimpleQueue()
+    size = len(t) * min(len(y), BLOCK)
+    for _ in range(workers):
+        bufs = np.empty((5, size))
+        scratch.put((bufs, bufs[0] if yT.dtype == bufs.dtype else np.empty(size, yT.dtype)))
+    idx = np.flatnonzero(~degenerate)  # the pixels still moving
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for _ in range(max_iter):
             if not len(idx):
                 break
             ai, bi, taui = a[idx], b[idx], tau[idx]
-            blocks = _gn_blocks(len(idx), workers)
-            systems = (run if len(blocks) > 1 else map)(
+            blocks = _blocks(len(idx), workers)
+            systems = (pool.map if pool and len(blocks) > 1 else map)(
                 lambda s: _step_columns(yT, idx[s], ai[s], bi[s], taui[s], t, scratch),
                 blocks,
             )  # solved here, each as it arrives, while the pool builds the next
@@ -651,7 +642,7 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
             tau[idx] = np.clip(taui + step[:, 2], 1e-3, 1e7)
             idx = idx[np.linalg.norm(step, axis=1) >= tol]
 
-        rmse = np.concatenate(list(run(lambda s: _rmse_rows(y[s], t, a[s], b[s], tau[s]), rows)))
+    rmse = np.concatenate([_rmse_rows(y[s], t, a[s], b[s], tau[s]) for s in rows])
     degenerate = degenerate | (tau < TAU_MIN) | (tau > TAU_MAX) | ~np.isfinite(rmse)
     return {
         "t_base": a,

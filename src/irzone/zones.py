@@ -7,6 +7,7 @@ hyperactive (HA). The imaging mode decides which layers can appear.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -89,8 +90,8 @@ class ZoneMask:
         bad = codes - set(LEAF_LABELS)
         if bad:
             raise ValueError(f"undefined label codes {sorted(bad)}")
-        if self.pixel_size <= 0:
-            raise ValueError("pixel_size must be positive")
+        if not 0 < self.pixel_size < math.inf:
+            raise ValueError(f"pixel_size must be positive and finite, got {self.pixel_size}")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -10,6 +10,24 @@ from irzone.cli import main
 from conftest import write_model_block
 
 
+def write_leaf_model(path):
+    """An On-mode cascade whose stages are one-leaf forests that say 0.5."""
+    from irzone.features import FEATURE_DIM, Standardizer
+    from irzone.models import CascadeModel, RFConfig, RFModel
+    from irzone.models.rf import Tree
+    from irzone.zones import Mode
+
+    leaf = Tree(feature=np.array([-1]), threshold=np.zeros(1), left=np.array([-1]),
+                right=np.array([-1]), leaf_frac=np.array([0.5]))
+    forest = RFModel(config=RFConfig(n_trees=1), trees=[leaf], n_features=FEATURE_DIM, seed=0)
+    io.write_model(path, CascadeModel(
+        mode=Mode.ON, backend="rf",
+        standardizer=Standardizer(np.zeros(FEATURE_DIM), np.ones(FEATURE_DIM)),
+        stages={"C1": forest, "C4": forest},
+    ))
+    return path
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -317,24 +335,10 @@ class TestFlow:
                                            args, flag):
         # the rates are checked before any sequence is preprocessed, with or
         # without calibration data; an empty cache makes every load preprocess
-        from irzone.features import FEATURE_DIM, Standardizer
-        from irzone.models import CascadeModel, RFConfig, RFModel
-        from irzone.models.rf import Tree
-        from irzone.zones import Mode
-
         def preprocess_sequence(seq):
             raise AssertionError("a sequence was preprocessed before the error")
 
-        leaf = Tree(feature=np.array([-1]), threshold=np.zeros(1), left=np.array([-1]),
-                    right=np.array([-1]), leaf_frac=np.array([0.5]))
-        forest = RFModel(config=RFConfig(n_trees=1), trees=[leaf], n_features=FEATURE_DIM,
-                         seed=0)
-        model = tmp_path / "leaf.izm"
-        io.write_model(model, CascadeModel(
-            mode=Mode.ON, backend="rf",
-            standardizer=Standardizer(np.zeros(FEATURE_DIM), np.ones(FEATURE_DIM)),
-            stages={"C1": forest, "C4": forest},
-        ))
+        model = write_leaf_model(tmp_path / "leaf.izm")
         monkeypatch.setattr(pipeline, "_FEATURE_CACHE", {})
         monkeypatch.setattr(pipeline, "preprocess_sequence", preprocess_sequence)
         if args[-1] == "--calib":
@@ -347,3 +351,27 @@ class TestFlow:
         ]) == 2
         assert f"{flag} must be in (0, 1)" in capsys.readouterr().err
         assert not pred.exists()
+
+    @pytest.mark.parametrize("command", ["train", "infer-calib"])
+    def test_mask_of_another_size_than_its_sequence_is_data_error(self, workspace, tmp_path,
+                                                                 capsys, command):
+        # the manifest's first sequence is 80x48, its mask 96x72
+        assert main(["gen", "--n", "1", "--out", str(tmp_path / "small"), "--width", "80",
+                     "--height", "48", "--frames", "10", "--seed", "3"]) == 0
+        small = tmp_path / "small" / "seq_0000.irts"
+        lines = (workspace / "train" / "manifest.txt").read_text().splitlines()
+        mask_path = lines[0].split("\t")[1]
+        lines[0] = "\t".join([str(small), *lines[0].split("\t")[1:]])
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        if command == "train":
+            args = ["train", "--manifest", str(manifest), "--model-out", str(out)]
+        else:
+            args = ["infer", "--model", str(write_leaf_model(tmp_path / "leaf.izm")),
+                    "--in", str(workspace / "train" / "seq_0001.irts"),
+                    "--calib", str(manifest), "--out-mask", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"mask {mask_path} is 96x72, but sequence {small} is 80x48" in err
+        assert not out.exists()

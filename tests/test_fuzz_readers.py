@@ -2,7 +2,9 @@
 
 Every truncation and single-byte flip of a valid `.irts`, `.pgm` + `.meta`
 or `.izm` file either loads or raises FormatError, and each example has a
-deadline, so a reader that hangs fails too.
+deadline, so a reader that hangs fails too. What the `.irts` reader and the
+`.izm` parameter-block decoder accept is canonical: it writes back to the
+bytes it was read from.
 """
 
 import hashlib
@@ -43,10 +45,11 @@ def mutate(raw: bytes, mutation) -> bytes:
 
 
 def loads_or_format_error(read, path):
+    """What `read(path)` returns, or None on FormatError."""
     try:
-        read(path)
+        return read(path)
     except io.FormatError:
-        pass
+        return None
 
 
 def valid_files(write, name):
@@ -57,12 +60,13 @@ def valid_files(write, name):
 
 
 def fuzz_case(files, name, read, which, mutation):
-    """Write `files` with `which` mutated, then read them back."""
+    """Write `files` with `which` mutated, then read them back; what
+    `loads_or_format_error` returns."""
     with tempfile.TemporaryDirectory() as d:
         for suffix, raw in files.items():
             (Path(d) / (name + suffix)).write_bytes(mutate(raw, mutation) if suffix == which
                                                     else raw)
-        loads_or_format_error(read, Path(d) / name)
+        return loads_or_format_error(read, Path(d) / name)
 
 
 def sequence():
@@ -117,7 +121,10 @@ def test_unmutated_files_load():
 @FUZZ
 @given(mutations(len(SEQUENCE[""])))
 def test_sequence_reader(mutation):
-    fuzz_case(SEQUENCE, "seq.irts", io.read_sequence, "", mutation)
+    seq = fuzz_case(SEQUENCE, "seq.irts", io.read_sequence, "", mutation)
+    if seq is not None:
+        written = valid_files(lambda p: io.write_sequence(p, seq), "seq.irts")
+        assert written[""] == mutate(SEQUENCE[""], mutation)
 
 
 @FUZZ
@@ -156,3 +163,29 @@ def test_model_reader_behind_a_matching_checksum(backend, data):
     text = (f"irzone-model 1\nkind cascade\nchecksum {hashlib.sha256(mutated).hexdigest()}\n"
             f"params {mutated.hex()}\n")
     fuzz_case({"": text.encode()}, "model.izm", io.load_cascade, None, None)
+
+
+@pytest.mark.parametrize("backend", ["rf", "sdae"])
+@FUZZ
+@given(data=st.data())
+def test_decoded_parameter_block_packs_to_its_bytes(backend, data):
+    block = param_block(backend)
+    block = mutate(block, data.draw(mutations(len(block))))
+    try:
+        state, end = io._unpack(block)
+    except io.FormatError:
+        return
+    assert io._pack(state) == block[:end]
+
+
+def test_every_flip_of_a_small_block_packs_back_or_is_format_error():
+    # every tag, length, key, bool, dtype and shape byte, flipped every way
+    block = io._pack({"b": True, "a": np.zeros(1)})
+    for i in range(len(block)):
+        for x in range(1, 256):
+            mutated = mutate(block, ("flip", i, x))
+            try:
+                state, end = io._unpack(mutated)
+            except io.FormatError:
+                continue
+            assert io._pack(state) == mutated[:end], (i, x)

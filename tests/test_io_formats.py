@@ -174,6 +174,8 @@ class TestMaskFile:
 
     @pytest.mark.parametrize("sidecar, match", [
         ("pixel_size_m 0\nmode On\n", "positive"),
+        ("pixel_size_m nan\nmode On\n", "positive and finite"),
+        ("pixel_size_m inf\nmode On\n", "positive and finite"),
         ("pixel_size_m 2.61e-04\nmode Off\n", "illegal in mode Off"),
     ])
     def test_sidecar_values_checked(self, tmp_path, sidecar, match):
@@ -218,8 +220,14 @@ class TestParameterBlock:
         b"A" + struct.pack("<I", 2) + b"|O" + struct.pack("<Iq", 1, 1) + bytes(8),
         b"A" + struct.pack("<I", 3) + b"<f8" + struct.pack("<Iqq", 2, -1, -1) + bytes(8),
         b"L\x01\x00\x00\x00" * 5000 + b"N",
+        b"A" + struct.pack("<I", 3) + b",f8" + struct.pack("<Iq", 1, 1) + bytes(8),
+        # non-canonical: each would decode to a state that packs to other bytes
+        b"B\x02",
+        b"A" + struct.pack("<I", 3) + b"=f8" + struct.pack("<Iq", 1, 1) + bytes(8),
+        b"D" + struct.pack("<I", 2) + io._pack("k") + b"N" + io._pack("k") + b"I" + bytes(8),
     ], ids=["string-not-utf8", "key-not-string", "object-array", "negative-shape",
-            "nested-too-deeply"])
+            "nested-too-deeply", "dtype-not-python-syntax", "bool-byte-2",
+            "native-order-dtype", "repeated-key"])
     def test_malformed_block_is_format_error(self, block, tmp_path):
         path = write_model_block(tmp_path / "model.izm", block)
         with pytest.raises(io.FormatError):

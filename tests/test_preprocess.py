@@ -669,10 +669,9 @@ class TestFitRecoveryWorkers:
     @pytest.mark.parametrize("rows", [1, 2, 16 * 7, 16 * 7 + 1, 16 * 7 + 2, 24 * 10 + 1])
     def test_small_blocks_and_a_leftover_row(self, rows, workers, monkeypatch):
         # the series the pipeline fits is a transposed, not C-ordered array;
-        # 16 * 7 + 1 is one past a row block, 24 * 10 + 1 past both blocks
+        # 16 * 7 + 1 and 16 * 15 + 1 are one past a multiple of the block
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: workers)
-        monkeypatch.setattr(preprocess, "ROW_BLOCK", 16)
-        monkeypatch.setattr(preprocess, "GN_BLOCK", 24)
+        monkeypatch.setattr(preprocess, "BLOCK", 16)
         for dtype in (np.float64, np.float32):
             series, times = cleaned_phantom_series(13, dtype)
             assert not series.flags.c_contiguous
@@ -682,8 +681,7 @@ class TestFitRecoveryWorkers:
     def test_more_workers_than_cores_with_frequent_switches(self, monkeypatch):
         # each block must have its scratch to itself; a shared one corrupts steps
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 8)
-        monkeypatch.setattr(preprocess, "ROW_BLOCK", 16)
-        monkeypatch.setattr(preprocess, "GN_BLOCK", 24)
+        monkeypatch.setattr(preprocess, "BLOCK", 24)
         series, times = cleaned_phantom_series(12, np.float32)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -712,39 +710,63 @@ class TestFitRecoveryWorkers:
         monkeypatch.setattr(preprocess, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 3)
         series, times = cleaned_phantom_series(12)
-        fit_recovery_batch(series, times)
-        fit_recovery_batch(series[:2 * preprocess.ROW_BLOCK], times)
+        assert len(series) == 96 * 72
+        fit_recovery_batch(series, times)  # 3 blocks of 2,304 pixels
+        fit_recovery_batch(series[:preprocess.BLOCK], times)  # one block: no pool
+        monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
+        fit_recovery_batch(series[:preprocess.BLOCK + 1], times)
         assert pools == [3, 2]
+
+    @staticmethod
+    def assert_blocks(n, workers):
+        blocks = preprocess._blocks(n, workers)
+        sizes = [s.stop - s.start for s in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) - min(sizes) <= 1
+        return sizes
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 6912, 8192, 8193, 76800])
     def test_gauss_newton_blocks_are_balanced(self, n, workers):
-        blocks = preprocess._gn_blocks(n, workers)
-        sizes = [s.stop - s.start for s in blocks]
-        assert blocks[0].start == 0 and blocks[-1].stop == n
-        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-        assert max(sizes) <= preprocess.GN_BLOCK and max(sizes) - min(sizes) <= 1
-        assert len(blocks) == 1 if n <= preprocess.GN_BLOCK else len(blocks) % workers == 0
+        sizes = self.assert_blocks(n, workers)
+        assert max(sizes) <= preprocess.BLOCK
+        assert len(sizes) == 1 if n <= preprocess.BLOCK else len(sizes) % workers == 0
         if (n, workers) == (6912, 2):  # a 96x72 frame: 2 x 3456, not 4096 + 2816
             assert sizes == [3456, 3456]
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_blocks_never_hold_a_single_row_of_several(self, block, monkeypatch):
+        # numpy reduces a one-row block of a non-C-ordered array with other rounding
+        monkeypatch.setattr(preprocess, "BLOCK", block)
+        assert preprocess._blocks(0) == [slice(0, 0)]
+        for n in range(1, 40):
+            for workers in (1, 2, 3, 4, 7):
+                sizes = self.assert_blocks(n, workers)
+                assert min(sizes) >= 2 or n == 1
+                if n <= block:
+                    assert len(sizes) == 1
+                else:  # a multiple of the workers, unless capped at n // 2 blocks
+                    assert len(sizes) % workers == 0 and max(sizes) <= block \
+                        or len(sizes) == n // 2
+
     def test_a_single_block_steps_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(preprocess, "ROW_BLOCK", 16)
-        monkeypatch.setattr(preprocess, "GN_BLOCK", 24)
+        monkeypatch.setattr(preprocess, "BLOCK", 24)
         events = []
-        gn_blocks, step = preprocess._gn_blocks, preprocess._gauss_newton_step
+        blocks_of, step = preprocess._blocks, preprocess._gauss_newton_step
 
-        def recording_blocks(n, workers):
-            blocks = gn_blocks(n, workers)
-            events.append(len(blocks))
+        def recording_blocks(n, workers=1):
+            blocks = blocks_of(n, workers)
+            if workers > 1:  # the pool's size and each Gauss-Newton iteration
+                events.append(len(blocks))
             return blocks
 
         def recording_step(yT, *args):
             events.append(threading.current_thread() is threading.main_thread())
             return step(yT, *args)
 
-        monkeypatch.setattr(preprocess, "_gn_blocks", recording_blocks)
+        monkeypatch.setattr(preprocess, "_blocks", recording_blocks)
         monkeypatch.setattr(preprocess, "_gauss_newton_step", recording_step)
         series, times = cleaned_phantom_series(12)
         assert_fit_matches_einsum(series[:300], times)
@@ -754,6 +776,7 @@ class TestFitRecoveryWorkers:
                 iterations.append((e, []))
             else:
                 iterations[-1][1].append(e)
+        assert iterations.pop(0) == (len(blocks_of(300, 2)), [])  # sizes the pool
         assert {len(on_main) == count for count, on_main in iterations} == {True}
         assert {count > 1 for count, _ in iterations} == {False, True}
         for count, on_main in iterations:

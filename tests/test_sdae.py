@@ -551,8 +551,9 @@ class TestPersistence:
     def test_dimension_mismatch_rejected(self):
         x, y = separable_data(seed=6)
         model = train_sdae(x, y, SDAEConfig(hidden_sizes=(4,), finetune_epochs=2), seed=1)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            model.predict_proba(np.zeros((3, 7)))
+        for shape in ((3, 7), (1,), (), (2, 1, 1)):  # [N, 1] rows only
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                model.predict_proba(np.zeros(shape))
 
 
 class TestFromStateValidation:

@@ -14,7 +14,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import irzone.features as features
 import irzone.preprocess as preprocess
 from irzone.features import FEATURE_DIM, N_CURVE_SAMPLES, extract_features_batch
 from irzone.phantom import OccluderSpec, PhantomConfig, generate_phantom
@@ -131,10 +130,8 @@ def test_preprocessed_features_match_the_whole_series_path(name, cpus, monkeypat
 
 @pytest.mark.parametrize("small", [True, False], ids=["block-40", "module-block"])
 def test_feature_blocks_match_the_whole_series_path(small, monkeypatch):
-    block = 40 if small else features.FEATURE_BLOCK
-    # the module's block + 1 rows are also one past a ROW_BLOCK and a GN_BLOCK
-    assert small or block % preprocess.ROW_BLOCK == block % preprocess.GN_BLOCK == 0
-    monkeypatch.setattr(features, "FEATURE_BLOCK", block)
+    block = 40 if small else preprocess.BLOCK
+    monkeypatch.setattr(preprocess, "BLOCK", block)
     series, times = cleaned_phantom_series(31, np.float32)
     for rows in (1, 2, block, block + 1, len(series)):
         part = series[:rows]
