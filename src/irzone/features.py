@@ -133,11 +133,40 @@ class Standardizer:
         return cls(mean=mean, scale=scale)
 
 
-def fit_standardizer(train_matrix) -> Standardizer:
+def fit_standardizer(train_matrix, rows=None) -> Standardizer:
+    """Mean and clamped population std of the rows of `train_matrix` [N, D]
+    that the boolean `rows` selects (all rows if None), without copying them.
+
+    numpy sums axis 0 of a C-ordered matrix of two or more columns one row at
+    a time, in order, and so does `_column_sums`, so the result equals
+    `x[rows].mean(axis=0)` and `np.maximum(x[rows].std(axis=0), 1e-12)` to
+    the bit. (numpy sums a single column pairwise; there the two can differ
+    in the last bits.)
+    """
     x = np.asarray(train_matrix, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
+    if x.ndim != 2 or not x.size or (rows is not None and not np.any(rows)):
         raise ValueError("train matrix must be non-empty 2D")
-    mean = x.mean(axis=0)
-    scale = np.maximum(x.std(axis=0), 1e-12)
+    n = len(x) if rows is None else int(np.count_nonzero(rows))
+    mean = _column_sums(x, rows, lambda b: b) / n
+
+    def squared_deviation(b):
+        d = b - mean
+        return np.square(d, out=d)
+
+    # as numpy's var: the mean sum of squared deviations, then its root
+    scale = np.maximum(np.sqrt(_column_sums(x, rows, squared_deviation) / n), 1e-12)
     return Standardizer(mean=mean, scale=scale)
 
+
+def _column_sums(x, rows, f):
+    """Column sums of f(block) over the selected rows of x, in the
+    curve fit's blocks (`preprocess._blocks`). Each block after the first is
+    reduced with the running sum as its first row, so the rows are added in
+    the order of one reduction over all of them."""
+    total = None
+    for s in _blocks(len(x)):
+        b = f(x[s] if rows is None else x[s][rows[s]])
+        if len(b):
+            total = np.add.reduce(b if total is None else np.concatenate([total[None], b]),
+                                  axis=0)
+    return total

@@ -155,16 +155,22 @@ def read_mask(path) -> tuple[ZoneMask, Mode]:
     raw = Path(path).read_bytes()
     labels, _, _ = _parse_pgm(raw, path)
     meta_path = str(path) + ".meta"
+    keys = ("pixel_size_m", "mode")
     meta = {}
     try:
-        for line in Path(meta_path).read_text().splitlines():
-            key, _, val = line.partition(" ")
-            meta[key] = val
+        lines = Path(meta_path).read_text().splitlines()
     except FileNotFoundError:
         raise FormatError(f"{path}: missing sidecar {meta_path}")
     except UnicodeDecodeError as e:
         raise FormatError(f"{meta_path}: sidecar is not text") from e
-    for key in ("pixel_size_m", "mode"):
+    for line in filter(str.strip, lines):
+        key, _, val = line.partition(" ")
+        if key not in keys:
+            raise FormatError(f"{meta_path}: unknown key {key!r}")
+        if key in meta:
+            raise FormatError(f"{meta_path}: repeated key {key!r}")
+        meta[key] = val
+    for key in keys:
         if key not in meta:
             raise FormatError(f"{meta_path}: missing {key}")
     try:

@@ -123,9 +123,10 @@ def stage_targets(labels: np.ndarray):
             for name, (routed, positive) in CASCADE.items()}
 
 
-def _subsample(Xs, y, cap, balanced, rng):
-    """RF keeps the natural class mix; the SDAE trains on balanced classes
-    (minibatch SGD under heavy imbalance starves the minority class)."""
+def _subsample(y, cap, balanced, rng):
+    """Indices into `y` of the rows a stage trains on. RF keeps the natural
+    class mix; the SDAE trains on balanced classes (minibatch SGD under heavy
+    imbalance starves the minority class)."""
     n = len(y)
     if balanced:
         idx0 = np.flatnonzero(y == 0)
@@ -135,12 +136,10 @@ def _subsample(Xs, y, cap, balanced, rng):
             rng.choice(idx0, size=per, replace=False),
             rng.choice(idx1, size=per, replace=False),
         ])
-        pick = rng.permutation(pick)
-        return Xs[pick], y[pick]
+        return rng.permutation(pick)
     if n <= cap:
-        return Xs, y
-    pick = rng.choice(n, size=cap, replace=False)
-    return Xs[pick], y[pick]
+        return np.arange(n)
+    return rng.choice(n, size=cap, replace=False)
 
 
 def cascade_train(features, labels, mode: Mode,
@@ -156,7 +155,7 @@ def cascade_train(features, labels, mode: Mode,
     mode.check_labels(y)
 
     usable = X[:, FEATURE_DIM - 1] < 0.5  # degenerate pixels are hard-ruled NWA
-    std = fit_standardizer(X[usable]) if usable.any() else fit_standardizer(X)
+    std = fit_standardizer(X, usable if usable.any() else None)
     rng = np.random.default_rng(seed)
 
     stages = {}
@@ -174,9 +173,11 @@ def cascade_train(features, labels, mode: Mode,
                 f"stage {name}: insufficient samples per class {counts}; "
                 f"need >= {MIN_SAMPLES_PER_CLASS}"
             )
-        Xs = std.apply(X[sel])
-        Xs, ys = _subsample(Xs, ys, config.max_train_pixels,
-                            balanced=(config.backend == "sdae"), rng=rng)
+        # pick the rows first: standardising works row by row, so only the
+        # picked ones are copied
+        pick = _subsample(ys, config.max_train_pixels,
+                          balanced=(config.backend == "sdae"), rng=rng)
+        Xs, ys = std.apply(X[np.flatnonzero(sel)[pick]]), ys[pick]
         stage_seed = seed + 7919 * (si + 1)
         if config.backend == "rf":
             stages[name] = train_rf(Xs, ys, config.rf, seed=stage_seed)

@@ -152,33 +152,43 @@ def preprocess_sequence(seq: ThermalSequence) -> SequenceFeatures:
     return SequenceFeatures(features=feats, shape=(h, w), report=rep)
 
 
-def _pooled(manifest_path, mode: Mode, seed: int, cap: int, columns) -> list[np.ndarray]:
+def _pooled(manifest_path, mode: Mode, seed: int, cap: int, columns,
+            where=None) -> list[np.ndarray]:
     """Per-pixel arrays pooled over the manifest's `mode` sequences: the one
     place that loads a manifest's features.
 
-    `columns(mask, features)` gives one sequence's arrays, all of one length
-    n. When `cap` is set and n exceeds it, the sequence contributes `cap`
-    rows drawn without replacement from one generator seeded by `seed`. A
-    mask of another frame size than its sequence is a ValueError."""
+    `columns(mask, features)` gives one sequence's per-pixel arrays, each of
+    H·W rows, and `where(mask)`, if given, the [H, W] boolean mask of the
+    pixels to pool (all of them otherwise). When `cap` is set and a sequence
+    has more than `cap` such pixels, it contributes `cap` of them drawn
+    without replacement from one generator seeded by `seed`. The rows go
+    straight into arrays sized from the masks. A mask of another frame size
+    than its sequence is a ValueError."""
     entries = [e for e in read_manifest(manifest_path) if e.mode is mode]
     if not entries:
         raise ValueError(f"manifest has no {mode.value}-mode sequences")
+    masks = [io.read_mask(e.mask_path)[0] for e in entries]
+    sizes = [m.labels.size if where is None else np.count_nonzero(where(m)) for m in masks]
+    total = sum(min(n, cap or n) for n in sizes)
     rng = np.random.default_rng(seed)
-    per_seq = []
-    for e in entries:
-        mask, _ = io.read_mask(e.mask_path)
+    pooled = None
+    start = 0
+    for e, mask in zip(entries, masks):
         sf = load_features(e.seq_path)
         if mask.shape != sf.shape:
             (mh, mw), (sh, sw) = mask.shape, sf.shape
             raise ValueError(f"mask {e.mask_path} is {mw}x{mh}, "
                              f"but sequence {e.seq_path} is {sw}x{sh}")
+        rows = np.arange(mask.labels.size) if where is None else np.flatnonzero(where(mask))
+        if cap and len(rows) > cap:
+            rows = rows[rng.choice(len(rows), size=cap, replace=False)]
         cols = columns(mask, sf)
-        n = len(cols[0])
-        if cap and n > cap:
-            pick = rng.choice(n, size=cap, replace=False)
-            cols = [c[pick] for c in cols]
-        per_seq.append(cols)
-    return [np.concatenate(c) for c in zip(*per_seq)]
+        if pooled is None:
+            pooled = [np.empty((total, *c.shape[1:]), c.dtype) for c in cols]
+        for out, c in zip(pooled, cols):
+            out[start:start + len(rows)] = c[rows]
+        start += len(rows)
+    return pooled
 
 
 def train_from_manifest(manifest_path, mode: Mode, config: CascadeConfig,
@@ -329,11 +339,10 @@ def calibrate_thresholds(model: CascadeModel, manifest_path, alpha: float,
     Probabilities are smoothed exactly as at decision time, otherwise the
     fitted threshold is calibrated against a different distribution than the
     one it will cut; both go through `smoothed_probs` and `ha_score`."""
-    def wa_scores(mask, sf):
+    def scores(mask, sf):
         smoothed = smoothed_probs(model, sf, pf_radius)  # once per sequence
-        wa = mask.wa.ravel()
-        return ha_score(smoothed).ravel()[wa], mask.ha.ravel()[wa]
+        return ha_score(smoothed).ravel(), mask.ha.ravel()
 
     p_ha, is_ha = _pooled(manifest_path, model.mode, seed, CALIBRATION_PIXELS_PER_SEQ,
-                          wa_scores)
+                          scores, where=lambda mask: mask.wa)
     return fit_thresholds(p_ha, is_ha, alpha, beta)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from irzone import io_formats as io
 from irzone.features import FEATURE_DIM, Standardizer
 from irzone.io_formats import FormatError
 from irzone.models.cascade import (
+    MIN_SAMPLES_PER_CLASS,
     CascadeConfig,
     CascadeModel,
     cascade_predict,
@@ -13,8 +15,8 @@ from irzone.models.cascade import (
     stage_targets,
     stages_for_mode,
 )
-from irzone.models.rf import RFConfig, RFModel, Tree
-from irzone.models.sdae import SDAEModel
+from irzone.models.rf import RFConfig, RFModel, Tree, train_rf
+from irzone.models.sdae import SDAEConfig, SDAEModel, train_sdae
 from irzone.zones import BC_LEAVES, DM_LEAVES, LAYERS, LEAF_LABELS, Mode, ZoneLabel
 
 
@@ -294,3 +296,96 @@ class TestFromStateValidation:
         assert CascadeModel.from_state(state(FEATURE_DIM)).stages["C4"].layer_sizes[0] == FEATURE_DIM
         with pytest.raises(FormatError, match=f"stage C4 takes {FEATURE_DIM + 1} features"):
             CascadeModel.from_state(state(FEATURE_DIM + 1))
+
+
+def whole_matrix_standardizer(train_matrix) -> Standardizer:
+    """`fit_standardizer` before it summed the rows in blocks."""
+    x = np.asarray(train_matrix, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError("train matrix must be non-empty 2D")
+    mean = x.mean(axis=0)
+    scale = np.maximum(x.std(axis=0), 1e-12)
+    return Standardizer(mean=mean, scale=scale)
+
+
+def whole_matrix_subsample(Xs, y, cap, balanced, rng):
+    """`_subsample` before it drew indices, kept as its oracle."""
+    n = len(y)
+    if balanced:
+        idx0 = np.flatnonzero(y == 0)
+        idx1 = np.flatnonzero(y == 1)
+        per = min(len(idx0), len(idx1), cap // 2)
+        pick = np.concatenate([
+            rng.choice(idx0, size=per, replace=False),
+            rng.choice(idx1, size=per, replace=False),
+        ])
+        pick = rng.permutation(pick)
+        return Xs[pick], y[pick]
+    if n <= cap:
+        return Xs, y
+    pick = rng.choice(n, size=cap, replace=False)
+    return Xs[pick], y[pick]
+
+
+def whole_matrix_cascade_train(features, labels, mode: Mode,
+                               config: CascadeConfig = CascadeConfig(), seed: int = 0):
+    """`cascade_train` before it subsampled ahead of standardising, kept as
+    its oracle: it standardises every routed row of a stage, then draws."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    if X.ndim != 2 or X.shape[1] != FEATURE_DIM:
+        raise ValueError(f"features must be [N, {FEATURE_DIM}]")
+    if X.shape[0] != y.shape[0]:
+        raise ValueError("features/labels length mismatch")
+    mode.check_labels(y)
+
+    usable = X[:, FEATURE_DIM - 1] < 0.5  # degenerate pixels are hard-ruled NWA
+    std = (whole_matrix_standardizer(X[usable]) if usable.any()
+           else whole_matrix_standardizer(X))
+    rng = np.random.default_rng(seed)
+
+    stages = {}
+    counts = {}
+    targets = stage_targets(y)
+    for si, name in enumerate(stages_for_mode(mode)):
+        sel, target = targets[name]
+        sel = sel & usable
+        ys = target[sel]
+        n0 = int(np.count_nonzero(ys == 0))
+        n1 = int(np.count_nonzero(ys == 1))
+        counts[name] = (n0, n1)
+        if min(n0, n1) < MIN_SAMPLES_PER_CLASS:
+            raise ValueError(
+                f"stage {name}: insufficient samples per class {counts}; "
+                f"need >= {MIN_SAMPLES_PER_CLASS}"
+            )
+        Xs = std.apply(X[sel])
+        Xs, ys = whole_matrix_subsample(Xs, ys, config.max_train_pixels,
+                                        balanced=(config.backend == "sdae"), rng=rng)
+        stage_seed = seed + 7919 * (si + 1)
+        if config.backend == "rf":
+            stages[name] = train_rf(Xs, ys, config.rf, seed=stage_seed)
+        else:
+            stages[name] = train_sdae(Xs, ys, config.sdae, seed=stage_seed)
+    return CascadeModel(mode=mode, backend=config.backend, standardizer=std,
+                        stages=stages, seed=seed)
+
+
+@pytest.mark.parametrize("cap", [200, 500])
+@pytest.mark.parametrize("backend", ["rf", "sdae"])
+def test_training_matches_the_standardise_then_draw_path(backend, cap, tmp_path):
+    # In mode In, 150 rows per leaf less every 37th, made degenerate, route
+    # 729 usable rows to C1, 584 to C2 and 292 each to C3 and C4. A cap of 500
+    # leaves C3 and C4 whole for the forest and limits the SDAE's balanced
+    # draws by their classes; a cap of 200 draws from every stage.
+    x, y = synthetic_dataset(Mode.IN, seed=5)
+    x[::37, :] = 0.0
+    x[::37, -1] = 1.0
+    config = CascadeConfig(backend=backend, rf=RFConfig(n_trees=4, min_leaf=2),
+                           sdae=SDAEConfig(hidden_sizes=(6,), pretrain_epochs=1,
+                                           finetune_epochs=2),
+                           max_train_pixels=cap)
+    got, want = tmp_path / "got.izm", tmp_path / "want.izm"
+    io.write_model(got, cascade_train(x, y, Mode.IN, config, seed=3))
+    io.write_model(want, whole_matrix_cascade_train(x, y, Mode.IN, config, seed=3))
+    assert got.read_bytes() == want.read_bytes()

@@ -14,7 +14,7 @@ from irzone.features import (
     fit_standardizer,
 )
 from irzone.phantom import recovery_curve
-from irzone.preprocess import fit_recovery_batch
+from irzone.preprocess import BLOCK, fit_recovery_batch
 
 
 def features_of(series, times):
@@ -120,3 +120,41 @@ class TestStandardizer:
         s = fit_standardizer(x)
         back = invert(s, s.apply(x))
         assert np.max(np.abs(back - x)) <= 1e-6 * max(1.0, np.max(np.abs(x)))
+
+    def test_rows_outside_the_mask_are_ignored(self):
+        x = np.array([[1.0, 5.0], [1e9, -1e9], [3.0, 7.0]])
+        s = fit_standardizer(x, np.array([True, False, True]))
+        assert np.array_equal(s.mean, [2.0, 6.0]) and np.array_equal(s.scale, [1.0, 1.0])
+
+    def test_empty_row_mask_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            fit_standardizer(np.ones((4, 3)), np.zeros(4, dtype=bool))
+
+
+def awkward_matrix(n, seed):
+    """[n, 16] float64 with a -0.0 column, a column mixing -0.0 and 0.0, a
+    constant column, and columns whose scales run from 1e-150 to 1e150."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, FEATURE_DIM)) * np.logspace(-150, 150, FEATURE_DIM)
+    x[:, 3] += 1e3
+    x[:, 0] = -0.0
+    x[:, 1] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    x[:, 2] = 7.25
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+@pytest.mark.parametrize("masked", [False, True], ids=["all-rows", "row-mask"])
+def test_standardizer_equals_numpy_over_the_selected_rows(n, masked):
+    # the standardizer sums the rows in blocks without copying them; numpy's
+    # mean and std over a copy of the same rows are the reference, to the bit
+    x = awkward_matrix(n, seed=n)
+    rows = None
+    picked = x
+    if masked:
+        rows = np.random.default_rng(n + 1).random(n) < 0.6
+        rows[0] = True
+        picked = x[rows]
+    s = fit_standardizer(x, rows)
+    assert s.mean.tobytes() == picked.mean(axis=0).tobytes()
+    assert s.scale.tobytes() == np.maximum(picked.std(axis=0), 1e-12).tobytes()

@@ -118,6 +118,14 @@ class TestMaskFile:
         assert back.pixel_size == pytest.approx(261e-6)
         assert mode is Mode.ON
 
+    def test_blank_sidecar_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        io.write_mask(path, self.mask(), Mode.ON)
+        meta = tmp_path / "m.pgm.meta"
+        meta.write_text("\n" + meta.read_text() + "  \n")
+        back, mode = io.read_mask(path)
+        assert back.pixel_size == pytest.approx(261e-6) and mode is Mode.ON
+
     def test_undefined_codes_rejected_on_read(self, tmp_path):
         path = tmp_path / "m.pgm"
         io.write_mask(path, self.mask(), Mode.ON)
@@ -177,6 +185,14 @@ class TestMaskFile:
         ("pixel_size_m nan\nmode On\n", "positive and finite"),
         ("pixel_size_m inf\nmode On\n", "positive and finite"),
         ("pixel_size_m 2.61e-04\nmode Off\n", "illegal in mode Off"),
+        # every key once, and no other: a later line never overrides an earlier one
+        ("pixel_size_m 1e-4\nmode Off\nfrobnicate 7\npixel_size_m 2.5e-4\nmode On\n",
+         r"m\.pgm\.meta: unknown key 'frobnicate'"),
+        ("pixel_size_m 1e-4\nmode Off\npixel_size_m 2.5e-4\nmode On\n",
+         r"m\.pgm\.meta: repeated key 'pixel_size_m'"),
+        ("pixel_size_m 2.61e-04\nmode On\nmode On\n", r"m\.pgm\.meta: repeated key 'mode'"),
+        ("pixel_size_m 2.61e-04\nmode On\nPixel_size_m 3e-4\n",
+         r"m\.pgm\.meta: unknown key 'Pixel_size_m'"),
     ])
     def test_sidecar_values_checked(self, tmp_path, sidecar, match):
         path = tmp_path / "m.pgm"

@@ -1,10 +1,15 @@
 """Dataset generation on disk, manifests, a priori masks, per-sequence features."""
 
+import re
+
 import numpy as np
 import pytest
 
 from irzone import io_formats as io
+from irzone import pipeline
 from irzone.features import FEATURE_DIM
+from irzone.models.cascade import CascadeConfig
+from irzone.models.rf import RFConfig
 from irzone.phantom import default_config_sampler, generate_phantom
 from irzone.pipeline import (
     ManifestEntry,
@@ -13,8 +18,10 @@ from irzone.pipeline import (
     make_dataset,
     preprocess_sequence,
     read_manifest,
+    write_manifest,
     zpr_from_reference,
 )
+from irzone.postprocess import ha_score
 from irzone.zones import LEAF_LABELS, Mode, ZoneLabel
 
 from conftest import small_config
@@ -179,3 +186,97 @@ def test_every_default_argument_is_hashable():
                     except TypeError:
                         unhashable.append(f"{f.__qualname__}({p.name})")
     assert unhashable == []
+
+
+def concatenating_pooled(manifest_path, mode, seed, cap, columns):
+    """`pipeline._pooled` before it wrote into preallocated arrays, kept as its
+    oracle: `columns` gives the pooled rows of one sequence, and the picks
+    of every sequence are concatenated at the end."""
+    entries = [e for e in read_manifest(manifest_path) if e.mode is mode]
+    if not entries:
+        raise ValueError(f"manifest has no {mode.value}-mode sequences")
+    rng = np.random.default_rng(seed)
+    per_seq = []
+    for e in entries:
+        mask, _ = io.read_mask(e.mask_path)
+        sf = load_features(e.seq_path)
+        if mask.shape != sf.shape:
+            (mh, mw), (sh, sw) = mask.shape, sf.shape
+            raise ValueError(f"mask {e.mask_path} is {mw}x{mh}, "
+                             f"but sequence {e.seq_path} is {sw}x{sh}")
+        cols = columns(mask, sf)
+        n = len(cols[0])
+        if cap and n > cap:
+            pick = rng.choice(n, size=cap, replace=False)
+            cols = [c[pick] for c in cols]
+        per_seq.append(cols)
+    return [np.concatenate(c) for c in zip(*per_seq)]
+
+
+@pytest.fixture(scope="module")
+def mixed_manifest(tmp_path_factory):
+    """Four On-mode sequences, 96x72 and 80x48 in turn, and an RF trained on them."""
+    root = tmp_path_factory.mktemp("mixed")
+    entries = []
+    for (w, h), seed in (((96, 72), 1), ((80, 48), 2)):
+        sampler = default_config_sampler(Mode.ON, width=w, height=h, n_frames=12,
+                                         noise_sigma=0.03, nwa_margin=8)
+        entries.append(make_dataset(root / f"{w}x{h}", {"On": 2}, config_sampler=sampler,
+                                    seed=seed))
+    manifest = root / "manifest.txt"
+    write_manifest(manifest, [e for pair in zip(*entries) for e in pair])
+    config = CascadeConfig(rf=RFConfig(n_trees=3), max_train_pixels=2000)
+    return manifest, pipeline.train_from_manifest(manifest, Mode.ON, config, seed=4)
+
+
+def wa_counts(manifest):
+    return [int(io.read_mask(e.mask_path)[0].wa.sum()) for e in read_manifest(manifest)]
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["cap-0", "cap-above-one-wa-count"])
+def test_pooled_columns_match_the_concatenating_path(mixed_manifest, capped, monkeypatch):
+    manifest, model = mixed_manifest
+    counts = wa_counts(manifest)
+    cap = min(counts) + 1 if capped else 0
+    assert not capped or cap < max(counts)  # one sequence whole, the others drawn from
+
+    seen = {}
+
+    def capture(name):
+        return lambda *args, **kwargs: seen.setdefault(name, args[:2])
+
+    # training: the rows `train_from_manifest` hands the cascade
+    monkeypatch.setattr(pipeline, "cascade_train", capture("train"))
+    pipeline.train_from_manifest(manifest, Mode.ON, CascadeConfig(), seed=9,
+                                 max_pixels_per_seq=cap)
+    want = concatenating_pooled(manifest, Mode.ON, 9, cap,
+                                lambda mask, sf: (sf.features, mask.labels.ravel()))
+    # calibration: the WA scores `calibrate_thresholds` fits thresholds to
+    monkeypatch.setattr(pipeline, "fit_thresholds", capture("calibrate"))
+    monkeypatch.setattr(pipeline, "CALIBRATION_PIXELS_PER_SEQ", cap)
+    pipeline.calibrate_thresholds(model, manifest, 0.05, 0.05, seed=9)
+
+    def wa_scores(mask, sf):
+        smoothed = pipeline.smoothed_probs(model, sf, 1)
+        wa = mask.wa.ravel()
+        return ha_score(smoothed).ravel()[wa], mask.ha.ravel()[wa]
+
+    want += concatenating_pooled(manifest, Mode.ON, 9, cap, wa_scores)
+    got = [*seen["train"], *seen["calibrate"]]
+    assert len(got[2]) == sum(min(n, cap) if cap else n for n in counts)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("where", [None, lambda mask: mask.wa], ids=["train", "calibrate"])
+def test_pooled_mask_of_another_size_names_both_files(mixed_manifest, tmp_path, where):
+    manifest, _ = mixed_manifest
+    entries = read_manifest(manifest)
+    big, small = entries[0], entries[1]
+    small.mask_path = big.mask_path
+    write_manifest(tmp_path / "manifest.txt", entries)
+    with pytest.raises(ValueError, match=re.escape(
+            f"mask {big.mask_path} is 96x72, but sequence {small.seq_path} is 80x48")):
+        pipeline._pooled(tmp_path / "manifest.txt", Mode.ON, 0, 0,
+                         lambda mask, sf: (sf.features,), where=where)
