@@ -1,16 +1,2 @@
 """Per-pixel zone identification for active IR-thermal sequences of the
 exposed cortex/dura under a cold-probe protocol."""
-
-from .zones import LEAF_LABELS, Mode, ZoneLabel, ZoneMask
-from .phantom import PhantomConfig, ThermalSequence, generate_phantom, recovery_curve
-
-__all__ = [
-    "LEAF_LABELS",
-    "Mode",
-    "ZoneLabel",
-    "ZoneMask",
-    "PhantomConfig",
-    "ThermalSequence",
-    "generate_phantom",
-    "recovery_curve",
-]

@@ -39,7 +39,10 @@ def _parse_mode_mix(text: str) -> dict[str, int]:
     mix = {}
     for part in text.split(","):
         name, _, count = part.partition("=")
-        mix[Mode.parse(name).value] = int(count)
+        mode = Mode.parse(name).value
+        if mode in mix:
+            raise ValueError(f"--mode-mix names mode {mode} more than once")
+        mix[mode] = int(count)
     return mix
 
 
@@ -48,9 +51,10 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a labeled phantom dataset")
-    g.add_argument("--n", type=int, default=None, help="number of sequences (single mode)")
+    size = g.add_mutually_exclusive_group()
+    size.add_argument("--n", type=int, default=None, help="number of sequences (single mode)")
+    size.add_argument("--mode-mix", default=None, help="e.g. On=28,In=42,Off=1")
     g.add_argument("--mode", default="On")
-    g.add_argument("--mode-mix", default=None, help="e.g. On=28,In=42,Off=1")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--width", type=int, default=320)
@@ -270,7 +274,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (io.FormatError, OSError, ValueError, RuntimeError) as e:
+    except (OSError, ValueError, RuntimeError) as e:  # FormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

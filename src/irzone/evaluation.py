@@ -3,8 +3,6 @@ accuracy, and exact binomial confidence intervals."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import betaincinv
 
@@ -19,70 +17,30 @@ def group_labels(labels: np.ndarray) -> np.ndarray:
     return np.isin(labels, NA_LEAVES) + 2 * np.isin(labels, HA_LEAVES)
 
 
-@dataclass
-class ConfusionMatrix:
-    classes: tuple
-    counts: np.ndarray  # counts[ref][pred]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def correct(self) -> int:
-        return int(np.trace(self.counts))
-
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if self.classes != other.classes:
-            raise ValueError("class lists differ")
-        return ConfusionMatrix(self.classes, self.counts + other.counts)
-
-
-def confusion(pred, ref, classes) -> ConfusionMatrix:
-    pred = np.asarray(pred).ravel()
-    ref = np.asarray(ref).ravel()
-    if pred.shape != ref.shape:
-        raise ValueError("shape mismatch")
-    classes = tuple(classes)
-    index = {c: i for i, c in enumerate(classes)}
-    k = len(classes)
-    counts = np.zeros((k, k), dtype=np.int64)
-    for c_ref, i in index.items():
-        sel = ref == c_ref
-        if not sel.any():
-            continue
-        for c_pred, j in index.items():
-            counts[i, j] = int(np.count_nonzero(pred[sel] == c_pred))
-        if counts[i].sum() != int(np.count_nonzero(sel)):
-            raise ValueError("predicted labels outside class list")
-    if counts.sum() != pred.size:
-        raise ValueError("reference labels outside class list")
-    return ConfusionMatrix(classes=classes, counts=counts)
-
-
-def confusion_masks(pred: ZoneMask, ref: ZoneMask) -> ConfusionMatrix:
-    """Grouped NWA/NA/HA confusion between two masks."""
+def confusion_masks(pred: ZoneMask, ref: ZoneMask) -> np.ndarray:
+    """Grouped NWA/NA/HA confusion counts between two masks, a [3, 3] array
+    indexed [ref group][pred group]."""
     if pred.shape != ref.shape:
         raise ValueError("mask shapes differ")
-    return confusion(group_labels(pred.labels), group_labels(ref.labels), (0, 1, 2))
+    pairs = 3 * group_labels(ref.labels) + group_labels(pred.labels)
+    return np.bincount(pairs.ravel(), minlength=9).reshape(3, 3)
 
 
-def sensitivity(cm: ConfusionMatrix, cls) -> float | None:
-    """Diagonal over row total; None when the class is absent from the
+def sensitivity(counts: np.ndarray, group: int) -> float | None:
+    """Diagonal over row total; None when the group is absent from the
     reference (undefined, reported as absent rather than zero)."""
-    i = cm.classes.index(cls)
-    row = cm.counts[i].sum()
+    row = counts[group].sum()
     if row == 0:
         return None
-    return float(cm.counts[i, i] / row)
+    return float(counts[group, group] / row)
 
 
-def balanced_accuracy(cm: ConfusionMatrix) -> float:
+def balanced_accuracy(counts: np.ndarray) -> float:
     sns = []
-    for cls in cm.classes:
-        sn = sensitivity(cm, cls)
+    for i, g in enumerate(GROUPS):
+        sn = sensitivity(counts, i)
         if sn is None:
-            raise ValueError(f"class {cls} absent from reference")
+            raise ValueError(f"group {g} absent from reference")
         sns.append(sn)
     return float(np.mean(sns))
 
@@ -103,9 +61,16 @@ def _fmt_sn(v) -> str:
     return "absent" if v is None else f"{v:.4f}"
 
 
-def table_row(name: str, cm: ConfusionMatrix) -> str:
-    lo, hi = accuracy_ci(cm.correct, cm.total)
-    sn = {g: sensitivity(cm, i) for i, g in enumerate(GROUPS)}
+def _counts(name, items) -> list[np.ndarray]:
+    """The confusion counts of each of one model's (id, pred, ref) items."""
+    if not items:
+        raise ValueError(f"no sequences for model {name}")
+    return [confusion_masks(pred, ref) for _, pred, ref in items]
+
+
+def table_row(name: str, counts: np.ndarray) -> str:
+    lo, hi = accuracy_ci(int(np.trace(counts)), int(counts.sum()))
+    sn = {g: sensitivity(counts, i) for i, g in enumerate(GROUPS)}
     return (
         f"{name:<6} ({lo:.4f}, {hi:.4f})  {_fmt_sn(sn['NA'])}  "
         f"{_fmt_sn(sn['HA'])}  {_fmt_sn(sn['NWA'])}"
@@ -121,18 +86,14 @@ def report(results: dict[str, list[tuple[str, ZoneMask, ZoneMask]]]) -> str:
     lines = ["Model  95% CI Ac         Sn NA   Sn HA   Sn NWA"]
     per_seq = []
     for name, items in results.items():
-        pooled = None
-        for seq_id, pred, ref in items:
-            cm = confusion_masks(pred, ref)
-            pooled = cm if pooled is None else pooled.merge(cm)
+        counts = _counts(name, items)
+        lines.append(table_row(name, sum(counts)))
+        for (seq_id, _, _), cm in zip(items, counts):
             try:
                 ba = balanced_accuracy(cm)
                 per_seq.append(f"{name} {seq_id} balanced_accuracy {100 * ba:.2f}%")
             except ValueError:
                 per_seq.append(f"{name} {seq_id} balanced_accuracy absent-class")
-        if pooled is None:
-            raise ValueError(f"no sequences for model {name}")
-        lines.append(table_row(name, pooled))
     lines.append("")
     lines.extend(per_seq)
     return "\n".join(lines) + "\n"
@@ -142,11 +103,8 @@ def report_kv(results) -> str:
     """Machine-readable key-value form of the same report."""
     lines = []
     for name, items in results.items():
-        pooled = None
-        for _, pred, ref in items:
-            cm = confusion_masks(pred, ref)
-            pooled = cm if pooled is None else pooled.merge(cm)
-        lo, hi = accuracy_ci(pooled.correct, pooled.total)
+        pooled = sum(_counts(name, items))
+        lo, hi = accuracy_ci(int(np.trace(pooled)), int(pooled.sum()))
         lines.append(f"{name}.ci_lo {lo:.6f}")
         lines.append(f"{name}.ci_hi {hi:.6f}")
         for i, g in enumerate(GROUPS):

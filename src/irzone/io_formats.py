@@ -24,23 +24,7 @@ VERSION = 1
 
 
 class FormatError(ValueError):
-    pass
-
-
-class BadMagic(FormatError):
-    pass
-
-
-class SizeMismatch(FormatError):
-    pass
-
-
-class Truncated(FormatError):
-    pass
-
-
-class ChecksumError(FormatError):
-    pass
+    """A file that is not as its writer writes it."""
 
 
 def _atomic_write(path, data: bytes):
@@ -77,12 +61,12 @@ def write_sequence(path, seq: ThermalSequence):
 def read_sequence(path) -> ThermalSequence:
     raw = Path(path).read_bytes()
     if len(raw) < 4:
-        raise Truncated(f"{path}: file shorter than magic")
+        raise FormatError(f"{path}: file shorter than magic")
     if raw[:4] != MAGIC:
-        raise BadMagic(f"{path}: bad magic {raw[:4]!r}")
+        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
     head_size = 4 + struct.calcsize("<HIIId")
     if len(raw) < head_size:
-        raise Truncated(f"{path}: truncated header")
+        raise FormatError(f"{path}: truncated header")
     version, w, h, n, px = struct.unpack("<HIIId", raw[4:head_size])
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
@@ -91,9 +75,9 @@ def read_sequence(path) -> ThermalSequence:
     frame_bytes = 8 + 4 * w * h
     expect = head_size + n * frame_bytes
     if len(raw) < expect:
-        raise Truncated(f"{path}: payload truncated ({len(raw)} < {expect} bytes)")
+        raise FormatError(f"{path}: payload truncated ({len(raw)} < {expect} bytes)")
     if len(raw) != expect:
-        raise SizeMismatch(f"{path}: payload size {len(raw)} != declared {expect}")
+        raise FormatError(f"{path}: payload size {len(raw)} != declared {expect}")
     try:  # frame too large for a dtype, non-finite temperatures, timestamps out of order
         records = np.frombuffer(raw, dtype=_frame_record(h, w), count=n, offset=head_size)
         return ThermalSequence(data=records["frame"].astype(np.float32),
@@ -119,7 +103,7 @@ def _parse_pgm(raw: bytes, path):
     i = 0
     while len(tokens) < 4:
         if i >= len(raw):
-            raise Truncated(f"{path}: truncated PGM header")
+            raise FormatError(f"{path}: truncated PGM header")
         c = raw[i : i + 1]
         if c == b"#":
             while i < len(raw) and raw[i : i + 1] != b"\n":
@@ -133,11 +117,10 @@ def _parse_pgm(raw: bytes, path):
             tokens.append(raw[i:j])
             i = j
     if tokens[0] != b"P5":
-        raise BadMagic(f"{path}: not a P5 PGM")
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError as e:
-        raise FormatError(f"{path}: PGM header field is not a number") from e
+        raise FormatError(f"{path}: not a P5 PGM")
+    if not all(tok.isdigit() for tok in tokens[1:]):  # bytes.isdigit: ASCII digits only
+        raise FormatError(f"{path}: PGM header field is not a number")
+    w, h, maxval = (int(tok) for tok in tokens[1:])
     if w <= 0 or h <= 0:
         raise FormatError(f"{path}: PGM size {w}x{h} is empty")
     if maxval != 255:
@@ -145,10 +128,14 @@ def _parse_pgm(raw: bytes, path):
     i += 1  # single whitespace after maxval
     body = raw[i:]
     if len(body) < w * h:
-        raise Truncated(f"{path}: PGM payload truncated")
+        raise FormatError(f"{path}: PGM payload truncated")
     if len(body) != w * h:
-        raise SizeMismatch(f"{path}: PGM payload size {len(body)} != {w * h}")
+        raise FormatError(f"{path}: PGM payload size {len(body)} != {w * h}")
     return np.frombuffer(body, dtype=np.uint8).reshape(h, w), w, h
+
+
+# an unsigned decimal, optionally with an exponent: no sign, `_`, space or inf
+_NUMERAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 
 
 def read_mask(path) -> tuple[ZoneMask, Mode]:
@@ -173,11 +160,13 @@ def read_mask(path) -> tuple[ZoneMask, Mode]:
     for key in keys:
         if key not in meta:
             raise FormatError(f"{meta_path}: missing {key}")
+    if not _NUMERAL.fullmatch(meta["pixel_size_m"]):
+        raise FormatError(f"{meta_path}: pixel_size_m {meta['pixel_size_m']!r} is not a numeral")
     try:
-        pixel_size = float(meta["pixel_size_m"])
         mode = Mode.parse(meta["mode"])
     except ValueError as e:
         raise FormatError(f"{meta_path}: {e}") from e
+    pixel_size = float(meta["pixel_size_m"])
     try:
         mask = ZoneMask(labels.copy(), pixel_size)
         mask.check_mode(mode)
@@ -326,28 +315,35 @@ def state_array(dtype, ndim):
     return convert
 
 
+def _model_text(kind, extra: dict, block: bytes) -> str:
+    """The text of a model file: magic, kind, extra header lines, then the
+    parameter block's checksum and lower-case hex, one line each."""
+    lines = ["irzone-model 1", f"kind {kind}"]
+    lines += [f"{k} {v}" for k, v in extra.items()]
+    lines += [f"checksum {hashlib.sha256(block).hexdigest()}", f"params {block.hex()}"]
+    return "\n".join(lines) + "\n"
+
+
 def write_model(path, model, header_extra: dict | None = None):
     state = model.to_state()
     block = _pack(state)
-    digest = hashlib.sha256(block).hexdigest()
-    lines = ["irzone-model 1"]
-    lines.append(f"kind {state.get('kind', 'unknown')}")
-    for k, v in (header_extra or {}).items():
-        lines.append(f"{k} {v}")
-    lines.append(f"checksum {digest}")
-    lines.append(f"params {block.hex()}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    _atomic_write(path, _model_text(state.get("kind", "unknown"), header_extra or {},
+                                    block).encode())
 
 
 def read_model_state(path) -> tuple[dict, object]:
-    """The header fields of a model file ({key: value}) and its decoded state."""
+    """The header fields of a model file ({key: value}) and its decoded state.
+
+    A file that is not byte for byte the text `write_model` writes for its
+    kind, extra header lines and parameter block is a FormatError.
+    """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_bytes().decode()
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: model file is not text") from e
     lines = text.splitlines()
     if lines[:1] != ["irzone-model 1"]:
-        raise BadMagic(f"{path}: first line is not 'irzone-model 1'")
+        raise FormatError(f"{path}: first line is not 'irzone-model 1'")
     header = {}
     for line in lines[1:]:
         key, _, val = line.partition(" ")
@@ -358,11 +354,14 @@ def read_model_state(path) -> tuple[dict, object]:
     if missing:
         raise FormatError(f"{path}: missing {' and '.join(missing)}")
     try:
-        block = bytes.fromhex(header["params"].strip())
+        block = bytes.fromhex(header["params"])
     except ValueError as e:
         raise FormatError(f"{path}: params are not hexadecimal") from e
-    if hashlib.sha256(block).hexdigest() != header["checksum"].strip():
-        raise ChecksumError(f"{path}: checksum mismatch")
+    if hashlib.sha256(block).hexdigest() != header["checksum"]:
+        raise FormatError(f"{path}: checksum mismatch")
+    extra = {k: v for k, v in header.items() if k not in ("kind", "checksum", "params")}
+    if text != _model_text(header["kind"], extra, block):
+        raise FormatError(f"{path}: header is not laid out as write_model writes it")
     try:
         state, end = _unpack(block)
     except RecursionError as e:

@@ -1,19 +1,2 @@
-from .rf import RFConfig, RFModel, rf_predict_proba, train_rf
-from .sdae import SDAEConfig, SDAEModel, TrainingDiverged, pretrain_dae_layer, train_sdae
-from .cascade import CascadeConfig, CascadeModel, cascade_predict, cascade_train
-
-__all__ = [
-    "RFConfig",
-    "RFModel",
-    "train_rf",
-    "rf_predict_proba",
-    "SDAEConfig",
-    "SDAEModel",
-    "TrainingDiverged",
-    "pretrain_dae_layer",
-    "train_sdae",
-    "CascadeConfig",
-    "CascadeModel",
-    "cascade_train",
-    "cascade_predict",
-]
+"""Per-pixel classifiers: random forest, stacked denoising autoencoder, and
+the cascade of their stages."""

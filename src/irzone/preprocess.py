@@ -17,6 +17,8 @@ DEFAULT_OUTLIER_TEMP_DEV = 1.0  # °C
 NOISE_FLOOR_C = 0.03           # imager sensitivity
 DEGENERATE_RANGE_C = 2 * NOISE_FLOOR_C
 TAU_MIN, TAU_MAX = 0.1, 10_000.0
+MAX_ITER = 50  # Gauss-Newton iterations of the recovery-curve fit
+GN_TOL = 1e-9  # a pixel whose step is shorter has converged
 
 
 class PipelineAbort(RuntimeError):
@@ -437,15 +439,6 @@ def remove_damaged_frames(seq, report):
     return ThermalSequence(data, seq.timestamps[kept], seq.pixel_size), out_report
 
 
-@dataclass
-class RecoveryFit:
-    t_base: float
-    dt: float
-    tau: float
-    rmse: float
-    degenerate: bool
-
-
 BLOCK = 4096  # most pixels per block of the per-pixel passes; keeps each [T, block] array in cache
 
 
@@ -487,12 +480,12 @@ def _time_sum(x):
     return acc
 
 
-def _init_rows(y, t, degenerate_range):
+def _init_rows(y, t):
     """Initial (T_base, dT, tau) and the degenerate flag of the rows y [B, T]."""
     y = np.asarray(y, dtype=np.float64)
     a = y.max(axis=1)
     b = a - y[:, 0]
-    degenerate = a - y.min(axis=1) < degenerate_range
+    degenerate = a - y.min(axis=1) < DEGENERATE_RANGE_C
 
     # log-linear tau init: log(a + eps - y) ~ log b - t / tau, in one [B, T]
     # array of y's memory layout
@@ -569,15 +562,15 @@ def _step_columns(yT, cols, a, b, tau, t, scratch):
         scratch.put((bufs, gather))
 
 
-def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
-                       degenerate_range=DEGENERATE_RANGE_C):
+def fit_recovery_batch(series, times):
     """Vectorized least-squares fit of T(t) = T_base - dT exp(-t/tau).
 
     series: [N, T] array, times: [T]. Returns dict of [N] arrays
     (t_base, dt, tau, rmse, degenerate, converged). Init: T_base = max,
     dT = max - first sample, tau from log-linear regression; refined by
     Gauss-Newton on the pixels still moving. `converged` is False where a
-    pixel was still moving when `max_iter` ran out.
+    pixel was still moving when `MAX_ITER` ran out. A pixel whose range is
+    below `DEGENERATE_RANGE_C` is degenerate and never iterates.
 
     The normal equations are built time-major from the Jacobian columns
     (1, -exp(-t/tau), d f/d tau) without stacking them. Each of their sums
@@ -613,7 +606,7 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
         raise ValueError("times must be strictly increasing")
 
     rows = _blocks(len(y))
-    init = [_init_rows(y[s], t, degenerate_range) for s in rows]
+    init = [_init_rows(y[s], t) for s in rows]
     a, b, tau, degenerate = (np.concatenate(part) for part in zip(*init))
 
     yT = np.ascontiguousarray(y.T)  # [T, N]; no copy of the pipeline's frames
@@ -626,7 +619,7 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
         scratch.put((bufs, bufs[0] if yT.dtype == bufs.dtype else np.empty(size, yT.dtype)))
     idx = np.flatnonzero(~degenerate)  # the pixels still moving
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             if not len(idx):
                 break
             ai, bi, taui = a[idx], b[idx], tau[idx]
@@ -640,7 +633,7 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
             a[idx] = ai + step[:, 0]
             b[idx] = bi + step[:, 1]
             tau[idx] = np.clip(taui + step[:, 2], 1e-3, 1e7)
-            idx = idx[np.linalg.norm(step, axis=1) >= tol]
+            idx = idx[np.linalg.norm(step, axis=1) >= GN_TOL]
 
     rmse = np.concatenate([_rmse_rows(y[s], t, a[s], b[s], tau[s]) for s in rows])
     degenerate = degenerate | (tau < TAU_MIN) | (tau > TAU_MAX) | ~np.isfinite(rmse)
@@ -652,19 +645,3 @@ def fit_recovery_batch(series, times, max_iter=50, tol=1e-9,
         "degenerate": degenerate,
         "converged": np.isin(np.arange(len(y)), idx, invert=True),
     }
-
-
-def fit_recovery(series, times, **kw) -> RecoveryFit:
-    """Single-pixel fit; never raises on junk data (returns a degenerate fit)."""
-    y = np.asarray(series, dtype=np.float64)
-    t = np.asarray(times, dtype=np.float64)
-    if y.shape[0] < 3:
-        raise ValueError("need at least 3 samples")
-    res = fit_recovery_batch(y[None, :], t, **kw)
-    return RecoveryFit(
-        t_base=float(res["t_base"][0]),
-        dt=float(res["dt"][0]),
-        tau=float(res["tau"][0]),
-        rmse=float(res["rmse"][0]),
-        degenerate=bool(res["degenerate"][0]),
-    )

@@ -97,32 +97,13 @@ class ZoneMask:
     def shape(self) -> tuple[int, int]:
         return self.labels.shape
 
-    def is_label(self, label: ZoneLabel) -> np.ndarray:
-        return self.labels == int(label)
-
     @property
     def wa(self) -> np.ndarray:
         return self.labels != int(ZoneLabel.NWA)
 
     @property
-    def nwa(self) -> np.ndarray:
-        return self.labels == int(ZoneLabel.NWA)
-
-    @property
-    def na(self) -> np.ndarray:
-        return np.isin(self.labels, NA_LEAVES)
-
-    @property
     def ha(self) -> np.ndarray:
         return np.isin(self.labels, HA_LEAVES)
-
-    @property
-    def dm(self) -> np.ndarray:
-        return np.isin(self.labels, DM_LEAVES)
-
-    @property
-    def bc(self) -> np.ndarray:
-        return np.isin(self.labels, BC_LEAVES)
 
     def class_counts(self) -> dict[str, int]:
         return {l.name: int(np.count_nonzero(self.labels == int(l))) for l in LEAF_LABELS}

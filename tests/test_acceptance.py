@@ -31,7 +31,7 @@ from irzone.pipeline import (
     train_from_manifest,
 )
 from irzone.postprocess import connected_components, lps_decide, topological_filter
-from irzone.preprocess import fit_recovery, fit_recovery_batch, register_sequence
+from irzone.preprocess import fit_recovery_batch, register_sequence
 from irzone.zones import HA_LEAVES, LEAF_LABELS, Mode, ZoneLabel, ZoneMask
 
 from conftest import small_config
@@ -48,10 +48,7 @@ def test_criterion_1_end_to_end_sensitivities_and_runtime(tmp_path):
 
     measured = {}
     for name, items in out["results"].items():
-        pooled = None
-        for _, pred, ref in items:
-            cm = confusion_masks(pred, ref)
-            pooled = cm if pooled is None else pooled.merge(cm)
+        pooled = sum(confusion_masks(pred, ref) for _, pred, ref in items)
         sns = {g: sensitivity(pooled, i) for i, g in enumerate(("NWA", "NA", "HA"))}
         measured[name] = sns
         for g, sn in sns.items():
@@ -149,9 +146,9 @@ def test_criterion_5_curve_fit_oracle():
     """Exact parameter recovery on noiseless data; 10%-accurate recovery time
     constants for >= 95% of 1000 sensor-noise pixels."""
     times = np.arange(60, dtype=np.float64)
-    fit = fit_recovery(recovery_curve((36.0, 10.0, 30.0), times), times)
-    for got, want in ((fit.t_base, 36.0), (fit.dt, 10.0), (fit.tau, 30.0)):
-        assert got == pytest.approx(want, rel=1e-6)
+    fit = fit_recovery_batch(recovery_curve((36.0, 10.0, 30.0), times)[None, :], times)
+    for key, want in (("t_base", 36.0), ("dt", 10.0), ("tau", 30.0)):
+        assert fit[key][0] == pytest.approx(want, rel=1e-6)
 
     rng = np.random.default_rng(51)
     n = 1000

@@ -13,8 +13,8 @@ from conftest import write_model_block
 def write_leaf_model(path):
     """An On-mode cascade whose stages are one-leaf forests that say 0.5."""
     from irzone.features import FEATURE_DIM, Standardizer
-    from irzone.models import CascadeModel, RFConfig, RFModel
-    from irzone.models.rf import Tree
+    from irzone.models.cascade import CascadeModel
+    from irzone.models.rf import RFConfig, RFModel, Tree
     from irzone.zones import Mode
 
     leaf = Tree(feature=np.array([-1]), threshold=np.zeros(1), left=np.array([-1]),
@@ -80,8 +80,8 @@ class TestExitCodes:
 
     def test_self_loop_tree_is_data_error(self, tmp_path, capsys):
         from irzone.features import FEATURE_DIM, Standardizer
-        from irzone.models import CascadeModel, RFConfig, RFModel
-        from irzone.models.rf import Tree
+        from irzone.models.cascade import CascadeModel
+        from irzone.models.rf import RFConfig, RFModel, Tree
         from irzone.zones import Mode
 
         loop = Tree(feature=np.array([0, -1]), threshold=np.zeros(2), left=np.array([0, -1]),
@@ -102,8 +102,8 @@ class TestExitCodes:
 
     def test_model_of_other_feature_width_is_data_error(self, tmp_path, capsys):
         from irzone.features import FEATURE_DIM, Standardizer
-        from irzone.models import CascadeModel, RFConfig, RFModel
-        from irzone.models.rf import Tree
+        from irzone.models.cascade import CascadeModel
+        from irzone.models.rf import RFConfig, RFModel, Tree
         from irzone.zones import Mode
 
         leaf = Tree(feature=np.array([-1]), threshold=np.zeros(1), left=np.array([-1]),
@@ -141,6 +141,19 @@ class TestGen:
         assert "\tOn\t" in lines[0] and "\tOff\t" in lines[1]
         # one flat directory, numbered across modes
         assert sorted(p.name for p in out.glob("*.irts")) == ["seq_0000.irts", "seq_0001.irts"]
+
+    @pytest.mark.parametrize("mix, mode", [("On=1,on=0", "On"), ("Off=1,In=1,OFF=2", "Off")])
+    def test_mode_mix_naming_a_mode_twice_is_data_error(self, tmp_path, capsys, mix, mode):
+        out = tmp_path / "mix"
+        assert main(["gen", "--mode-mix", mix, "--out", str(out)]) == 2
+        assert f"names mode {mode} more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_n_with_mode_mix_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "mix"
+        assert main(["gen", "--n", "2", "--mode-mix", "On=1", "--out", str(out)]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from irzone.evaluation import (
-    ConfusionMatrix,
     accuracy_ci,
     balanced_accuracy,
-    confusion,
     confusion_masks,
     group_labels,
     report,
@@ -15,54 +13,67 @@ from irzone.evaluation import (
     sensitivity,
     table_row,
 )
-from irzone.zones import ZoneLabel, ZoneMask
+from irzone.zones import LEAF_LABELS, ZoneLabel, ZoneMask
 
 NA = int(ZoneLabel.NA_DM)
 HA = int(ZoneLabel.HA_DM)
 
 
+def masks(pred, ref):
+    """(pred, ref) ZoneMasks of one row of leaf codes each."""
+    return (ZoneMask(np.array([pred], dtype=np.uint8), 250e-6),
+            ZoneMask(np.array([ref], dtype=np.uint8), 250e-6))
+
+
+def random_masks(seed, n):
+    rng = np.random.default_rng(seed)
+    return masks(*rng.choice([int(l) for l in LEAF_LABELS], size=(2, n)))
+
+
 class TestConfusion:
     def test_perfect_prediction_is_diagonal(self):
-        labels = np.array([0, 1, 2, 1, 0])
-        cm = confusion(labels, labels, (0, 1, 2))
-        assert cm.correct == cm.total == 5
-        assert np.all(cm.counts == np.diag(np.diag(cm.counts)))
+        pred, ref = masks([0, NA, HA, NA, 0], [0, NA, HA, NA, 0])
+        counts = confusion_masks(pred, ref)
+        assert counts.shape == (3, 3)
+        assert np.trace(counts) == counts.sum() == 5
+        assert np.array_equal(counts, np.diag([2, 2, 1]))
 
     def test_hand_counted_two_pixel_example(self):
-        ref = np.array([1, 2])   # groups: NA then HA
-        pred = np.array([2, 2])
-        cm = confusion(pred, ref, (0, 1, 2))
-        assert cm.counts[1, 2] == 1  # NA predicted as HA
-        assert cm.counts[2, 2] == 1  # HA predicted as HA
+        pred, ref = masks([HA, HA], [NA, HA])
+        counts = confusion_masks(pred, ref)
+        assert counts[1, 2] == 1  # NA predicted as HA
+        assert counts[2, 2] == 1  # HA predicted as HA
+        assert counts.sum() == 2
 
     def test_total_equals_pixel_count(self):
-        rng = np.random.default_rng(0)
-        pred = rng.integers(0, 3, size=100)
-        ref = rng.integers(0, 3, size=100)
-        assert confusion(pred, ref, (0, 1, 2)).total == 100
+        assert confusion_masks(*random_masks(0, 100)).sum() == 100
 
-    def test_labels_outside_class_list_rejected(self):
-        with pytest.raises(ValueError, match="outside class list"):
-            confusion(np.array([0, 5]), np.array([0, 0]), (0, 1, 2))
-        with pytest.raises(ValueError, match="outside class list"):
-            confusion(np.array([0, 0]), np.array([0, 5]), (0, 1, 2))
+    def test_agrees_with_brute_force_recount(self):
+        pred, ref = random_masks(4, 100)
+        counts = confusion_masks(pred, ref)
+        g_pred, g_ref = group_labels(pred.labels), group_labels(ref.labels)
+        for i in range(3):
+            for j in range(3):
+                assert counts[i, j] == np.count_nonzero((g_ref == i) & (g_pred == j))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            confusion(np.zeros(3), np.zeros(4), (0,))
+        pred, _ = masks([0, 0, 0], [0, 0, 0])
+        _, ref = masks([0] * 4, [0] * 4)
+        with pytest.raises(ValueError, match="shapes differ"):
+            confusion_masks(pred, ref)
 
     def test_merge_accumulates_counts(self):
-        a = confusion(np.array([0, 1]), np.array([0, 1]), (0, 1))
-        b = confusion(np.array([1, 1]), np.array([0, 1]), (0, 1))
-        merged = a.merge(b)
-        assert merged.total == 4
-        assert merged.counts[0, 1] == 1
+        # reports pool sequences by adding their counts
+        a = confusion_masks(*masks([0, NA], [0, NA]))
+        b = confusion_masks(*masks([NA, NA], [0, NA]))
+        merged = a + b
+        assert merged.sum() == 4
+        assert merged[0, 1] == 1
+        assert np.array_equal(merged, confusion_masks(*masks([0, NA, NA, NA], [0, NA, 0, NA])))
 
     def test_mask_confusion_groups_leaf_labels(self):
-        pred = ZoneMask(np.array([[0, HA]], dtype=np.uint8), 250e-6)
-        ref = ZoneMask(np.array([[0, int(ZoneLabel.HA_BC)]], dtype=np.uint8), 250e-6)
-        cm = confusion_masks(pred, ref)
-        assert cm.correct == 2  # HA_DM and HA_BC are the same HA group
+        pred, ref = masks([0, HA], [0, int(ZoneLabel.HA_BC)])
+        assert np.trace(confusion_masks(pred, ref)) == 2  # HA_DM and HA_BC are one HA group
 
     def test_group_labels_mapping(self):
         labels = np.array([0, 50, 100, 150, 200])
@@ -71,43 +82,38 @@ class TestConfusion:
 
 class TestSensitivity:
     def test_perfect_prediction_gives_one(self):
-        cm = confusion(np.array([1, 1]), np.array([1, 1]), (0, 1))
-        assert sensitivity(cm, 1) == 1.0
+        assert sensitivity(confusion_masks(*masks([NA, NA], [NA, NA])), 1) == 1.0
 
     def test_eight_of_ten_gives_point_eight(self):
-        cm = ConfusionMatrix(classes=(0, 1), counts=np.array([[5, 0], [2, 8]]))
-        assert sensitivity(cm, 1) == pytest.approx(0.8)
+        counts = np.array([[5, 0, 0], [2, 8, 0], [0, 0, 0]])
+        assert sensitivity(counts, 1) == pytest.approx(0.8)
 
     def test_absent_class_reports_none_not_zero(self):
-        cm = confusion(np.array([0, 0]), np.array([0, 0]), (0, 1))
-        assert sensitivity(cm, 1) is None
+        assert sensitivity(confusion_masks(*masks([0, 0], [0, 0])), 1) is None
 
     def test_agrees_with_brute_force_recount(self):
-        rng = np.random.default_rng(1)
-        pred = rng.integers(0, 3, size=200)
-        ref = rng.integers(0, 3, size=200)
-        cm = confusion(pred, ref, (0, 1, 2))
-        for cls in (0, 1, 2):
-            sel = ref == cls
-            want = np.mean(pred[sel] == cls) if sel.any() else None
-            got = sensitivity(cm, cls)
+        pred, ref = random_masks(1, 200)
+        counts = confusion_masks(pred, ref)
+        g_pred, g_ref = group_labels(pred.labels), group_labels(ref.labels)
+        for g in (0, 1, 2):
+            sel = g_ref == g
+            want = np.mean(g_pred[sel] == g) if sel.any() else None
+            got = sensitivity(counts, g)
             assert got == pytest.approx(want) if want is not None else got is None
 
 
 class TestBalancedAccuracy:
     def test_perfect_is_one(self):
-        cm = confusion(np.array([0, 1]), np.array([0, 1]), (0, 1))
-        assert balanced_accuracy(cm) == 1.0
+        assert balanced_accuracy(confusion_masks(*masks([0, NA, HA], [0, NA, HA]))) == 1.0
 
     def test_hand_arithmetic_example(self):
-        # class 0: 6 right / 10; class 1: 8 right / 10 -> mean 0.7
-        cm = ConfusionMatrix(classes=(0, 1), counts=np.array([[6, 4], [2, 8]]))
-        assert balanced_accuracy(cm) == pytest.approx(0.7)
+        # NWA: 6 right / 10; NA: 8 right / 10; HA: 10 / 10 -> mean 0.8
+        counts = np.array([[6, 4, 0], [2, 8, 0], [0, 0, 10]])
+        assert balanced_accuracy(counts) == pytest.approx(0.8)
 
     def test_empty_reference_class_rejected(self):
-        cm = confusion(np.array([0, 0]), np.array([0, 0]), (0, 1))
         with pytest.raises(ValueError, match="absent"):
-            balanced_accuracy(cm)
+            balanced_accuracy(confusion_masks(*masks([0, 0], [0, 0])))
 
 
 class TestAccuracyCI:
@@ -174,5 +180,15 @@ class TestReport:
             assert key in text
 
     def test_table_row_marks_absent_classes(self):
-        cm = confusion(np.array([0, 0]), np.array([0, 0]), (0, 1, 2))
-        assert "absent" in table_row("RF", cm)
+        assert "absent" in table_row("RF", np.diag([2, 0, 0]))
+
+    def test_pooled_row_is_the_row_of_the_summed_counts(self):
+        items = [("a", *random_masks(2, 50)), ("b", *random_masks(3, 70))]
+        pooled = sum(confusion_masks(pred, ref) for _, pred, ref in items)
+        assert pooled.sum() == 120
+        assert report({"RF": items}).splitlines()[1] == table_row("RF", pooled)
+
+    def test_model_without_sequences_rejected(self):
+        for make in (report, report_kv):
+            with pytest.raises(ValueError, match="no sequences"):
+                make({"RF": []})

@@ -4,10 +4,13 @@ Every truncation and single-byte flip of a valid `.irts`, `.pgm` + `.meta`
 or `.izm` file either loads or raises FormatError, and each example has a
 deadline, so a reader that hangs fails too. What the `.irts` reader and the
 `.izm` parameter-block decoder accept is canonical: it writes back to the
-bytes it was read from.
+bytes it was read from. So is a model file that loads, and a mask that
+loads writes back to the same labels, pixel size and mode.
 """
 
 import hashlib
+import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -18,8 +21,8 @@ from hypothesis import strategies as st
 
 from irzone import io_formats as io
 from irzone.features import FEATURE_DIM, Standardizer
-from irzone.models import CascadeModel, RFConfig, RFModel
-from irzone.models.rf import Tree
+from irzone.models.cascade import CascadeModel
+from irzone.models.rf import RFConfig, RFModel, Tree
 from irzone.models.sdae import SDAEModel
 from irzone.phantom import ThermalSequence
 from irzone.zones import Mode, ZoneLabel, ZoneMask
@@ -131,8 +134,23 @@ def test_sequence_reader(mutation):
 @given(st.sampled_from(["", ".meta"]).flatmap(
     lambda which: st.tuples(st.just(which), mutations(len(MASK[which])))))
 def test_mask_reader(case):
+    # values, not bytes: PGM comments are legal and blank sidecar lines are skipped
     which, mutation = case
-    fuzz_case(MASK, "mask.pgm", io.read_mask, which, mutation)
+    loaded = fuzz_case(MASK, "mask.pgm", io.read_mask, which, mutation)
+    if loaded is not None:
+        mask, mode = loaded
+        written = valid_files(lambda p: io.write_mask(p, mask, mode), "mask.pgm")
+        back, back_mode = fuzz_case(written, "mask.pgm", io.read_mask, None, None)
+        assert np.array_equal(back.labels, mask.labels)
+        assert (back.pixel_size, back_mode) == (mask.pixel_size, mode)
+
+
+def model_and_extras(path):
+    """The cascade in a model file and its header lines other than kind,
+    checksum and params."""
+    header, _ = io.read_model_state(path)
+    extras = {k: v for k, v in header.items() if k not in ("kind", "checksum", "params")}
+    return io.load_cascade(path), extras
 
 
 @pytest.mark.parametrize("backend", ["rf", "sdae"])
@@ -141,7 +159,11 @@ def test_mask_reader(case):
 def test_model_reader(backend, data):
     files = MODELS[backend]
     mutation = data.draw(mutations(len(files[""])))
-    fuzz_case(files, "model.izm", io.load_cascade, "", mutation)
+    loaded = fuzz_case(files, "model.izm", model_and_extras, "", mutation)
+    if loaded is not None:
+        model, extras = loaded
+        written = valid_files(lambda p: io.write_model(p, model, extras), "model.izm")
+        assert written[""] == mutate(files[""], mutation)
 
 
 def param_block(backend):
@@ -150,6 +172,49 @@ def param_block(backend):
         if key == "params":
             return bytes.fromhex(val)
     raise AssertionError("no params line")
+
+
+def head_fields(block):
+    """Offsets of the tag, length, dtype and shape bytes of a packed block,
+    by kind: every byte but the values of its scalars, strings and arrays."""
+    out = {"tag": [], "length": [], "dtype": [], "shape": []}
+
+    def walk(off):
+        tag = block[off : off + 1]
+        out["tag"].append(off)
+        off += 1
+        if tag in (b"S", b"L", b"D"):
+            (n,) = struct.unpack_from("<I", block, off)
+            out["length"].extend(range(off, off + 4))
+            off += 4
+            if tag == b"S":
+                return off + n
+            for _ in range(2 * n if tag == b"D" else n):  # a dict holds key, value pairs
+                off = walk(off)
+            return off
+        if tag == b"A":
+            (n,) = struct.unpack_from("<I", block, off)
+            dtype = np.dtype(block[off + 4 : off + 4 + n].decode())
+            (ndim,) = struct.unpack_from("<I", block, off + 4 + n)
+            shape = struct.unpack_from(f"<{ndim}q", block, off + 8 + n)
+            out["length"].extend(range(off, off + 4))
+            out["dtype"].extend(range(off + 4, off + 4 + n))
+            out["length"].extend(range(off + 4 + n, off + 8 + n))
+            out["shape"].extend(range(off + 8 + n, off + 8 + n + 8 * ndim))
+            return off + 8 + n + 8 * ndim + dtype.itemsize * math.prod(shape)
+        return off + {b"N": 0, b"B": 1, b"I": 8, b"F": 8}[tag]
+
+    assert walk(0) == len(block)
+    return out
+
+
+def block_mutations(block):
+    """`mutations` of a parameter block, four in five of them flips of a
+    tag, length, dtype or shape byte (one kind each), where the decoder's
+    faults lie: uniform draws land mostly on array payload."""
+    flips = [st.tuples(st.just("flip"), st.sampled_from(offsets), st.integers(1, 255))
+             for offsets in head_fields(block).values()]
+    return st.one_of(*flips, mutations(len(block)))
 
 
 @pytest.mark.parametrize("backend", ["rf", "sdae"])
@@ -170,7 +235,7 @@ def test_model_reader_behind_a_matching_checksum(backend, data):
 @given(data=st.data())
 def test_decoded_parameter_block_packs_to_its_bytes(backend, data):
     block = param_block(backend)
-    block = mutate(block, data.draw(mutations(len(block))))
+    block = mutate(block, data.draw(block_mutations(block)))
     try:
         state, end = io._unpack(block)
     except io.FormatError:

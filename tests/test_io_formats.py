@@ -1,5 +1,6 @@
 """File formats: sequence container, mask files, model persistence, overlays."""
 
+import re
 import struct
 
 import numpy as np
@@ -61,7 +62,7 @@ class TestSequenceContainer:
         io.write_sequence(path, random_sequence())
         raw = path.read_bytes()
         path.write_bytes(b"XXXX" + raw[4:])
-        with pytest.raises(io.BadMagic):
+        with pytest.raises(io.FormatError, match="bad magic"):
             io.read_sequence(path)
 
     def test_truncated_payload_is_distinct_error(self, tmp_path):
@@ -69,14 +70,14 @@ class TestSequenceContainer:
         io.write_sequence(path, random_sequence())
         raw = path.read_bytes()
         path.write_bytes(raw[:-10])
-        with pytest.raises(io.Truncated):
+        with pytest.raises(io.FormatError, match="payload truncated"):
             io.read_sequence(path)
 
     def test_oversized_payload_is_distinct_error(self, tmp_path):
         path = tmp_path / "a.irts"
         io.write_sequence(path, random_sequence())
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
-        with pytest.raises(io.SizeMismatch):
+        with pytest.raises(io.FormatError, match="payload size"):
             io.read_sequence(path)
 
     @pytest.mark.parametrize("pixel_size", [0.0, -250e-6, float("nan"), float("inf")])
@@ -166,12 +167,17 @@ class TestMaskFile:
     def test_non_pgm_rejected(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 12)
-        with pytest.raises(io.BadMagic):
+        with pytest.raises(io.FormatError, match="not a P5 PGM"):
             io.read_mask(path)
 
     @pytest.mark.parametrize("header, match", [
         (b"P5\n0 5\n255\n", "empty"),
         (b"P5\n4 x5\n255\n", "not a number"),
+        # numbers are ASCII digits as written: no sign, `_`, or other digits
+        pytest.param(b"P5\n+4 1_0\n255\n" + bytes(40), "not a number", id="sign-underscore"),
+        pytest.param(b"P5\n4 +5\n255\n" + bytes(20), "not a number", id="signed-height"),
+        pytest.param(b"P5\n4 5\n+255\n" + bytes(20), "not a number", id="signed-maxval"),
+        pytest.param(b"P5\n4 5\n2_55\n" + bytes(20), "not a number", id="underscore-maxval"),
     ])
     def test_bad_pgm_size_rejected(self, tmp_path, header, match):
         path = tmp_path / "m.pgm"
@@ -182,8 +188,15 @@ class TestMaskFile:
 
     @pytest.mark.parametrize("sidecar, match", [
         ("pixel_size_m 0\nmode On\n", "positive"),
-        ("pixel_size_m nan\nmode On\n", "positive and finite"),
-        ("pixel_size_m inf\nmode On\n", "positive and finite"),
+        ("pixel_size_m nan\nmode On\n", "not a numeral"),
+        ("pixel_size_m inf\nmode On\n", "not a numeral"),
+        # a plain decimal or exponent numeral, read as written
+        ("pixel_size_m 2_5e-4\nmode On\n", r"pixel_size_m '2_5e-4' is not a numeral"),
+        ("pixel_size_m +2.5e-4\nmode On\n", "not a numeral"),
+        ("pixel_size_m  2.5e-4\nmode On\n", "not a numeral"),
+        ("pixel_size_m 2.5e-4 \nmode On\n", "not a numeral"),
+        ("pixel_size_m \uff12.5e-4\nmode On\n", "not a numeral"),
+        ("pixel_size_m 2.5e-0_4\nmode On\n", "not a numeral"),
         ("pixel_size_m 2.61e-04\nmode Off\n", "illegal in mode Off"),
         # every key once, and no other: a later line never overrides an earlier one
         ("pixel_size_m 1e-4\nmode Off\nfrobnicate 7\npixel_size_m 2.5e-4\nmode On\n",
@@ -272,6 +285,9 @@ def tiny_cascade(seed=0):
     return cascade_train(np.concatenate(xs), np.concatenate(ys), Mode.ON, config)
 
 
+LAYOUT = "not laid out as write_model writes it"
+
+
 class TestModelFile:
     def test_reload_reproduces_predictions_bit_exactly(self, tmp_path):
         from irzone.models.cascade import cascade_predict
@@ -294,7 +310,7 @@ class TestModelFile:
         idx = text.index("params ") + len("params ") + 10
         flipped = "0" if text[idx] != "0" else "1"
         path.write_text(text[:idx] + flipped + text[idx + 1 :])
-        with pytest.raises(io.ChecksumError):
+        with pytest.raises(io.FormatError, match="checksum mismatch"):
             io.read_model_state(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -348,8 +364,19 @@ class TestModelFile:
         (lambda t: t.replace("checksum", "checksum 00\nchecksum"), "more than one checksum"),
         (lambda t: t.replace("kind cascade", "kind rf"), "header kind 'rf'"),
         (lambda t: t.replace("mode On", "mode Off"), "header mode 'Off'"),
+        # a file that loads is the text write_model writes
+        (lambda t: re.sub(r"params (\w+)", lambda m: "params " + m[1].upper(), t), LAYOUT),
+        (lambda t: t.replace("\n", "\r\n"), LAYOUT),
+        (lambda t: t[:-1], LAYOUT),
+        (lambda t: t + "\n", LAYOUT),
+        (lambda t: re.sub(r"params (\w+)", r"params  \1 ", t), LAYOUT),
+        (lambda t: t.replace("checksum ", "checksum  "), "checksum mismatch"),
+        (lambda t: t.replace("kind cascade", "seed 0\nkind cascade"), LAYOUT),
+        (lambda t: t.replace("mode On", "mode On\fseed 0"), LAYOUT),
     ], ids=["magic-flip", "kind-flip", "magic-and-kind-flip", "no-magic", "params-twice",
-            "kind-twice", "checksum-twice", "other-kind", "other-mode"])
+            "kind-twice", "checksum-twice", "other-kind", "other-mode", "upper-case-hex",
+            "crlf", "no-final-newline", "trailing-blank-line", "padded-params",
+            "padded-checksum", "extra-line-before-kind", "form-feed-in-a-line"])
     def test_header_deviation_is_format_error(self, tmp_path, edit, match):
         with pytest.raises(io.FormatError, match=match):
             io.load_cascade(self.edited_model(tmp_path, edit))

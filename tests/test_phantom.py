@@ -16,7 +16,7 @@ from irzone.phantom import (
     generate_phantom,
     recovery_curve,
 )
-from irzone.zones import Mode, ZoneLabel
+from irzone.zones import BC_LEAVES, DM_LEAVES, Mode, ZoneLabel
 
 from conftest import small_config
 
@@ -97,11 +97,12 @@ class TestGeneratePhantom:
     def test_in_mode_contains_both_layers(self):
         config = small_config(mode=Mode.IN)
         _, mask = generate_phantom(config, seed=4)
-        assert mask.bc.any() and mask.dm.any()
+        bc = np.isin(mask.labels, BC_LEAVES)
+        assert bc.any() and np.isin(mask.labels, DM_LEAVES).any()
         # cortex on the left BC_FRACTION of the working area, dura on the right
         m = config.nwa_margin
         split = m + int(round(BC_FRACTION * (config.width - 2 * m)))
-        assert np.array_equal(mask.bc, mask.wa & (np.arange(config.width) < split))
+        assert np.array_equal(bc, mask.wa & (np.arange(config.width) < split))
 
     def test_damaged_frame_is_occluded_at_instrument_temperature(self):
         config = small_config(damaged_frames={5: OccluderSpec()})

@@ -12,7 +12,7 @@ from irzone.postprocess import (
     probabilistic_filter,
     topological_filter,
 )
-from irzone.zones import LEAF_LABELS, Mode, ZoneLabel, ZoneMask
+from irzone.zones import BC_LEAVES, LEAF_LABELS, Mode, ZoneLabel, ZoneMask
 
 NA = int(ZoneLabel.NA_DM)
 HA = int(ZoneLabel.HA_DM)
@@ -509,7 +509,7 @@ class TestLpsDecide:
         maps = {l: rng.random(shape) for l in LEAF_LABELS}
         z_ps = lps_decide(maps, z_pr, Mode.ON, neutral_thresholds())
         z_ps.check_mode(Mode.ON)
-        assert not z_ps.bc.any()
+        assert not np.isin(z_ps.labels, BC_LEAVES).any()
 
     def test_prior_layer_split_is_respected(self):
         labels = np.array([[0, NA], [int(ZoneLabel.NA_BC), int(ZoneLabel.HA_BC)]],

@@ -26,7 +26,6 @@ from irzone.preprocess import (
     _parabolic_refine,
     bilinear_sample,
     estimate_shift,
-    fit_recovery,
     fit_recovery_batch,
     register_sequence,
     remove_damaged_frames,
@@ -433,29 +432,34 @@ class TestWindowMedian:
         assert got == run()
 
 
+def fit_one(series, times):
+    """The batch fit of the single series `series` [T], one value per key."""
+    return {key: v[0] for key, v in fit_recovery_batch(series[None, :], times).items()}
+
+
 class TestFitRecovery:
     def test_noiseless_parameters_within_1e6_relative(self):
         times = np.arange(60, dtype=np.float64)
         series = recovery_curve((36.0, 10.0, 30.0), times)
-        fit = fit_recovery(series, times)
-        assert not fit.degenerate
-        assert fit.t_base == pytest.approx(36.0, rel=1e-6)
-        assert fit.dt == pytest.approx(10.0, rel=1e-6)
-        assert fit.tau == pytest.approx(30.0, rel=1e-6)
-        assert fit.rmse < 1e-6
+        fit = fit_one(series, times)
+        assert not fit["degenerate"]
+        assert fit["t_base"] == pytest.approx(36.0, rel=1e-6)
+        assert fit["dt"] == pytest.approx(10.0, rel=1e-6)
+        assert fit["tau"] == pytest.approx(30.0, rel=1e-6)
+        assert fit["rmse"] < 1e-6
 
     def test_constant_series_is_degenerate(self):
         times = np.arange(10, dtype=np.float64)
-        fit = fit_recovery(np.full(10, 36.0), times)
-        assert fit.degenerate
-        assert abs(fit.dt) < 1e-6
+        fit = fit_one(np.full(10, 36.0), times)
+        assert fit["degenerate"]
+        assert abs(fit["dt"]) < 1e-6
 
     def test_junk_series_returns_degenerate_without_raising(self):
         rng = np.random.default_rng(0)
         times = np.arange(20, dtype=np.float64)
         series = 30.0 + 5.0 * rng.standard_normal(20)
-        fit = fit_recovery(series, times)  # must not raise
-        assert np.isfinite(fit.rmse)
+        fit = fit_one(series, times)  # must not raise
+        assert np.isfinite(fit["rmse"])
 
     def test_noisy_tau_recovery_smoke(self):
         # a larger version of this check runs in the acceptance suite
@@ -474,7 +478,7 @@ class TestFitRecovery:
 
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError, match="3 samples"):
-            fit_recovery(np.array([1.0, 2.0]), np.array([0.0, 1.0]))
+            fit_one(np.array([1.0, 2.0]), np.array([0.0, 1.0]))
 
     def test_rejects_nonincreasing_times(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -484,18 +488,18 @@ class TestFitRecovery:
         # a linear ramp drives the fitted time constant out of physical range
         times = np.arange(40, dtype=np.float64)
         series = 30.0 + 0.5 * times
-        fit = fit_recovery(series, times)
-        assert fit.degenerate
+        assert fit_one(series, times)["degenerate"]
 
-    def test_unconverged_pixels_reported_at_max_iter(self):
+    def test_unconverged_pixels_reported_at_max_iter(self, monkeypatch):
         times = np.arange(40, dtype=np.float64)
         rng = np.random.default_rng(6)
         series = curves([(36.0, 10.0, 15.0)] * 20, times)
         series += 0.03 * rng.standard_normal(series.shape)
         series[:5] = 36.0  # degenerate rows never iterate
-        res = fit_recovery_batch(series, times, max_iter=1)
-        assert np.count_nonzero(~res["converged"]) == 15
         assert fit_recovery_batch(series, times)["converged"].all()
+        monkeypatch.setattr(preprocess, "MAX_ITER", 1)
+        res = fit_recovery_batch(series, times)
+        assert np.count_nonzero(~res["converged"]) == 15
 
 
 def einsum_fit_recovery_batch(series, times, max_iter=50, tol=1e-9, degenerate_range=0.06):
@@ -557,9 +561,9 @@ def einsum_fit_recovery_batch(series, times, max_iter=50, tol=1e-9, degenerate_r
     }
 
 
-def assert_fit_matches_einsum(series, times, **kw):
-    res = fit_recovery_batch(series, times, **kw)
-    oracle = einsum_fit_recovery_batch(series, times, **kw)
+def assert_fit_matches_einsum(series, times):
+    res = fit_recovery_batch(series, times)
+    oracle = einsum_fit_recovery_batch(series, times, max_iter=preprocess.MAX_ITER)
     for key, want in oracle.items():
         assert res[key].tobytes() == want.tobytes(), key
     return res
@@ -614,15 +618,13 @@ class TestFitRecoveryMatchesEinsum:
         times = np.arange(50, dtype=np.float64)
         series = recovery_curve((36.0, 8.0, 20.0), times)
         series = series + 0.03 * np.random.default_rng(2).standard_normal(50)
-        fit = fit_recovery(series, times)
-        oracle = einsum_fit_recovery_batch(series[None, :], times)
-        for key in ("t_base", "dt", "tau", "rmse", "degenerate"):
-            assert np.asarray(getattr(fit, key)).tobytes() == oracle[key][0].tobytes(), key
+        assert_fit_matches_einsum(series[None, :], times)
 
     @pytest.mark.parametrize("max_iter", [1, 2, 5])
-    def test_max_iter_exhaustion(self, max_iter):
+    def test_max_iter_exhaustion(self, max_iter, monkeypatch):
+        monkeypatch.setattr(preprocess, "MAX_ITER", max_iter)
         series, times = cleaned_phantom_series(3)
-        res = assert_fit_matches_einsum(series, times, max_iter=max_iter)
+        res = assert_fit_matches_einsum(series, times)
         assert not res["converged"].all()
 
     def test_exp_underflow_at_small_tau(self):
@@ -660,10 +662,12 @@ class TestFitRecoveryWorkers:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_same_bytes_for_any_worker_count(self, workers, monkeypatch):
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: workers)
+        full = preprocess.MAX_ITER
         for dtype in (np.float64, np.float32):
             series, times = cleaned_phantom_series(12, dtype)
-            assert_fit_matches_einsum(series, times)
-            assert_fit_matches_einsum(series, times, max_iter=2)
+            for max_iter in (full, 2):
+                monkeypatch.setattr(preprocess, "MAX_ITER", max_iter)
+                assert_fit_matches_einsum(series, times)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("rows", [1, 2, 16 * 7, 16 * 7 + 1, 16 * 7 + 2, 24 * 10 + 1])
@@ -697,7 +701,7 @@ class TestFitRecoveryWorkers:
         series, times = cleaned_phantom_series(12)
         assert_fit_matches_einsum(series[:600], times)
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 8)
-        fit_recovery(series[0], times)  # one block: never more workers than blocks
+        fit_recovery_batch(series[:1], times)  # one block: never more workers than blocks
 
     def test_worker_count_follows_the_cpus_this_process_may_use(self, monkeypatch):
         pools = []

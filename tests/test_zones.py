@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from irzone.zones import LEAF_LABELS, Mode, ZoneLabel, ZoneMask
+from irzone.zones import (
+    BC_LEAVES,
+    DM_LEAVES,
+    LEAF_LABELS,
+    NA_LEAVES,
+    WA_LEAVES,
+    Mode,
+    ZoneLabel,
+    ZoneMask,
+)
 
 
 class TestLabels:
@@ -81,18 +90,21 @@ def random_masks(draw):
 class TestMaskAlgebra:
     @given(random_masks())
     def test_working_area_is_complement_of_nonworking(self, mask):
-        assert np.array_equal(mask.wa, ~mask.nwa)
+        assert np.array_equal(mask.wa, mask.labels != int(ZoneLabel.NWA))
+        assert np.array_equal(mask.wa, np.isin(mask.labels, WA_LEAVES))
 
     @given(random_masks())
     def test_tissue_unions_partition_working_area(self, mask):
-        assert np.array_equal(mask.na | mask.ha, mask.wa)
-        assert not np.any(mask.na & mask.ha)
-        assert np.array_equal(mask.dm | mask.bc, mask.wa)
-        assert not np.any(mask.dm & mask.bc)
+        na = np.isin(mask.labels, NA_LEAVES)
+        dm, bc = np.isin(mask.labels, DM_LEAVES), np.isin(mask.labels, BC_LEAVES)
+        assert np.array_equal(na | mask.ha, mask.wa)
+        assert not np.any(na & mask.ha)
+        assert np.array_equal(dm | bc, mask.wa)
+        assert not np.any(dm & bc)
 
     @given(random_masks())
     def test_class_counts_sum_to_pixel_count(self, mask):
         counts = mask.class_counts()
         assert sum(counts.values()) == mask.labels.size
         for label in LEAF_LABELS:
-            assert counts[label.name] == int(np.count_nonzero(mask.is_label(label)))
+            assert counts[label.name] == int(np.count_nonzero(mask.labels == int(label)))
