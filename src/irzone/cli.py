@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -17,12 +18,12 @@ from .pipeline import (
     calibrate_thresholds,
     infer_sequence,
     make_dataset,
-    preprocess_sequence,
     run_e2e,
     train_from_manifest,
     zpr_from_reference,
 )
 from .postprocess import DecisionThresholds
+from .preprocess import register_sequence, remove_damaged_frames
 from .zones import LEAF_LABELS, Mode, ZoneMask
 
 
@@ -35,6 +36,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def integer(text: str) -> int:
+    """`text` as an int: ASCII digits only, no sign, `_`, space or other script's digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not an integer written in digits 0-9")
+    return int(text)
+
+
+def number(text: str) -> float:
+    """`text` as a finite float: an unsigned decimal numeral (`io_formats._NUMERAL`)."""
+    value = float(text) if io._NUMERAL.fullmatch(text) else math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite unsigned decimal number")
+    return value
+
+
 def _parse_mode_mix(text: str) -> dict[str, int]:
     mix = {}
     for part in text.split(","):
@@ -42,7 +58,7 @@ def _parse_mode_mix(text: str) -> dict[str, int]:
         mode = Mode.parse(name).value
         if mode in mix:
             raise ValueError(f"--mode-mix names mode {mode} more than once")
-        mix[mode] = int(count)
+        mix[mode] = integer(count)
     return mix
 
 
@@ -52,16 +68,16 @@ def _build_parser() -> _Parser:
 
     g = sub.add_parser("gen", help="generate a labeled phantom dataset")
     size = g.add_mutually_exclusive_group()
-    size.add_argument("--n", type=int, default=None, help="number of sequences (single mode)")
+    size.add_argument("--n", type=integer, default=None, help="number of sequences (single mode)")
     size.add_argument("--mode-mix", default=None, help="e.g. On=28,In=42,Off=1")
-    g.add_argument("--mode", default="On")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--mode", default=None, help="mode of every sequence (default On)")
+    g.add_argument("--seed", type=integer, default=0)
     g.add_argument("--out", required=True)
-    g.add_argument("--width", type=int, default=320)
-    g.add_argument("--height", type=int, default=240)
-    g.add_argument("--frames", type=int, default=60)
+    g.add_argument("--width", type=integer, default=320)
+    g.add_argument("--height", type=integer, default=240)
+    g.add_argument("--frames", type=integer, default=60)
 
-    pp = sub.add_parser("preprocess", help="register, clean, and fit one sequence")
+    pp = sub.add_parser("preprocess", help="register one sequence and drop its damaged frames")
     pp.add_argument("--in", dest="input", required=True)
     pp.add_argument("--report", default=None, help="write the stage report here")
 
@@ -70,15 +86,15 @@ def _build_parser() -> _Parser:
     t.add_argument("--backend", choices=("rf", "sdae"), default="rf")
     t.add_argument("--mode", default="On")
     t.add_argument("--config", default=None, help="key=value overrides file")
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=integer, default=0)
     t.add_argument("--model-out", required=True)
 
     i = sub.add_parser("infer", help="predict a zone mask for one sequence")
     i.add_argument("--model", required=True)
     i.add_argument("--in", dest="input", required=True)
     i.add_argument("--zpr", default="auto", help="a priori mask file or 'auto'")
-    i.add_argument("--alpha", type=float, default=0.05)
-    i.add_argument("--beta", type=float, default=0.05)
+    i.add_argument("--alpha", default="0.05")  # checked by _cmd_infer, a data error
+    i.add_argument("--beta", default="0.05")
     i.add_argument("--calib", default=None, help="labeled manifest for threshold fitting")
     i.add_argument("--out-mask", required=True)
     i.add_argument("--out-probs", default=None)
@@ -95,10 +111,10 @@ def _build_parser() -> _Parser:
     r.add_argument("--out", required=True)
 
     z = sub.add_parser("e2e", help="full pipeline on seeded phantoms, with report")
-    z.add_argument("--seed", type=int, default=0)
+    z.add_argument("--seed", type=integer, default=0)
     z.add_argument("--out", required=True)
-    z.add_argument("--n-train", type=int, default=8)
-    z.add_argument("--n-test", type=int, default=4)
+    z.add_argument("--n-train", type=integer, default=8)
+    z.add_argument("--n-test", type=integer, default=4)
     z.add_argument("--backends", default="rf,sdae")
     return p
 
@@ -117,8 +133,10 @@ def _read_config_overrides(path) -> dict:
 def _cmd_gen(args) -> int:
     from .phantom import default_config_sampler
 
-    mode = Mode.parse(args.mode)
-    if args.mode_mix:
+    if args.mode is not None and args.mode_mix is not None:
+        raise _UsageError("argument --mode: not allowed with argument --mode-mix")
+    mode = Mode.ON if args.mode is None else Mode.parse(args.mode)
+    if args.mode_mix is not None:
         mix = _parse_mode_mix(args.mode_mix)
     else:
         mix = {mode.value: args.n if args.n is not None else 1}
@@ -133,10 +151,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    seq = io.read_sequence(args.input)
-    sf = preprocess_sequence(seq)
-    lines = sf.report.lines()
-    text = "\n".join(lines) + "\n"
+    registered, report = register_sequence(io.read_sequence(args.input))
+    _, report = remove_damaged_frames(registered, report)
+    text = "\n".join(report.lines()) + "\n"
     if args.report:
         io._atomic_write(args.report, text.encode())
     else:
@@ -155,9 +172,10 @@ _CONFIG_KEYS = (
 
 def _override(obj, path: list[str], text: str):
     """Copy of dataclass `obj` with the field at `path` parsed from `text` as
-    the type of the value it replaces."""
+    an integer or a number, as the value it replaces is."""
     old = getattr(obj, path[0])
-    new = _override(old, path[1:], text) if path[1:] else type(old)(text)
+    parse = integer if isinstance(old, int) else number
+    new = _override(old, path[1:], text) if path[1:] else parse(text)
     return dataclasses.replace(obj, **{path[0]: new})
 
 
@@ -174,9 +192,7 @@ def _cmd_train(args) -> int:
             raise ValueError(f"config key {key!r} applies only to --backend {scope}")
         try:
             if key == "pixels_per_seq":
-                kwargs["max_pixels_per_seq"] = int(text)
-                if kwargs["max_pixels_per_seq"] < 0:
-                    raise ValueError(f"must be >= 0, got {text}")
+                kwargs["max_pixels_per_seq"] = integer(text)
             else:
                 config = _override(config, key.split("."), text)
         except ValueError as e:
@@ -188,10 +204,19 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _rate(flag: str, text: str) -> float:
+    """The value of --alpha or --beta: a number in (0, 1)."""
+    try:
+        value = number(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < 1:
+        raise ValueError(f"{flag} must be in (0, 1), got {text}")
+    return value
+
+
 def _cmd_infer(args) -> int:
-    for flag, value in (("--alpha", args.alpha), ("--beta", args.beta)):
-        if not 0 < value < 1:
-            raise ValueError(f"{flag} must be in (0, 1), got {value}")
+    alpha, beta = _rate("--alpha", args.alpha), _rate("--beta", args.beta)
     model = io.load_cascade(args.model)
     seq = io.read_sequence(args.input)
     h, w = seq.frame_shape
@@ -200,10 +225,10 @@ def _cmd_infer(args) -> int:
     else:
         z_pr, _ = io.read_mask(args.zpr)
     if args.calib:
-        thresholds = calibrate_thresholds(model, args.calib, args.alpha, args.beta)
+        thresholds = calibrate_thresholds(model, args.calib, alpha, beta)
     else:
         # no calibration data: neutral threshold, no achieved-rate estimates
-        thresholds = DecisionThresholds(alpha=args.alpha, beta=args.beta,
+        thresholds = DecisionThresholds(alpha=alpha, beta=beta,
                                         theta_ha=0.5, achieved_alpha=0.0,
                                         achieved_beta=0.0)
     res = infer_sequence(model, seq, z_pr, thresholds)
@@ -266,14 +291,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    try:
-        return _COMMANDS[args.command](args)
     except (OSError, ValueError, RuntimeError) as e:  # FormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2

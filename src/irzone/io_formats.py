@@ -16,7 +16,6 @@ import numpy as np
 from scipy import ndimage
 
 from .phantom import ThermalSequence
-from .postprocess import STRUCTURE_4
 from .zones import Mode, ZoneMask
 
 MAGIC = b"IRTS"
@@ -178,13 +177,9 @@ def read_mask(path) -> tuple[ZoneMask, Mode]:
 # --- model persistence --------------------------------------------------------
 # Self-describing text header, then a base-16 parameter block with a sha256
 # checksum. The parameter block is a deterministic tagged binary encoding of
-# the model's nested state (dicts, lists, scalars, ndarrays).
+# the model's nested state: dicts, lists, ints, floats, strings and ndarrays.
 
 def _pack(obj) -> bytes:
-    if obj is None:
-        return b"N"
-    if isinstance(obj, bool):
-        return b"B" + (b"\x01" if obj else b"\x00")
     if isinstance(obj, int):
         return b"I" + struct.pack("<q", obj)
     if isinstance(obj, float):
@@ -198,7 +193,7 @@ def _pack(obj) -> bytes:
         head = struct.pack("<I", len(dt)) + dt + struct.pack("<I", len(shape))
         head += b"".join(struct.pack("<q", s) for s in shape)
         return b"A" + head + np.ascontiguousarray(obj).tobytes()
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         body = b"".join(_pack(v) for v in obj)
         return b"L" + struct.pack("<I", len(obj)) + body
     if isinstance(obj, dict):
@@ -226,13 +221,6 @@ _DTYPE_STR = re.compile(r"[<>|][biufcmMOSUV]\d*(\[\w+\])?")  # the form of `np.d
 
 def _unpack(raw: bytes, off: int = 0):
     tag, off = _take(raw, off, 1)
-    if tag == b"N":
-        return None, off
-    if tag == b"B":
-        flag, off = _take(raw, off, 1)
-        if flag not in (b"\x00", b"\x01"):
-            raise FormatError(f"bad bool byte {flag!r} at offset {off - 1}")
-        return flag == b"\x01", off
     if tag == b"I":
         return _scalar("<q", raw, off)
     if tag == b"F":
@@ -398,7 +386,7 @@ COLOR_FRAME = (255, 255, 255)  # white
 def _region_boundary(region: np.ndarray) -> np.ndarray:
     """Region pixels with a 4-neighbor outside the region or the frame."""
     r = region.astype(bool)
-    return r & ~ndimage.binary_erosion(r, structure=STRUCTURE_4)
+    return r & ~ndimage.binary_erosion(r)  # scipy's default structure: the 4-neighbour cross
 
 
 def render_overlay(background, ref_mask: ZoneMask | None, alg_mask: ZoneMask | None):

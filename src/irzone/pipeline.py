@@ -37,43 +37,37 @@ CALIBRATION_PIXELS_PER_SEQ = 4000  # WA scores sampled per calibration sequence
 
 @dataclass
 class ManifestEntry:
+    """One manifest line: a sequence file and its mask, whose sidecar holds the mode."""
+
     seq_path: str
     mask_path: str
-    mode: Mode
-    class_counts: dict[str, int]
-
-    def line(self) -> str:
-        counts = " ".join(f"{k} {v}" for k, v in sorted(self.class_counts.items()))
-        return f"{self.seq_path}\t{self.mask_path}\t{self.mode.value}\t{counts}"
-
-    @classmethod
-    def parse(cls, line: str) -> "ManifestEntry":
-        try:
-            seq_path, mask_path, mode, counts_str = line.rstrip("\n").split("\t")
-            toks = counts_str.split()
-            counts = {k: int(v) for k, v in zip(toks[::2], toks[1::2], strict=True)}
-            return cls(seq_path, mask_path, Mode.parse(mode), counts)
-        except ValueError as e:
-            raise ValueError(f"malformed manifest line {line!r}: {e}") from None
 
 
 def write_manifest(path, entries: list[ManifestEntry]):
-    io._atomic_write(path, ("".join(e.line() + "\n" for e in entries)).encode())
+    io._atomic_write(path, "".join(f"{e.seq_path}\t{e.mask_path}\n" for e in entries).encode())
 
 
 def read_manifest(path) -> list[ManifestEntry]:
+    """The file pairs of a manifest: one `seq_path<TAB>mask_path` per line,
+    blank lines skipped. Any other line is a FormatError naming path:line."""
     entries = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            entries.append(ManifestEntry.parse(line))
+    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        paths = line.split("\t")
+        if len(paths) != 2 or not all(paths):
+            raise io.FormatError(f"{path}:{n}: malformed manifest line {line!r}; "
+                                 "expected seq_path<TAB>mask_path")
+        entries.append(ManifestEntry(*paths))
     return entries
 
 
-def make_dataset(out_dir, mode_mix, config_sampler=None, seed=0) -> list[ManifestEntry]:
-    """Generate phantoms to disk plus a manifest of per-class pixel counts.
+def make_dataset(out_dir, mode_mix, config_sampler, seed=0) -> list[ManifestEntry]:
+    """Generate phantoms to disk plus a manifest of their file pairs.
 
     `mode_mix` is {mode value ("On", "In" or "Off"): count}; any other key is
-    a ValueError. Deterministic for a fixed seed.
+    a ValueError. `config_sampler(rng)` gives each phantom's config, whose
+    mode is then set from the mix. Deterministic for a fixed seed.
     """
     out_dir = Path(out_dir)
     unknown = set(mode_mix) - {m.value for m in Mode}
@@ -89,9 +83,8 @@ def make_dataset(out_dir, mode_mix, config_sampler=None, seed=0) -> list[Manifes
         count = int(mode_mix.get(mode.value, 0))
         if count == 0:
             continue
-        sampler = config_sampler or default_config_sampler(mode)
         for _ in range(count):
-            config = sampler(rng)
+            config = config_sampler(rng)
             config.mode = mode
             seq_seed = int(rng.integers(0, 2**31 - 1))
             seq, mask = generate_phantom(config, seq_seed)
@@ -102,9 +95,7 @@ def make_dataset(out_dir, mode_mix, config_sampler=None, seed=0) -> list[Manifes
                 io.write_mask(mask_path, mask, mode)
             except OSError as e:
                 raise OSError(f"failed writing {seq_path}: {e}") from e
-            entries.append(
-                ManifestEntry(str(seq_path), str(mask_path), mode, mask.class_counts())
-            )
+            entries.append(ManifestEntry(str(seq_path), str(mask_path)))
             idx += 1
     write_manifest(out_dir / "manifest.txt", entries)
     return entries
@@ -116,7 +107,6 @@ class SequenceFeatures:
 
     features: np.ndarray   # [H*W, D]
     shape: tuple[int, int]
-    report: object
 
 
 # preprocessing is deterministic per file; training, calibration, and
@@ -149,13 +139,13 @@ def preprocess_sequence(seq: ThermalSequence) -> SequenceFeatures:
     # pixels exposed by registration carry no trustworthy dynamics
     fits["degenerate"] = fits["degenerate"] | ~rep.valid_mask.ravel()
     feats = extract_features_batch(fits, series, cleaned.timestamps)
-    return SequenceFeatures(features=feats, shape=(h, w), report=rep)
+    return SequenceFeatures(features=feats, shape=(h, w))
 
 
 def _pooled(manifest_path, mode: Mode, seed: int, cap: int, columns,
             where=None) -> list[np.ndarray]:
-    """Per-pixel arrays pooled over the manifest's `mode` sequences: the one
-    place that loads a manifest's features.
+    """Per-pixel arrays pooled over the manifest's sequences whose mask
+    sidecar names `mode`: the one place that loads a manifest's features.
 
     `columns(mask, features)` gives one sequence's per-pixel arrays, each of
     H·W rows, and `where(mask)`, if given, the [H, W] boolean mask of the
@@ -164,16 +154,16 @@ def _pooled(manifest_path, mode: Mode, seed: int, cap: int, columns,
     without replacement from one generator seeded by `seed`. The rows go
     straight into arrays sized from the masks. A mask of another frame size
     than its sequence is a ValueError."""
-    entries = [e for e in read_manifest(manifest_path) if e.mode is mode]
-    if not entries:
+    lines = [(e, *io.read_mask(e.mask_path)) for e in read_manifest(manifest_path)]
+    pairs = [(e, mask) for e, mask, mask_mode in lines if mask_mode is mode]
+    if not pairs:
         raise ValueError(f"manifest has no {mode.value}-mode sequences")
-    masks = [io.read_mask(e.mask_path)[0] for e in entries]
-    sizes = [m.labels.size if where is None else np.count_nonzero(where(m)) for m in masks]
+    sizes = [m.labels.size if where is None else np.count_nonzero(where(m)) for _, m in pairs]
     total = sum(min(n, cap or n) for n in sizes)
     rng = np.random.default_rng(seed)
     pooled = None
     start = 0
-    for e, mask in zip(entries, masks):
+    for e, mask in pairs:
         sf = load_features(e.seq_path)
         if mask.shape != sf.shape:
             (mh, mw), (sh, sw) = mask.shape, sf.shape

@@ -105,8 +105,5 @@ class ZoneMask:
     def ha(self) -> np.ndarray:
         return np.isin(self.labels, HA_LEAVES)
 
-    def class_counts(self) -> dict[str, int]:
-        return {l.name: int(np.count_nonzero(self.labels == int(l))) for l in LEAF_LABELS}
-
     def check_mode(self, mode: Mode) -> None:
         mode.check_labels(self.labels)

@@ -7,7 +7,7 @@ from irzone import io_formats as io
 from irzone import pipeline
 from irzone.cli import main
 
-from conftest import write_model_block
+from conftest import small_config, write_model_block
 
 
 def write_leaf_model(path):
@@ -137,8 +137,9 @@ class TestGen:
         ])
         assert code == 0
         lines = (out / "manifest.txt").read_text().splitlines()
-        assert len(lines) == 2
-        assert "\tOn\t" in lines[0] and "\tOff\t" in lines[1]
+        assert lines == [f"{out}/seq_{i:04d}.irts\t{out}/mask_{i:04d}.pgm" for i in range(2)]
+        # each mask's sidecar holds its mode
+        assert [io.read_mask(line.split("\t")[1])[1].value for line in lines] == ["On", "Off"]
         # one flat directory, numbered across modes
         assert sorted(p.name for p in out.glob("*.irts")) == ["seq_0000.irts", "seq_0001.irts"]
 
@@ -153,6 +154,33 @@ class TestGen:
         out = tmp_path / "mix"
         assert main(["gen", "--n", "2", "--mode-mix", "On=1", "--out", str(out)]) == 1
         assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["Off", "On"])
+    def test_mode_with_mode_mix_is_usage_error(self, tmp_path, capsys, mode):
+        out = tmp_path / "mix"
+        assert main(["gen", "--mode", mode, "--mode-mix", "On=1", "--out", str(out)]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--n", "1_0"), ("--n", "+1"), ("--n", "-1"), ("--n", "\u0663"), ("--n", "1.0"),
+        ("--width", " 9_6 "), ("--width", "96 "), ("--seed", "\uff17"), ("--frames", ""),
+    ])
+    def test_integer_flag_takes_ascii_digits_only(self, tmp_path, capsys, flag, text):
+        out = tmp_path / "ds"
+        args = {"--n": "1", "--width": "48", "--height": "36", "--frames": "10",
+                "--seed": "0", flag: text}
+        assert main(["gen", "--out", str(out), *(x for kv in args.items() for x in kv)]) == 1
+        assert f"argument {flag}: invalid integer value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mix", ["On=\u0663", "On=1_0", "On=+1", "On= 1", "On"])
+    def test_mode_mix_count_takes_ascii_digits_only(self, tmp_path, capsys, mix):
+        out = tmp_path / "mix"
+        assert main(["gen", "--mode-mix", mix, "--out", str(out), "--width", "48",
+                     "--height", "36", "--frames", "10"]) == 2
+        assert "is not an integer written in digits 0-9" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -175,6 +203,32 @@ class TestFlow:
         out = capsys.readouterr().out
         assert "Model  95% CI Ac" in out
         assert "1.0000  1.0000  1.0000" in out
+
+    def test_preprocess_registers_and_cleans_without_fitting(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # a jump past the search window at frame 9 and an occluder on frame 17
+        from irzone import preprocess
+        from irzone.phantom import OccluderSpec, generate_phantom
+
+        schedule = [(0.45 * i % 2.4, -0.3 * i % 1.6) for i in range(30)]
+        schedule[9] = (7.0, -1.0)
+        seq, _ = generate_phantom(small_config(noise_sigma=0.03, shift_schedule=schedule,
+                                               damaged_frames={17: OccluderSpec()}), seed=22)
+        io.write_sequence(tmp_path / "seq.irts", seq)
+        registered, report = preprocess.register_sequence(seq)
+        _, report = preprocess.remove_damaged_frames(registered, report)
+
+        def fit(*args):
+            raise AssertionError("the stage report needs no recovery-curve fit")
+
+        monkeypatch.setattr(preprocess, "fit_recovery_batch", fit)
+        monkeypatch.setattr(pipeline, "fit_recovery_batch", fit)
+        assert main(["preprocess", "--in", str(tmp_path / "seq.irts")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == report.lines()
+        assert lines[0] == "kept 28 deleted 2"
+        assert lines[10].startswith("frame 9 ") and lines[10].endswith(" FATAL")
+        assert lines[-2:] == ["deleted 9 fatal shift", "deleted 17 foreign object"]
 
     def test_preprocess_writes_stage_report(self, workspace):
         report = workspace / "pre.txt"
@@ -262,6 +316,14 @@ class TestFlow:
         ("rf", "rf.max_depth = 0", "'rf.max_depth'"),
         ("rf", "rf.min_leaf = 0", "'rf.min_leaf'"),
         ("sdae", "sdae.lr = -1", "'sdae.lr'"),
+        # numbers as written: ASCII digits, and finite unsigned decimals
+        ("sdae", "sdae.lr = inf", "'sdae.lr'"),
+        ("sdae", "sdae.lr = 1e999", "'sdae.lr'"),
+        ("sdae", "sdae.lr = 5_0e-3", "'sdae.lr'"),
+        ("sdae", "sdae.corruption = \u0660.5", "'sdae.corruption'"),
+        ("rf", "rf.n_trees = 1_0", "'rf.n_trees'"),
+        ("rf", "rf.n_trees = +3", "'rf.n_trees'"),
+        ("rf", "pixels_per_seq = \u0663", "'pixels_per_seq'"),
         ("sdae", "sdae.corruption = 1.0", "corruption must be in [0, 1)"),
         # a key of the other backend would have no effect
         ("rf", "sdae.lr = 0.5", "applies only to --backend sdae"),
@@ -343,7 +405,11 @@ class TestFlow:
         (["--beta", "0"], "--beta"),
         (["--alpha", "0", "--calib"], "--alpha"),
         (["--beta", "nan", "--calib"], "--beta"),
-    ], ids=["alpha-7", "beta-0", "alpha-0-calib", "beta-nan-calib"])
+        (["--alpha", "0.0_5"], "--alpha"),
+        (["--beta", "\u0660.05"], "--beta"),
+        (["--alpha", "5e-2 "], "--alpha"),
+    ], ids=["alpha-7", "beta-0", "alpha-0-calib", "beta-nan-calib", "alpha-underscore",
+            "beta-arabic-indic-digit", "alpha-trailing-space"])
     def test_infer_bad_rate_names_its_flag(self, workspace, tmp_path, capsys, monkeypatch,
                                            args, flag):
         # the rates are checked before any sequence is preprocessed, with or

@@ -202,7 +202,7 @@ def head_fields(block):
             out["length"].extend(range(off + 4 + n, off + 8 + n))
             out["shape"].extend(range(off + 8 + n, off + 8 + n + 8 * ndim))
             return off + 8 + n + 8 * ndim + dtype.itemsize * math.prod(shape)
-        return off + {b"N": 0, b"B": 1, b"I": 8, b"F": 8}[tag]
+        return off + 8  # an int or a float
 
     assert walk(0) == len(block)
     return out
@@ -244,8 +244,8 @@ def test_decoded_parameter_block_packs_to_its_bytes(backend, data):
 
 
 def test_every_flip_of_a_small_block_packs_back_or_is_format_error():
-    # every tag, length, key, bool, dtype and shape byte, flipped every way
-    block = io._pack({"b": True, "a": np.zeros(1)})
+    # every tag, length, key, int, dtype and shape byte, flipped every way
+    block = io._pack({"b": 1, "a": np.zeros(1)})
     for i in range(len(block)):
         for x in range(1, 256):
             mutated = mutate(block, ("flip", i, x))

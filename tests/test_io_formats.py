@@ -219,8 +219,6 @@ class TestParameterBlock:
     def test_nested_state_round_trip(self):
         state = {
             "name": "x",
-            "flag": True,
-            "none": None,
             "n": 42,
             "v": 1.5,
             "arr": np.arange(6, dtype=np.float64).reshape(2, 3),
@@ -228,7 +226,7 @@ class TestParameterBlock:
             "nested": {"a": {"b": [0.5]}},
         }
         back, _ = io._unpack(io._pack(state))
-        assert back["name"] == "x" and back["flag"] is True and back["none"] is None
+        assert back["name"] == "x"
         assert back["n"] == 42 and back["v"] == 1.5
         assert np.array_equal(back["arr"], state["arr"])
         assert np.array_equal(back["list"][3], [1, 2])
@@ -238,22 +236,22 @@ class TestParameterBlock:
         state = {"a": np.ones(4), "b": [1, 2.0, "x"]}
         assert io._pack(state) == io._pack(state)
 
-    @pytest.mark.parametrize("block", [b"B", b"I\x01", b"A\x05"])
+    @pytest.mark.parametrize("block", [b"F\x01", b"I\x01", b"A\x05"])
     def test_block_ending_inside_a_value_is_format_error(self, block):
         with pytest.raises(io.FormatError, match="ends inside a value"):
             io._unpack(block)
 
     @pytest.mark.parametrize("block", [
         b"S" + struct.pack("<I", 1) + b"\xff",
-        b"D" + struct.pack("<I", 1) + b"NN",
+        b"D" + struct.pack("<I", 1) + io._pack(1) + io._pack(2),
         b"A" + struct.pack("<I", 2) + b"|O" + struct.pack("<Iq", 1, 1) + bytes(8),
         b"A" + struct.pack("<I", 3) + b"<f8" + struct.pack("<Iqq", 2, -1, -1) + bytes(8),
-        b"L\x01\x00\x00\x00" * 5000 + b"N",
+        b"L\x01\x00\x00\x00" * 5000 + io._pack(0),
         b"A" + struct.pack("<I", 3) + b",f8" + struct.pack("<Iq", 1, 1) + bytes(8),
+        b"B\x02",  # the bool tag, which no model writes
         # non-canonical: each would decode to a state that packs to other bytes
-        b"B\x02",
         b"A" + struct.pack("<I", 3) + b"=f8" + struct.pack("<Iq", 1, 1) + bytes(8),
-        b"D" + struct.pack("<I", 2) + io._pack("k") + b"N" + io._pack("k") + b"I" + bytes(8),
+        b"D" + struct.pack("<I", 2) + io._pack("k") + io._pack(0) + io._pack("k") + io._pack(1),
     ], ids=["string-not-utf8", "key-not-string", "object-array", "negative-shape",
             "nested-too-deeply", "dtype-not-python-syntax", "bool-byte-2",
             "native-order-dtype", "repeated-key"])
@@ -262,8 +260,17 @@ class TestParameterBlock:
         with pytest.raises(io.FormatError):
             io.read_model_state(path)
 
+    @pytest.mark.parametrize("block, tag", [
+        (b"N", b"N"), (b"B\x01", b"B"), (b"B\x00", b"B"), (b"L\x01\x00\x00\x00N", b"N"),
+    ], ids=["none", "true", "false", "none-in-a-list"])
+    def test_none_and_bool_tags_are_unknown(self, block, tag, tmp_path):
+        # no model's state holds None or a bool: RFModel writes single_class as an int
+        path = write_model_block(tmp_path / "model.izm", block)
+        with pytest.raises(io.FormatError, match=f"unknown tag {tag!r} at offset"):
+            io.read_model_state(path)
+
     def test_every_truncation_is_format_error(self):
-        block = io._pack({"a": np.arange(3), "b": [True, 2, 3.0, "x", None]})
+        block = io._pack({"a": np.arange(3), "b": [1, 2, 3.0, "x", []]})
         for n in range(len(block)):
             with pytest.raises(io.FormatError):
                 io._unpack(block[:n])
@@ -319,7 +326,7 @@ class TestModelFile:
             io.read_model_state(path)
 
     def test_non_dict_state_rejected(self, tmp_path):
-        path = write_model_block(tmp_path / "model.izm", b"N")
+        path = write_model_block(tmp_path / "model.izm", io._pack(0))
         with pytest.raises(io.FormatError, match="not a cascade"):
             io.load_cascade(path)
 

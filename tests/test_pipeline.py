@@ -22,7 +22,7 @@ from irzone.pipeline import (
     zpr_from_reference,
 )
 from irzone.postprocess import ha_score
-from irzone.zones import LEAF_LABELS, Mode, ZoneLabel
+from irzone.zones import Mode, ZoneLabel
 
 from conftest import small_config
 
@@ -33,21 +33,20 @@ def tiny_sampler(mode):
 
 class TestMakeDataset:
     def test_zero_sequences_gives_empty_manifest_and_no_files(self, tmp_path):
-        entries = make_dataset(tmp_path, mode_mix={"On": 0})
+        entries = make_dataset(tmp_path, mode_mix={"On": 0}, config_sampler=tiny_sampler(Mode.ON))
         assert entries == []
         assert (tmp_path / "manifest.txt").read_text() == ""
         assert not list(tmp_path.glob("*.irts"))
 
-    def test_manifest_counts_match_recount_from_mask_files(self, tmp_path):
+    def test_manifest_lists_the_written_file_pairs(self, tmp_path):
         entries = make_dataset(tmp_path, mode_mix={"On": 2},
                                config_sampler=tiny_sampler(Mode.ON), seed=1)
-        assert len(entries) == 2
+        assert (tmp_path / "manifest.txt").read_text() == "".join(
+            f"{tmp_path}/seq_{i:04d}.irts\t{tmp_path}/mask_{i:04d}.pgm\n" for i in range(2))
+        assert read_manifest(tmp_path / "manifest.txt") == entries
         for e in entries:
-            mask, _ = io.read_mask(e.mask_path)
-            recount = {
-                l.name: int(np.count_nonzero(mask.labels == int(l))) for l in LEAF_LABELS
-            }
-            assert e.class_counts == recount
+            io.read_sequence(e.seq_path)
+            io.read_mask(e.mask_path)
 
     def test_mode_mix_produces_requested_composition(self, tmp_path):
         mix = {"On": 2, "In": 2, "Off": 1}
@@ -57,10 +56,8 @@ class TestMakeDataset:
                                config_sampler=tiny_sampler(Mode.parse(mode_name)), seed=2)
             all_entries.extend(sub)
         assert len(all_entries) == 5
-        assert [e.mode.value for e in all_entries] == ["On", "On", "In", "In", "Off"]
-        for e in all_entries:
-            mask, mode = io.read_mask(e.mask_path)
-            mask.check_mode(mode)
+        modes = [io.read_mask(e.mask_path)[1].value for e in all_entries]
+        assert modes == ["On", "On", "In", "In", "Off"]
 
     def test_deterministic_for_fixed_seed(self, tmp_path):
         make_dataset(tmp_path / "a", mode_mix={"On": 1},
@@ -73,29 +70,37 @@ class TestMakeDataset:
 
     def test_rejects_negative_counts(self, tmp_path):
         with pytest.raises(ValueError, match="nonnegative"):
-            make_dataset(tmp_path, mode_mix={"On": -1})
+            make_dataset(tmp_path, mode_mix={"On": -1}, config_sampler=tiny_sampler(Mode.ON))
 
     def test_rejects_unknown_mode(self, tmp_path):
         with pytest.raises(ValueError, match="unknown modes in mode_mix: \\['on'\\]"):
-            make_dataset(tmp_path, mode_mix={"on": 3})
+            make_dataset(tmp_path, mode_mix={"on": 3}, config_sampler=tiny_sampler(Mode.ON))
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("line", [
-        "a.irts\ta.pgm\tOn\tNWA 5 NA_DM",     # a count name without its count
-        "a.irts\ta.pgm\tOn",                   # no count field
-        "a.irts\ta.pgm\tOn\tNWA five",        # a count that is not an integer
-        "a.irts\ta.pgm\tSideways\tNWA 5",     # no such mode
+        "a.irts\ta.pgm\tOn\tNWA 5 NA_DM",     # the four columns of the old format
+        "a.irts\ta.pgm\tOn",                   # three fields
+        "a.irts\ta.pgm\tOn\tNWA five",
+        "a.irts\ta.pgm\tSideways\tNWA 5",
+        "a.irts",                              # one field
+        "a.irts a.pgm",                        # not tab-separated
+        "\ta.pgm",                             # an empty path
+        "a.irts\t",
+        "a.irts\t\ta.pgm",
     ])
-    def test_malformed_manifest_line_names_the_line(self, line):
-        with pytest.raises(ValueError, match="malformed manifest line") as err:
-            ManifestEntry.parse(line)
+    def test_malformed_manifest_line_names_the_line(self, line, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text(f"b.irts\tb.pgm\n\n{line}\nc.irts\tc.pgm\n")
+        with pytest.raises(io.FormatError, match="malformed manifest line") as err:
+            read_manifest(path)
+        assert str(err.value).startswith(f"{path}:3: ")
         assert repr(line) in str(err.value)
 
-    def test_manifest_line_round_trip(self):
-        entry = ManifestEntry("a.irts", "a.pgm", Mode.IN,
-                              {"NWA": 10, "NA_DM": 5, "HA_DM": 1, "NA_BC": 3, "HA_BC": 2})
-        back = ManifestEntry.parse(entry.line())
-        assert back == entry
+    def test_manifest_line_round_trip(self, tmp_path):
+        entries = [ManifestEntry("a.irts", "a.pgm"), ManifestEntry("b c.irts", "d/b.pgm")]
+        write_manifest(tmp_path / "manifest.txt", entries)
+        assert (tmp_path / "manifest.txt").read_text() == "a.irts\ta.pgm\nb c.irts\td/b.pgm\n"
+        assert read_manifest(tmp_path / "manifest.txt") == entries
 
     def test_read_manifest_skips_blank_lines(self, tmp_path):
         entries = make_dataset(tmp_path, mode_mix={"On": 1},
@@ -191,14 +196,14 @@ def test_every_default_argument_is_hashable():
 def concatenating_pooled(manifest_path, mode, seed, cap, columns):
     """`pipeline._pooled` before it wrote into preallocated arrays, kept as its
     oracle: `columns` gives the pooled rows of one sequence, and the picks
-    of every sequence are concatenated at the end."""
-    entries = [e for e in read_manifest(manifest_path) if e.mode is mode]
-    if not entries:
-        raise ValueError(f"manifest has no {mode.value}-mode sequences")
+    of every sequence whose mask sidecar names `mode` are concatenated at
+    the end."""
     rng = np.random.default_rng(seed)
     per_seq = []
-    for e in entries:
-        mask, _ = io.read_mask(e.mask_path)
+    for e in read_manifest(manifest_path):
+        mask, mask_mode = io.read_mask(e.mask_path)
+        if mask_mode is not mode:
+            continue
         sf = load_features(e.seq_path)
         if mask.shape != sf.shape:
             (mh, mw), (sh, sw) = mask.shape, sf.shape
@@ -210,12 +215,15 @@ def concatenating_pooled(manifest_path, mode, seed, cap, columns):
             pick = rng.choice(n, size=cap, replace=False)
             cols = [c[pick] for c in cols]
         per_seq.append(cols)
+    if not per_seq:
+        raise ValueError(f"manifest has no {mode.value}-mode sequences")
     return [np.concatenate(c) for c in zip(*per_seq)]
 
 
 @pytest.fixture(scope="module")
 def mixed_manifest(tmp_path_factory):
-    """Four On-mode sequences, 96x72 and 80x48 in turn, and an RF trained on them."""
+    """Four On-mode sequences, 96x72 and 80x48 in turn, with an Off-mode one
+    after the first two, and an RF trained on the On-mode ones."""
     root = tmp_path_factory.mktemp("mixed")
     entries = []
     for (w, h), seed in (((96, 72), 1), ((80, 48), 2)):
@@ -223,20 +231,24 @@ def mixed_manifest(tmp_path_factory):
                                          noise_sigma=0.03, nwa_margin=8)
         entries.append(make_dataset(root / f"{w}x{h}", {"On": 2}, config_sampler=sampler,
                                     seed=seed))
+    off = make_dataset(root / "off", {"Off": 1}, config_sampler=tiny_sampler(Mode.OFF), seed=3)
     manifest = root / "manifest.txt"
-    write_manifest(manifest, [e for pair in zip(*entries) for e in pair])
+    on = [e for pair in zip(*entries) for e in pair]
+    write_manifest(manifest, on[:2] + off + on[2:])
     config = CascadeConfig(rf=RFConfig(n_trees=3), max_train_pixels=2000)
     return manifest, pipeline.train_from_manifest(manifest, Mode.ON, config, seed=4)
 
 
-def wa_counts(manifest):
-    return [int(io.read_mask(e.mask_path)[0].wa.sum()) for e in read_manifest(manifest)]
+def wa_counts(manifest, mode):
+    masks = [io.read_mask(e.mask_path) for e in read_manifest(manifest)]
+    return [int(mask.wa.sum()) for mask, mask_mode in masks if mask_mode is mode]
 
 
 @pytest.mark.parametrize("capped", [False, True], ids=["cap-0", "cap-above-one-wa-count"])
 def test_pooled_columns_match_the_concatenating_path(mixed_manifest, capped, monkeypatch):
     manifest, model = mixed_manifest
-    counts = wa_counts(manifest)
+    counts = wa_counts(manifest, Mode.ON)
+    assert len(counts) == 4
     cap = min(counts) + 1 if capped else 0
     assert not capped or cap < max(counts)  # one sequence whole, the others drawn from
 
@@ -280,3 +292,17 @@ def test_pooled_mask_of_another_size_names_both_files(mixed_manifest, tmp_path, 
             f"mask {big.mask_path} is 96x72, but sequence {small.seq_path} is 80x48")):
         pipeline._pooled(tmp_path / "manifest.txt", Mode.ON, 0, 0,
                          lambda mask, sf: (sf.features,), where=where)
+
+
+def test_pooled_keeps_the_sequences_whose_sidecar_names_the_mode(mixed_manifest):
+    manifest, _ = mixed_manifest
+    entries = read_manifest(manifest)
+    modes = [io.read_mask(e.mask_path)[1] for e in entries]
+    assert modes == [Mode.ON, Mode.ON, Mode.OFF, Mode.ON, Mode.ON]
+    labels = pipeline._pooled(manifest, Mode.OFF, 0, 0, lambda mask, sf: (mask.labels.ravel(),))
+    assert np.array_equal(labels[0], io.read_mask(entries[2].mask_path)[0].labels.ravel())
+    on_rows = pipeline._pooled(manifest, Mode.ON, 0, 0, lambda mask, sf: (sf.features,))
+    assert np.array_equal(on_rows[0], np.concatenate(
+        [load_features(e.seq_path).features for i, e in enumerate(entries) if i != 2]))
+    with pytest.raises(ValueError, match="manifest has no In-mode sequences"):
+        pipeline._pooled(manifest, Mode.IN, 0, 0, lambda mask, sf: (sf.features,))

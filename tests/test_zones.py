@@ -101,10 +101,3 @@ class TestMaskAlgebra:
         assert not np.any(na & mask.ha)
         assert np.array_equal(dm | bc, mask.wa)
         assert not np.any(dm & bc)
-
-    @given(random_masks())
-    def test_class_counts_sum_to_pixel_count(self, mask):
-        counts = mask.class_counts()
-        assert sum(counts.values()) == mask.labels.size
-        for label in LEAF_LABELS:
-            assert counts[label.name] == int(np.count_nonzero(mask.labels == int(label)))
