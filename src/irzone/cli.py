@@ -121,12 +121,14 @@ def _build_parser() -> _Parser:
 
 def _read_config_overrides(path) -> dict:
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for line in io.read_text(path, "config file").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, val = line.partition("=")
-        out[key.strip()] = val.strip()
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key in out:
+            raise io.FormatError(f"{path}: repeated config key {key!r}")
+        out[key] = val
     return out
 
 

@@ -133,9 +133,17 @@ class Standardizer:
         return cls(mean=mean, scale=scale)
 
 
+def as_parts(features) -> list:
+    """(matrix, row indices) parts whose rows, part after part, are the pooled
+    rows: an [N, D] matrix is one part of all its rows, a list is parts."""
+    if isinstance(features, np.ndarray):
+        return [(features.astype(np.float64, copy=False), np.arange(len(features)))]
+    return features
+
+
 def fit_standardizer(train_matrix, rows=None) -> Standardizer:
-    """Mean and clamped population std of the rows of `train_matrix` [N, D]
-    that the boolean `rows` selects (all rows if None), without copying them.
+    """Mean and clamped population std of the pooled rows x of `train_matrix`
+    (`as_parts`) that the boolean `rows` selects (all rows if None).
 
     numpy sums axis 0 of a C-ordered matrix of two or more columns one row at
     a time, in order, and so does `_column_sums`, so the result equals
@@ -143,30 +151,30 @@ def fit_standardizer(train_matrix, rows=None) -> Standardizer:
     the bit. (numpy sums a single column pairwise; there the two can differ
     in the last bits.)
     """
-    x = np.asarray(train_matrix, dtype=np.float64)
-    if x.ndim != 2 or not x.size or (rows is not None and not np.any(rows)):
+    parts = as_parts(train_matrix)
+    if rows is not None:
+        ends = np.cumsum([len(r) for _, r in parts])
+        parts = [(m, r[rows[end - len(r):end]]) for (m, r), end in zip(parts, ends)]
+    n = sum(len(r) for _, r in parts)
+    if not n or any(m.ndim != 2 or not m.shape[1] for m, _ in parts):
         raise ValueError("train matrix must be non-empty 2D")
-    n = len(x) if rows is None else int(np.count_nonzero(rows))
-    mean = _column_sums(x, rows, lambda b: b) / n
+    mean = _column_sums(parts, lambda b: b) / n
 
     def squared_deviation(b):
         d = b - mean
         return np.square(d, out=d)
 
     # as numpy's var: the mean sum of squared deviations, then its root
-    scale = np.maximum(np.sqrt(_column_sums(x, rows, squared_deviation) / n), 1e-12)
+    scale = np.maximum(np.sqrt(_column_sums(parts, squared_deviation) / n), 1e-12)
     return Standardizer(mean=mean, scale=scale)
 
 
-def _column_sums(x, rows, f):
-    """Column sums of f(block) over the selected rows of x, in the
-    curve fit's blocks (`preprocess._blocks`). Each block after the first is
-    reduced with the running sum as its first row, so the rows are added in
-    the order of one reduction over all of them."""
+def _column_sums(parts, f):
+    """Column sums of f(block) over the rows of `parts`, part after part, in
+    the curve fit's blocks (`preprocess._blocks`). Each block after the first
+    is reduced with the running sum as its first row, so the rows are added
+    in the order of one reduction over all of them."""
     total = None
-    for s in _blocks(len(x)):
-        b = f(x[s] if rows is None else x[s][rows[s]])
-        if len(b):
-            total = np.add.reduce(b if total is None else np.concatenate([total[None], b]),
-                                  axis=0)
+    for b in filter(len, (f(m[r[s]]) for m, r in parts for s in _blocks(len(r)))):
+        total = np.add.reduce(b if total is None else np.concatenate([total[None], b]), axis=0)
     return total

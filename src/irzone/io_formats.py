@@ -137,6 +137,14 @@ def _parse_pgm(raw: bytes, path):
 _NUMERAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 
 
+def read_text(path, what: str) -> str:
+    """The text of file `path`; a FormatError naming it if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: {what} is not text: {e}") from e
+
+
 def read_mask(path) -> tuple[ZoneMask, Mode]:
     raw = Path(path).read_bytes()
     labels, _, _ = _parse_pgm(raw, path)
@@ -144,11 +152,9 @@ def read_mask(path) -> tuple[ZoneMask, Mode]:
     keys = ("pixel_size_m", "mode")
     meta = {}
     try:
-        lines = Path(meta_path).read_text().splitlines()
+        lines = read_text(meta_path, "sidecar").splitlines()
     except FileNotFoundError:
         raise FormatError(f"{path}: missing sidecar {meta_path}")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{meta_path}: sidecar is not text") from e
     for line in filter(str.strip, lines):
         key, _, val = line.partition(" ")
         if key not in keys:

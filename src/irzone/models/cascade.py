@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..features import FEATURE_DIM, Standardizer, fit_standardizer
+from ..features import FEATURE_DIM, Standardizer, as_parts, fit_standardizer
 from ..io_formats import FormatError, state_fields
 from ..zones import BC_LEAVES, DM_LEAVES, HA_LEAVES, LEAF_LABELS, WA_LEAVES, Mode, ZoneLabel
 from .rf import RFConfig, RFModel, rf_predict_proba, train_rf
@@ -117,12 +117,6 @@ class CascadeModel:
                    seed=seed)
 
 
-def stage_targets(labels: np.ndarray):
-    """Ground-truth routing: stage -> (selector, binary target) over pixels."""
-    return {name: (np.isin(labels, routed), np.isin(labels, positive).astype(np.int64))
-            for name, (routed, positive) in CASCADE.items()}
-
-
 def _subsample(y, cap, balanced, rng):
     """Indices into `y` of the rows a stage trains on. RF keeps the natural
     class mix; the SDAE trains on balanced classes (minibatch SGD under heavy
@@ -142,42 +136,49 @@ def _subsample(y, cap, balanced, rng):
     return rng.choice(n, size=cap, replace=False)
 
 
+def _gather(parts, rows):
+    """A copy of the pooled rows `rows` of `parts` (`features.as_parts`)."""
+    out = np.empty((len(rows), FEATURE_DIM))
+    start = 0
+    for m, r in parts:
+        hit = (rows >= start) & (rows < start + len(r))
+        out[hit] = m[r[rows[hit] - start]]
+        start += len(r)
+    return out
+
+
 def cascade_train(features, labels, mode: Mode,
                   config: CascadeConfig = CascadeConfig(), seed: int = 0) -> CascadeModel:
     """Train each stage on the pixels its parent would route to it (teacher
-    forcing with ground-truth labels)."""
-    X = np.asarray(features, dtype=np.float64)
+    forcing with ground-truth labels). `features` (`features.as_parts`) are
+    read in place: each stage copies only the rows it draws."""
+    parts = as_parts(features)
     y = np.asarray(labels)
-    if X.ndim != 2 or X.shape[1] != FEATURE_DIM:
+    if any(m.shape[1:] != (FEATURE_DIM,) for m, _ in parts):
         raise ValueError(f"features must be [N, {FEATURE_DIM}]")
-    if X.shape[0] != y.shape[0]:
+    if sum(len(r) for _, r in parts) != y.shape[0]:
         raise ValueError("features/labels length mismatch")
     mode.check_labels(y)
 
-    usable = X[:, FEATURE_DIM - 1] < 0.5  # degenerate pixels are hard-ruled NWA
-    std = fit_standardizer(X, usable if usable.any() else None)
+    # degenerate pixels are hard-ruled NWA
+    usable = np.concatenate([m[r, FEATURE_DIM - 1] < 0.5 for m, r in parts])
+    std = fit_standardizer(parts, usable if usable.any() else None)
     rng = np.random.default_rng(seed)
 
-    stages = {}
-    counts = {}
-    targets = stage_targets(y)
+    stages, counts = {}, {}
     for si, name in enumerate(stages_for_mode(mode)):
-        sel, target = targets[name]
-        sel = sel & usable
-        ys = target[sel]
-        n0 = int(np.count_nonzero(ys == 0))
-        n1 = int(np.count_nonzero(ys == 1))
-        counts[name] = (n0, n1)
-        if min(n0, n1) < MIN_SAMPLES_PER_CLASS:
-            raise ValueError(
-                f"stage {name}: insufficient samples per class {counts}; "
-                f"need >= {MIN_SAMPLES_PER_CLASS}"
-            )
-        # pick the rows first: standardising works row by row, so only the
-        # picked ones are copied
+        routed, positive = CASCADE[name]
+        rows = np.flatnonzero(np.isin(y, routed) & usable)
+        ys = np.isin(y[rows], positive).astype(np.int64)
+        n1 = int(np.count_nonzero(ys))
+        counts[name] = (len(ys) - n1, n1)
+        if min(counts[name]) < MIN_SAMPLES_PER_CLASS:
+            raise ValueError(f"stage {name}: insufficient samples per class {counts}; "
+                             f"need >= {MIN_SAMPLES_PER_CLASS}")
+        # pick the rows first: only the picked ones are copied and standardised
         pick = _subsample(ys, config.max_train_pixels,
                           balanced=(config.backend == "sdae"), rng=rng)
-        Xs, ys = std.apply(X[np.flatnonzero(sel)[pick]]), ys[pick]
+        Xs, ys = std.apply(_gather(parts, rows[pick])), ys[pick]
         stage_seed = seed + 7919 * (si + 1)
         if config.backend == "rf":
             stages[name] = train_rf(Xs, ys, config.rf, seed=stage_seed)

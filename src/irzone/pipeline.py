@@ -51,7 +51,7 @@ def read_manifest(path) -> list[ManifestEntry]:
     """The file pairs of a manifest: one `seq_path<TAB>mask_path` per line,
     blank lines skipped. Any other line is a FormatError naming path:line."""
     entries = []
-    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for n, line in enumerate(io.read_text(path, "manifest").splitlines(), start=1):
         if not line.strip():
             continue
         paths = line.split("\t")
@@ -142,27 +142,21 @@ def preprocess_sequence(seq: ThermalSequence) -> SequenceFeatures:
     return SequenceFeatures(features=feats, shape=(h, w))
 
 
-def _pooled(manifest_path, mode: Mode, seed: int, cap: int, columns,
-            where=None) -> list[np.ndarray]:
-    """Per-pixel arrays pooled over the manifest's sequences whose mask
+def _pooled(manifest_path, mode: Mode, seed: int, cap: int, where=None) -> list:
+    """(mask, features, rows) of each of the manifest's sequences whose mask
     sidecar names `mode`: the one place that loads a manifest's features.
 
-    `columns(mask, features)` gives one sequence's per-pixel arrays, each of
-    H·W rows, and `where(mask)`, if given, the [H, W] boolean mask of the
-    pixels to pool (all of them otherwise). When `cap` is set and a sequence
-    has more than `cap` such pixels, it contributes `cap` of them drawn
-    without replacement from one generator seeded by `seed`. The rows go
-    straight into arrays sized from the masks. A mask of another frame size
-    than its sequence is a ValueError."""
+    `rows` are the flat indices of the pixels to pool: those `where(mask)`
+    selects ([H, W] bool), if given, or all of them. When `cap` is set and a
+    sequence has more than `cap` such pixels, it contributes `cap` of them
+    drawn without replacement from one generator seeded by `seed`. A mask of
+    another frame size than its sequence is a ValueError."""
     lines = [(e, *io.read_mask(e.mask_path)) for e in read_manifest(manifest_path)]
     pairs = [(e, mask) for e, mask, mask_mode in lines if mask_mode is mode]
     if not pairs:
         raise ValueError(f"manifest has no {mode.value}-mode sequences")
-    sizes = [m.labels.size if where is None else np.count_nonzero(where(m)) for _, m in pairs]
-    total = sum(min(n, cap or n) for n in sizes)
     rng = np.random.default_rng(seed)
-    pooled = None
-    start = 0
+    pooled = []
     for e, mask in pairs:
         sf = load_features(e.seq_path)
         if mask.shape != sf.shape:
@@ -172,23 +166,20 @@ def _pooled(manifest_path, mode: Mode, seed: int, cap: int, columns,
         rows = np.arange(mask.labels.size) if where is None else np.flatnonzero(where(mask))
         if cap and len(rows) > cap:
             rows = rows[rng.choice(len(rows), size=cap, replace=False)]
-        cols = columns(mask, sf)
-        if pooled is None:
-            pooled = [np.empty((total, *c.shape[1:]), c.dtype) for c in cols]
-        for out, c in zip(pooled, cols):
-            out[start:start + len(rows)] = c[rows]
-        start += len(rows)
+        pooled.append((mask, sf, rows))
     return pooled
 
 
 def train_from_manifest(manifest_path, mode: Mode, config: CascadeConfig,
                         seed: int = 0, max_pixels_per_seq: int = 0) -> CascadeModel:
-    """Pool features and ground-truth labels over the manifest and train."""
+    """Train on the features and ground-truth labels pooled over the manifest,
+    passing each cached feature map by reference with the rows it gives."""
     if max_pixels_per_seq < 0:
         raise ValueError(f"max_pixels_per_seq must be >= 0, got {max_pixels_per_seq}")
-    X, y = _pooled(manifest_path, mode, seed, max_pixels_per_seq,
-                   lambda mask, sf: (sf.features, mask.labels.ravel()))
-    return cascade_train(X, y, mode, config, seed=seed)
+    pooled = _pooled(manifest_path, mode, seed, max_pixels_per_seq)
+    labels = np.concatenate([mask.labels.ravel()[rows] for mask, _, rows in pooled])
+    return cascade_train([(sf.features, rows) for _, sf, rows in pooled], labels, mode,
+                         config, seed=seed)
 
 
 def auto_zpr(shape, pixel_size, mode: Mode, margin: int = 16) -> ZoneMask:
@@ -329,10 +320,9 @@ def calibrate_thresholds(model: CascadeModel, manifest_path, alpha: float,
     Probabilities are smoothed exactly as at decision time, otherwise the
     fitted threshold is calibrated against a different distribution than the
     one it will cut; both go through `smoothed_probs` and `ha_score`."""
-    def scores(mask, sf):
-        smoothed = smoothed_probs(model, sf, pf_radius)  # once per sequence
-        return ha_score(smoothed).ravel(), mask.ha.ravel()
-
-    p_ha, is_ha = _pooled(manifest_path, model.mode, seed, CALIBRATION_PIXELS_PER_SEQ,
-                          scores, where=lambda mask: mask.wa)
+    pooled = _pooled(manifest_path, model.mode, seed, CALIBRATION_PIXELS_PER_SEQ,
+                     where=lambda mask: mask.wa)
+    p_ha = np.concatenate([ha_score(smoothed_probs(model, sf, pf_radius)).ravel()[rows]
+                           for _, sf, rows in pooled])
+    is_ha = np.concatenate([mask.ha.ravel()[rows] for mask, _, rows in pooled])
     return fit_thresholds(p_ha, is_ha, alpha, beta)

@@ -10,6 +10,7 @@ import irzone.pipeline as pipeline
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 from spans import Tracer  # noqa: E402
+from workloads import E2E  # noqa: E402
 
 
 def test_tracer_finds_every_wrapped_name():
@@ -20,6 +21,21 @@ def test_tracer_finds_every_wrapped_name():
     finally:
         tracer.uninstall()
     assert pipeline.load_features is load_features
+
+
+def test_traced_e2e_reaches_every_wrapped_name(tmp_path, monkeypatch):
+    """A small `run_e2e` under the benchmark's tracer calls every function
+    the e2e workloads expect to reach, and the counter hooks, which bind each
+    call's arguments by name, accept every call."""
+    monkeypatch.setattr(pipeline, "_FEATURE_CACHE", {})
+    tracer = Tracer()
+    tracer.install()
+    try:
+        pipeline.run_e2e(tmp_path, seed=7, config=pipeline.E2EConfig(n_train=2, n_test=1))
+        tracer.take()
+    finally:
+        tracer.uninstall()
+    tracer.check_reached(E2E.unused)
 
 
 def test_feature_cache_can_be_cleared_between_repetitions():

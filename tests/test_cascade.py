@@ -7,12 +7,12 @@ from irzone import io_formats as io
 from irzone.features import FEATURE_DIM, Standardizer
 from irzone.io_formats import FormatError
 from irzone.models.cascade import (
+    CASCADE,
     MIN_SAMPLES_PER_CLASS,
     CascadeConfig,
     CascadeModel,
     cascade_predict,
     cascade_train,
-    stage_targets,
     stages_for_mode,
 )
 from irzone.models.rf import RFConfig, RFModel, Tree, train_rf
@@ -81,8 +81,9 @@ class TestStageWiring:
 
     def test_stage_targets_route_by_taxonomy(self):
         labels = np.array([0, 50, 100, 150, 200], dtype=np.uint8)
-        routes = stage_targets(labels)
-        np.testing.assert_array_equal(routes["C1"][1], [0, 1, 1, 1, 1])
+        routes = {name: (np.isin(labels, routed), np.isin(labels, positive))
+                  for name, (routed, positive) in CASCADE.items()}
+        np.testing.assert_array_equal(routes["C1"][1], [False, True, True, True, True])
         np.testing.assert_array_equal(routes["C2"][0], [False, True, True, True, True])
         np.testing.assert_array_equal(routes["C3"][0], [False, False, False, True, True])
         np.testing.assert_array_equal(routes["C4"][0], [False, True, True, False, False])
@@ -346,11 +347,10 @@ def whole_matrix_cascade_train(features, labels, mode: Mode,
 
     stages = {}
     counts = {}
-    targets = stage_targets(y)
     for si, name in enumerate(stages_for_mode(mode)):
-        sel, target = targets[name]
-        sel = sel & usable
-        ys = target[sel]
+        routed, positive = CASCADE[name]
+        sel = np.isin(y, routed) & usable
+        ys = np.isin(y, positive).astype(np.int64)[sel]
         n0 = int(np.count_nonzero(ys == 0))
         n1 = int(np.count_nonzero(ys == 1))
         counts[name] = (n0, n1)
@@ -388,4 +388,27 @@ def test_training_matches_the_standardise_then_draw_path(backend, cap, tmp_path)
     got, want = tmp_path / "got.izm", tmp_path / "want.izm"
     io.write_model(got, cascade_train(x, y, Mode.IN, config, seed=3))
     io.write_model(want, whole_matrix_cascade_train(x, y, Mode.IN, config, seed=3))
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("backend", ["rf", "sdae"])
+def test_training_on_parts_matches_training_on_their_pooled_rows(backend, tmp_path):
+    # three parts over two matrices: shuffled rows, no rows, and repeated rows
+    x, y = synthetic_dataset(Mode.IN, n_per_class=300, seed=6)
+    x[::41, :] = 0.0
+    x[::41, -1] = 1.0
+    rng = np.random.default_rng(7)
+    half = len(x) // 2
+    a, b = x[:half], x[half:].copy()
+    rows = [rng.permutation(half)[:500], np.arange(0), rng.integers(0, len(b), size=600)]
+    parts = [(a, rows[0]), (b, rows[1]), (b, rows[2])]
+    labels = np.concatenate([y[:half][rows[0]], y[half:][rows[1]], y[half:][rows[2]]])
+    config = CascadeConfig(backend=backend, rf=RFConfig(n_trees=4, min_leaf=2),
+                           sdae=SDAEConfig(hidden_sizes=(6,), pretrain_epochs=1,
+                                           finetune_epochs=2),
+                           max_train_pixels=300)
+    got, want = tmp_path / "got.izm", tmp_path / "want.izm"
+    io.write_model(got, cascade_train(parts, labels, Mode.IN, config, seed=2))
+    pooled = np.concatenate([m[r] for m, r in parts])
+    io.write_model(want, cascade_train(pooled, labels, Mode.IN, config, seed=2))
     assert got.read_bytes() == want.read_bytes()

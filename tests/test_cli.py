@@ -63,6 +63,15 @@ class TestExitCodes:
         assert "malformed manifest line" in capsys.readouterr().err
         assert not (tmp_path / "model.izm").exists()
 
+    def test_manifest_that_is_not_utf8_is_data_error_naming_it(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_bytes(b"a.irts\ta\xff.pgm\n")
+        code = main(["train", "--manifest", str(manifest),
+                     "--model-out", str(tmp_path / "model.izm")])
+        assert code == 2
+        assert f"{manifest}: manifest is not text: " in capsys.readouterr().err
+        assert not (tmp_path / "model.izm").exists()
+
     def test_model_header_without_magic_is_data_error(self, tmp_path, capsys):
         model = write_model_block(tmp_path / "bad.izm", io._pack({"kind": "cascade"}))
         model.write_text(model.read_text().replace("irzone-model 1", "Irzone-model 1"))
@@ -296,6 +305,26 @@ class TestFlow:
             "--config", str(overrides), "--model-out", str(tmp_path / "model.izm"),
         ]) == 2
         assert "'rf.n_tree'" in capsys.readouterr().err
+        assert not (tmp_path / "model.izm").exists()
+
+    def test_train_repeated_config_key_is_data_error(self, workspace, tmp_path, capsys):
+        overrides = tmp_path / "overrides.txt"
+        overrides.write_text("rf.n_trees = 3\nrf.n_trees = 2\n")
+        assert main([
+            "train", "--manifest", str(workspace / "train" / "manifest.txt"),
+            "--config", str(overrides), "--model-out", str(tmp_path / "model.izm"),
+        ]) == 2
+        assert f"{overrides}: repeated config key 'rf.n_trees'" in capsys.readouterr().err
+        assert not (tmp_path / "model.izm").exists()
+
+    def test_train_config_that_is_not_utf8_is_data_error(self, workspace, tmp_path, capsys):
+        overrides = tmp_path / "overrides.txt"
+        overrides.write_bytes(b"rf.n_trees = 3 \xff\n")
+        assert main([
+            "train", "--manifest", str(workspace / "train" / "manifest.txt"),
+            "--config", str(overrides), "--model-out", str(tmp_path / "model.izm"),
+        ]) == 2
+        assert f"{overrides}: config file is not text: " in capsys.readouterr().err
         assert not (tmp_path / "model.izm").exists()
 
     def test_train_zero_trees_is_data_error(self, workspace, tmp_path, capsys):

@@ -158,3 +158,18 @@ def test_standardizer_equals_numpy_over_the_selected_rows(n, masked):
     s = fit_standardizer(x, rows)
     assert s.mean.tobytes() == picked.mean(axis=0).tobytes()
     assert s.scale.tobytes() == np.maximum(picked.std(axis=0), 1e-12).tobytes()
+
+
+def test_standardizer_over_parts_equals_numpy_over_their_pooled_rows():
+    # parts over two matrices, with shuffled, repeated and no rows, pooled
+    # past a block's length; numpy over a copy of the pooled rows is the reference
+    x = awkward_matrix(3 * BLOCK + 7, seed=4)
+    rng = np.random.default_rng(5)
+    other = awkward_matrix(50, seed=6)
+    parts = [(x, rng.permutation(len(x))[:BLOCK + 3]), (other, np.arange(0)),
+             (other, np.array([8, 1, 1])), (x, np.arange(BLOCK, len(x)))]
+    pooled = np.concatenate([m[r] for m, r in parts])
+    rows = rng.random(len(pooled)) < 0.6
+    s = fit_standardizer(parts, rows)
+    assert s.mean.tobytes() == pooled[rows].mean(axis=0).tobytes()
+    assert s.scale.tobytes() == np.maximum(pooled[rows].std(axis=0), 1e-12).tobytes()

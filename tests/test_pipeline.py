@@ -7,9 +7,16 @@ import pytest
 
 from irzone import io_formats as io
 from irzone import pipeline
-from irzone.features import FEATURE_DIM
-from irzone.models.cascade import CascadeConfig
-from irzone.models.rf import RFConfig
+from irzone.features import FEATURE_DIM, Standardizer
+from irzone.models.cascade import (
+    CASCADE,
+    CascadeConfig,
+    CascadeModel,
+    _subsample,
+    stages_for_mode,
+)
+from irzone.models.rf import RFConfig, train_rf
+from irzone.models.sdae import SDAEConfig, train_sdae
 from irzone.phantom import default_config_sampler, generate_phantom
 from irzone.pipeline import (
     ManifestEntry,
@@ -257,7 +264,8 @@ def test_pooled_columns_match_the_concatenating_path(mixed_manifest, capped, mon
     def capture(name):
         return lambda *args, **kwargs: seen.setdefault(name, args[:2])
 
-    # training: the rows `train_from_manifest` hands the cascade
+    # training: the rows `train_from_manifest` hands the cascade, by reference
+    # to the cached feature maps
     monkeypatch.setattr(pipeline, "cascade_train", capture("train"))
     pipeline.train_from_manifest(manifest, Mode.ON, CascadeConfig(), seed=9,
                                  max_pixels_per_seq=cap)
@@ -274,11 +282,62 @@ def test_pooled_columns_match_the_concatenating_path(mixed_manifest, capped, mon
         return ha_score(smoothed).ravel()[wa], mask.ha.ravel()[wa]
 
     want += concatenating_pooled(manifest, Mode.ON, 9, cap, wa_scores)
-    got = [*seen["train"], *seen["calibrate"]]
+    parts, labels = seen["train"]
+    on = [e for e in read_manifest(manifest) if io.read_mask(e.mask_path)[1] is Mode.ON]
+    assert all(m is load_features(e.seq_path).features for (m, _), e in zip(parts, on, strict=True))
+    got = [np.concatenate([m[r] for m, r in parts]), labels, *seen["calibrate"]]
     assert len(got[2]) == sum(min(n, cap) if cap else n for n in counts)
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
+
+
+def pooled_matrix_train(manifest_path, mode, config, seed=0, max_pixels_per_seq=0):
+    """`train_from_manifest` and `cascade_train` before training read the
+    cached features by reference, kept as their oracle: every pooled row is
+    copied into one [N, D] matrix, the standardizer is numpy's mean and std
+    of its usable rows, and each stage draws its rows from the matrix."""
+    X, y = concatenating_pooled(manifest_path, mode, seed, max_pixels_per_seq,
+                                lambda mask, sf: (sf.features, mask.labels.ravel()))
+    mode.check_labels(y)
+    usable = X[:, FEATURE_DIM - 1] < 0.5  # degenerate pixels are hard-ruled NWA
+    fitted = X[usable] if usable.any() else X
+    std = Standardizer(mean=fitted.mean(axis=0), scale=np.maximum(fitted.std(axis=0), 1e-12))
+    rng = np.random.default_rng(seed)
+    stages = {}
+    for si, name in enumerate(stages_for_mode(mode)):
+        routed, positive = CASCADE[name]
+        sel = np.isin(y, routed) & usable
+        ys = np.isin(y, positive).astype(np.int64)[sel]
+        pick = _subsample(ys, config.max_train_pixels,
+                          balanced=(config.backend == "sdae"), rng=rng)
+        Xs, ys = std.apply(X[np.flatnonzero(sel)[pick]]), ys[pick]
+        stage_seed = seed + 7919 * (si + 1)
+        if config.backend == "rf":
+            stages[name] = train_rf(Xs, ys, config.rf, seed=stage_seed)
+        else:
+            stages[name] = train_sdae(Xs, ys, config.sdae, seed=stage_seed)
+    return CascadeModel(mode=mode, backend=config.backend, standardizer=std,
+                        stages=stages, seed=seed)
+
+
+@pytest.mark.parametrize("cap", [0, 5000], ids=["cap-0", "cap-above-the-80x48-count"])
+@pytest.mark.parametrize("backend", ["rf", "sdae"])
+def test_training_by_reference_writes_the_pooled_matrix_model(mixed_manifest, backend, cap,
+                                                              tmp_path):
+    # the manifest mixes On- and Off-mode sequences; its On-mode 96x72 ones
+    # hold 6,912 pixels and its 80x48 ones 3,840, so a cap of 5,000 draws
+    # from the first and keeps the second whole
+    manifest, _ = mixed_manifest
+    config = CascadeConfig(backend=backend, rf=RFConfig(n_trees=3), max_train_pixels=3000,
+                           sdae=SDAEConfig(hidden_sizes=(8,), pretrain_epochs=1,
+                                           finetune_epochs=3))
+    got, want = tmp_path / "got.izm", tmp_path / "want.izm"
+    io.write_model(got, pipeline.train_from_manifest(manifest, Mode.ON, config, seed=5,
+                                                     max_pixels_per_seq=cap))
+    io.write_model(want, pooled_matrix_train(manifest, Mode.ON, config, seed=5,
+                                             max_pixels_per_seq=cap))
+    assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("where", [None, lambda mask: mask.wa], ids=["train", "calibrate"])
@@ -290,8 +349,7 @@ def test_pooled_mask_of_another_size_names_both_files(mixed_manifest, tmp_path, 
     write_manifest(tmp_path / "manifest.txt", entries)
     with pytest.raises(ValueError, match=re.escape(
             f"mask {big.mask_path} is 96x72, but sequence {small.seq_path} is 80x48")):
-        pipeline._pooled(tmp_path / "manifest.txt", Mode.ON, 0, 0,
-                         lambda mask, sf: (sf.features,), where=where)
+        pipeline._pooled(tmp_path / "manifest.txt", Mode.ON, 0, 0, where=where)
 
 
 def test_pooled_keeps_the_sequences_whose_sidecar_names_the_mode(mixed_manifest):
@@ -299,10 +357,12 @@ def test_pooled_keeps_the_sequences_whose_sidecar_names_the_mode(mixed_manifest)
     entries = read_manifest(manifest)
     modes = [io.read_mask(e.mask_path)[1] for e in entries]
     assert modes == [Mode.ON, Mode.ON, Mode.OFF, Mode.ON, Mode.ON]
-    labels = pipeline._pooled(manifest, Mode.OFF, 0, 0, lambda mask, sf: (mask.labels.ravel(),))
-    assert np.array_equal(labels[0], io.read_mask(entries[2].mask_path)[0].labels.ravel())
-    on_rows = pipeline._pooled(manifest, Mode.ON, 0, 0, lambda mask, sf: (sf.features,))
-    assert np.array_equal(on_rows[0], np.concatenate(
-        [load_features(e.seq_path).features for i, e in enumerate(entries) if i != 2]))
+    [(mask, sf, rows)] = pipeline._pooled(manifest, Mode.OFF, 0, 0)
+    assert np.array_equal(mask.labels, io.read_mask(entries[2].mask_path)[0].labels)
+    assert sf is load_features(entries[2].seq_path)
+    assert np.array_equal(rows, np.arange(mask.labels.size))
+    on = pipeline._pooled(manifest, Mode.ON, 0, 0)
+    assert [sf for _, sf, _ in on] == [load_features(e.seq_path)
+                                       for i, e in enumerate(entries) if i != 2]
     with pytest.raises(ValueError, match="manifest has no In-mode sequences"):
-        pipeline._pooled(manifest, Mode.IN, 0, 0, lambda mask, sf: (sf.features,))
+        pipeline._pooled(manifest, Mode.IN, 0, 0)
