@@ -20,11 +20,10 @@ from .pipeline import (
     make_dataset,
     run_e2e,
     train_from_manifest,
-    zpr_from_reference,
 )
 from .postprocess import DecisionThresholds
 from .preprocess import register_sequence, remove_damaged_frames
-from .zones import LEAF_LABELS, Mode, ZoneMask
+from .zones import LEAF_LABELS, Mode
 
 
 class _UsageError(Exception):
@@ -157,7 +156,7 @@ def _cmd_preprocess(args) -> int:
     _, report = remove_damaged_frames(registered, report)
     text = "\n".join(report.lines()) + "\n"
     if args.report:
-        io._atomic_write(args.report, text.encode())
+        io._atomic_write(args.report, [text.encode()])
     else:
         sys.stdout.write(text)
     return 0

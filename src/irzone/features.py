@@ -119,7 +119,8 @@ class Standardizer:
             raise ValueError(
                 f"dimension mismatch: got {x.shape[-1]}, expected {self.mean.shape[0]}"
             )
-        return (x - self.mean) / self.scale
+        out = np.subtract(x, self.mean)  # one new array, divided in place
+        return np.divide(out, self.scale, out=out)
 
     def to_state(self) -> dict:
         return {"mean": self.mean, "scale": self.scale}

@@ -26,13 +26,14 @@ class FormatError(ValueError):
     """A file that is not as its writer writes it."""
 
 
-def _atomic_write(path, data: bytes):
+def _atomic_write(path, chunks):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -50,39 +51,53 @@ def _frame_record(h, w):
 
 
 def write_sequence(path, seq: ThermalSequence):
+    """Writes `seq` frame by frame from its own arrays, copying no frame."""
     h, w = seq.frame_shape
-    header = MAGIC + struct.pack("<HIIId", VERSION, w, h, seq.n_frames, seq.pixel_size)
-    records = np.empty(seq.n_frames, dtype=_frame_record(h, w))
-    records["t"], records["frame"] = seq.timestamps, seq.data
-    _atomic_write(path, header + records.tobytes())
+    times = np.ascontiguousarray(seq.timestamps, dtype="<f8")
+
+    def chunks():
+        yield MAGIC + struct.pack("<HIIId", VERSION, w, h, seq.n_frames, seq.pixel_size)
+        for i in range(seq.n_frames):
+            yield times[i : i + 1]
+            yield np.ascontiguousarray(seq.data[i], dtype="<f4")
+
+    _atomic_write(path, chunks())
 
 
 def read_sequence(path) -> ThermalSequence:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4:
-        raise FormatError(f"{path}: file shorter than magic")
-    if raw[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
+    """Reads the frames straight into one [T, H, W] float32 array."""
     head_size = 4 + struct.calcsize("<HIIId")
-    if len(raw) < head_size:
-        raise FormatError(f"{path}: truncated header")
-    version, w, h, n, px = struct.unpack("<HIIId", raw[4:head_size])
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if not 0 < px < math.inf:
-        raise FormatError(f"{path}: pixel size {px} is not a positive length")
-    frame_bytes = 8 + 4 * w * h
-    expect = head_size + n * frame_bytes
-    if len(raw) < expect:
-        raise FormatError(f"{path}: payload truncated ({len(raw)} < {expect} bytes)")
-    if len(raw) != expect:
-        raise FormatError(f"{path}: payload size {len(raw)} != declared {expect}")
-    try:  # frame too large for a dtype, non-finite temperatures, timestamps out of order
-        records = np.frombuffer(raw, dtype=_frame_record(h, w), count=n, offset=head_size)
-        return ThermalSequence(data=records["frame"].astype(np.float32),
-                               timestamps=records["t"].astype(np.float64), pixel_size=px)
-    except ValueError as e:
-        raise FormatError(f"{path}: {e}") from e
+    with open(path, "rb") as f:
+        raw, size = f.read(head_size), os.fstat(f.fileno()).st_size
+        if len(raw) < 4:
+            raise FormatError(f"{path}: file shorter than magic")
+        if raw[:4] != MAGIC:
+            raise FormatError(f"{path}: bad magic {raw[:4]!r}")
+        if len(raw) < head_size:
+            raise FormatError(f"{path}: truncated header")
+        version, w, h, n, px = struct.unpack("<HIIId", raw[4:])
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if not 0 < px < math.inf:
+            raise FormatError(f"{path}: pixel size {px} is not a positive length")
+        frame_bytes = 8 + 4 * w * h
+        expect = head_size + n * frame_bytes
+        if size < expect:
+            raise FormatError(f"{path}: payload truncated ({size} < {expect} bytes)")
+        if size != expect:
+            raise FormatError(f"{path}: payload size {size} != declared {expect}")
+        # a frame too large for a record (checked before any array is made, as
+        # a file of no frames does not bound w and h), a short read,
+        # non-finite temperatures, timestamps out of order
+        try:
+            _frame_record(h, w)
+            data, times = np.empty((n, h, w), dtype="<f4"), np.empty(n, dtype="<f8")
+            for i in range(n):
+                if f.readinto(times[i : i + 1]) + f.readinto(data[i]) != frame_bytes:
+                    raise ValueError(f"file ends inside frame {i}")
+            return ThermalSequence(data=data, timestamps=times, pixel_size=px)
+        except ValueError as e:
+            raise FormatError(f"{path}: {e}") from e
 
 
 # --- zone masks (PGM P5 + text sidecar) --------------------------------------
@@ -91,9 +106,9 @@ def write_mask(path, mask: ZoneMask, mode: Mode):
     mask.check_mode(mode)
     h, w = mask.shape
     header = f"P5\n{w} {h}\n255\n".encode()
-    _atomic_write(path, header + mask.labels.tobytes())
+    _atomic_write(path, [header, mask.labels.tobytes()])
     sidecar = f"pixel_size_m {mask.pixel_size:.9e}\nmode {mode.value}\n"
-    _atomic_write(str(path) + ".meta", sidecar.encode())
+    _atomic_write(str(path) + ".meta", [sidecar.encode()])
 
 
 def _parse_pgm(raw: bytes, path):
@@ -321,8 +336,8 @@ def _model_text(kind, extra: dict, block: bytes) -> str:
 def write_model(path, model, header_extra: dict | None = None):
     state = model.to_state()
     block = _pack(state)
-    _atomic_write(path, _model_text(state.get("kind", "unknown"), header_extra or {},
-                                    block).encode())
+    _atomic_write(path, [_model_text(state.get("kind", "unknown"), header_extra or {},
+                                     block).encode()])
 
 
 def read_model_state(path) -> tuple[dict, object]:
@@ -429,4 +444,4 @@ def write_ppm(path, img: np.ndarray):
     h, w, c = img.shape
     if c != 3 or img.dtype != np.uint8:
         raise ValueError("image must be uint8 RGB")
-    _atomic_write(path, f"P6\n{w} {h}\n255\n".encode() + img.tobytes())
+    _atomic_write(path, [f"P6\n{w} {h}\n255\n".encode(), img.tobytes()])

@@ -44,7 +44,7 @@ class ManifestEntry:
 
 
 def write_manifest(path, entries: list[ManifestEntry]):
-    io._atomic_write(path, "".join(f"{e.seq_path}\t{e.mask_path}\n" for e in entries).encode())
+    io._atomic_write(path, [f"{e.seq_path}\t{e.mask_path}\n".encode() for e in entries])
 
 
 def read_manifest(path) -> list[ManifestEntry]:
@@ -308,7 +308,7 @@ def run_e2e(out_dir, seed: int, config: E2EConfig = E2EConfig()) -> dict:
         results[backend.upper()] = items
 
     text = make_report(results)
-    io._atomic_write(out_dir / "report.txt", text.encode())
+    io._atomic_write(out_dir / "report.txt", [text.encode()])
     return {"report": text, "results": results}
 
 

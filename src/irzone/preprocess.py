@@ -323,6 +323,9 @@ def register_sequence(seq):
 
     Rotations and super-threshold shifts are not corrected: those frames are
     flagged fatal for the damaged-frame stage to delete.
+
+    `seq` is never written: the result shares its frame array until a frame
+    moves, which makes one copy.
     """
     from .phantom import ThermalSequence
 
@@ -331,8 +334,7 @@ def register_sequence(seq):
     report = PreprocessReport()
     h, w = seq.frame_shape
     valid = np.ones((h, w), dtype=bool)
-    out = np.empty_like(seq.data, dtype=np.float32)
-    out[0] = seq.data[0]
+    out = seq.data  # shared until a frame moves
     report.shifts.append(ShiftEstimate(0.0, 0.0, 1.0))
     m = DEFAULT_MAX_SHIFT
     prev = _prepare(seq.data[0], HIGHPASS_SIGMA, m)  # the reference
@@ -347,12 +349,11 @@ def register_sequence(seq):
                 est = ShiftEstimate(0.0, 0.0, est.peak_score)
             report.shifts.append(est)
             if est.fatal:
-                out[i] = seq.data[i]
                 continue  # reference frozen; frame is deleted downstream
             if est.dx == 0.0 and est.dy == 0.0:
-                out[i] = seq.data[i]
                 prev = cur  # the new reference is this frame, already prepared
             else:
+                out = seq.data.copy() if out is seq.data else out
                 aligned, v = bilinear_sample(
                     seq.data[i].astype(np.float64), est.dx, est.dy
                 )

@@ -1,7 +1,10 @@
 """File formats: sequence container, mask files, model persistence, overlays."""
 
+import os
 import re
 import struct
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +34,101 @@ def loop_sequence_bytes(seq):
     return b"".join(chunks)
 
 
+def read_bytes_sequence(path) -> ThermalSequence:
+    """The reader that held the file's bytes beside their float32 copy, kept
+    verbatim as its oracle."""
+    raw = Path(path).read_bytes()
+    if len(raw) < 4:
+        raise io.FormatError(f"{path}: file shorter than magic")
+    if raw[:4] != io.MAGIC:
+        raise io.FormatError(f"{path}: bad magic {raw[:4]!r}")
+    head_size = 4 + struct.calcsize("<HIIId")
+    if len(raw) < head_size:
+        raise io.FormatError(f"{path}: truncated header")
+    version, w, h, n, px = struct.unpack("<HIIId", raw[4:head_size])
+    if version != io.VERSION:
+        raise io.FormatError(f"{path}: unsupported version {version}")
+    if not 0 < px < float("inf"):
+        raise io.FormatError(f"{path}: pixel size {px} is not a positive length")
+    frame_bytes = 8 + 4 * w * h
+    expect = head_size + n * frame_bytes
+    if len(raw) < expect:
+        raise io.FormatError(f"{path}: payload truncated ({len(raw)} < {expect} bytes)")
+    if len(raw) != expect:
+        raise io.FormatError(f"{path}: payload size {len(raw)} != declared {expect}")
+    try:  # frame too large for a dtype, non-finite temperatures, timestamps out of order
+        records = np.frombuffer(raw, dtype=io._frame_record(h, w), count=n, offset=head_size)
+        return ThermalSequence(data=records["frame"].astype(np.float32),
+                               timestamps=records["t"].astype(np.float64), pixel_size=px)
+    except ValueError as e:
+        raise io.FormatError(f"{path}: {e}") from e
+
+
+def read_outcome(read, path):
+    """(data bytes, dtype and shape, timestamp bytes and dtype, pixel size)
+    of `read(path)`, or the FormatError's message."""
+    try:
+        seq = read(path)
+    except io.FormatError as e:
+        return str(e)
+    return (seq.data.tobytes(), seq.data.dtype, seq.data.shape, seq.timestamps.tobytes(),
+            seq.timestamps.dtype, seq.pixel_size)
+
+
+class TestStreamedSequenceIO:
+    """The streamed writer writes the per-frame writer's bytes, and the streamed
+    reader reads what the whole-file reader read, or fails with its message."""
+
+    @pytest.mark.parametrize("layout", ["c-order", "transposed", "every-other-column"])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 6, 5), (3, 6, 5), (4, 9, 2)])
+    def test_written_and_read_as_the_oracles_do(self, tmp_path, shape, layout):
+        t, h, w = shape
+        rng = np.random.default_rng(sum(shape))
+        if layout == "c-order":
+            data = rng.normal(30.0, 2.0, size=shape).astype(np.float32)
+        elif layout == "transposed":
+            data = rng.normal(30.0, 2.0, size=(t, w, h)).astype(np.float32).transpose(0, 2, 1)
+        else:
+            data = rng.normal(30.0, 2.0, size=(t, h, 2 * w)).astype(np.float32)[:, :, ::2]
+        seq = ThermalSequence(data, np.arange(t) * 0.5 - 1.0, 250e-6)
+        assert seq.data.flags.c_contiguous == (layout == "c-order" or 1 in (h, w))
+        path = tmp_path / "a.irts"
+        io.write_sequence(path, seq)
+        assert path.read_bytes() == loop_sequence_bytes(seq)
+        back = read_outcome(io.read_sequence, path)
+        assert back == read_outcome(read_bytes_sequence, path)
+        assert back[0] == np.ascontiguousarray(seq.data).tobytes()
+
+    def test_every_truncation_reads_as_the_oracle_does(self, tmp_path):
+        raw = loop_sequence_bytes(random_sequence(shape=(3, 4, 2)))
+        path = tmp_path / "a.irts"
+        for n in range(len(raw) + 1):
+            path.write_bytes(raw[:n])
+            assert read_outcome(io.read_sequence, path) == read_outcome(read_bytes_sequence, path)
+
+    def test_every_flipped_byte_reads_as_the_oracle_does(self, tmp_path):
+        seq = random_sequence(shape=(2, 3, 2))
+        raw = loop_sequence_bytes(seq)
+        path = tmp_path / "a.irts"
+        for i in range(len(raw)):
+            for x in (0x01, 0x80, 0xFF):
+                flipped = bytearray(raw)
+                flipped[i] ^= x
+                path.write_bytes(bytes(flipped))
+                assert (read_outcome(io.read_sequence, path)
+                        == read_outcome(read_bytes_sequence, path)), (i, x)
+
+    def test_file_ending_before_its_size_is_format_error(self, tmp_path, monkeypatch):
+        # a file that shrinks between the size check and the last frame's read
+        path = tmp_path / "a.irts"
+        io.write_sequence(path, random_sequence())
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-10])
+        monkeypatch.setattr(io.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+        with pytest.raises(io.FormatError, match="file ends inside frame 2"):
+            io.read_sequence(path)
+
+
 class TestSequenceContainer:
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 6, 5), (2, 1, 7), (4, 9, 1)])
     def test_bytes_match_the_per_frame_layout(self, tmp_path, shape):
@@ -47,6 +145,15 @@ class TestSequenceContainer:
         path.write_bytes(io.MAGIC + struct.pack("<HIIId", io.VERSION, 70000, 70000, 0, 250e-6))
         with pytest.raises(io.FormatError):
             io.read_sequence(path)
+
+    def test_largest_declared_frame_of_no_frames_is_format_error(self, tmp_path):
+        # no frame, so the size check cannot bound w and h: no array may be made first
+        path = tmp_path / "a.irts"
+        path.write_bytes(io.MAGIC + struct.pack("<HIIId", io.VERSION, 2**32 - 1, 2**32 - 1, 0,
+                                                250e-6))
+        with pytest.raises(io.FormatError, match="a.irts: "):
+            io.read_sequence(path)
+        assert read_outcome(io.read_sequence, path) == read_outcome(read_bytes_sequence, path)
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         seq = random_sequence()

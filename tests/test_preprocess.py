@@ -341,6 +341,29 @@ class TestRegisterPreparedFrames:
         assert len(prepared) == seq.n_frames + moved
         assert_registration_matches_loop(seq, registered, report)
 
+    @pytest.mark.parametrize("name, ahead", [
+        pytest.param(name, ahead, id=name + ("-ahead" if ahead else ""))
+        for name in [*CASES, "fatal-only"] for ahead in (False, True)
+    ])
+    def test_frames_are_shared_until_one_moves(self, name, ahead, monkeypatch):
+        # "fatal-only": frame 9 jumps out of the window and back; no frame moves
+        overrides, seed, moved, fatal = self.CASES.get(name, (
+            dict(noise_sigma=0.03, shift_schedule=[(0.0, 0.0)] * 9 + [(7.0, -1.0)]
+                 + [(0.0, 0.0)] * 20), 22, 0, [9]))
+        monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
+        if ahead:
+            monkeypatch.setattr(preprocess, "AHEAD_MIN_PIXELS", 0)
+        seq, _ = generate_phantom(small_config(**overrides), seed=seed)
+        before = seq.data.tobytes()
+        seq.data.flags.writeable = False  # registration never writes its input
+        registered, report = register_sequence(seq)
+        assert seq.data.tobytes() == before
+        assert [i for i, s in enumerate(report.shifts) if s.fatal] == fatal
+        assert (registered.data is seq.data) == (moved == 0)
+        if moved:
+            assert registered.data.flags.writeable and registered.data.flags.c_contiguous
+        assert_registration_matches_loop(seq, registered, report)
+
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(preprocess, "ThreadPoolExecutor", None)  # calling it fails
         monkeypatch.setattr(preprocess, "AHEAD_MIN_PIXELS", 0)
