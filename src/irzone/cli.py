@@ -10,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 
+from . import evaluation
 from . import io_formats as io
 from .models.cascade import CascadeConfig
+from .phantom import default_config_sampler
 from .pipeline import (
     E2EConfig,
     auto_zpr,
     calibrate_thresholds,
+    check_frame_size,
     infer_sequence,
     make_dataset,
     run_e2e,
@@ -132,8 +135,6 @@ def _read_config_overrides(path) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    from .phantom import default_config_sampler
-
     if args.mode is not None and args.mode_mix is not None:
         raise _UsageError("argument --mode: not allowed with argument --mode-mix")
     mode = Mode.ON if args.mode is None else Mode.parse(args.mode)
@@ -223,8 +224,10 @@ def _cmd_infer(args) -> int:
     h, w = seq.frame_shape
     if args.zpr == "auto":
         z_pr = auto_zpr((h, w), seq.pixel_size, model.mode)
-    else:
+    else:  # checked against the sequence and the model before anything is calibrated
         z_pr, _ = io.read_mask(args.zpr)
+        check_frame_size(args.zpr, z_pr, args.input, (h, w))
+        z_pr.check_mode(model.mode, f"--zpr mask {args.zpr} has labels")
     if args.calib:
         thresholds = calibrate_thresholds(model, args.calib, alpha, beta)
     else:
@@ -235,35 +238,33 @@ def _cmd_infer(args) -> int:
     res = infer_sequence(model, seq, z_pr, thresholds)
     io.write_mask(args.out_mask, res.z_ps, model.mode)
     if args.out_probs:
-        from .phantom import ThermalSequence
-
         # leaf probability planes stored in the sequence container,
         # one plane per leaf label in LEAF_LABELS order
         planes = np.stack([res.prob_maps[l] for l in LEAF_LABELS]).astype(np.float32)
-        probs_seq = ThermalSequence(planes, np.arange(len(LEAF_LABELS), dtype=float),
-                                    seq.pixel_size)
+        probs_seq = io.ThermalSequence(planes, np.arange(len(LEAF_LABELS), dtype=float),
+                                       seq.pixel_size)
         io.write_sequence(args.out_probs, probs_seq)
     print(f"wrote mask to {args.out_mask}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    from .evaluation import report, report_kv
-
     pred, _ = io.read_mask(args.pred)
     ref, _ = io.read_mask(args.ref)
+    check_frame_size(args.pred, pred, args.ref, ref.shape, other="mask")
     results = {"MODEL": [(Path(args.pred).stem, pred, ref)]}
-    text = report(results) if args.format == "table" else report_kv(results)
-    sys.stdout.write(text)
+    report = evaluation.report if args.format == "table" else evaluation.report_kv
+    sys.stdout.write(report(results))
     return 0
 
 
 def _cmd_render(args) -> int:
     seq = io.read_sequence(args.seq)
     background = seq.data.mean(axis=0)
-    ref = io.read_mask(args.ref)[0] if args.ref else None
-    alg = io.read_mask(args.alg)[0] if args.alg else None
-    img = io.render_overlay(background, ref, alg)
+    masks = {path: io.read_mask(path)[0] for path in (args.ref, args.alg) if path}
+    for path, mask in masks.items():
+        check_frame_size(path, mask, args.seq, seq.frame_shape)
+    img = io.render_overlay(background, masks.get(args.ref), masks.get(args.alg))
     io.write_ppm(args.out, img)
     print(f"wrote overlay to {args.out}")
     return 0

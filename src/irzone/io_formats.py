@@ -10,12 +10,12 @@ import os
 import re
 import struct
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
-from .phantom import ThermalSequence
 from .zones import Mode, ZoneMask
 
 MAGIC = b"IRTS"
@@ -62,6 +62,35 @@ def write_sequence(path, seq: ThermalSequence):
             yield np.ascontiguousarray(seq.data[i], dtype="<f4")
 
     _atomic_write(path, chunks())
+
+
+@dataclass
+class ThermalSequence:
+    """Dense [T, H, W] temperature stack with timestamps (s) since coolant removal."""
+
+    data: np.ndarray
+    timestamps: np.ndarray
+    pixel_size: float
+
+    def __post_init__(self):
+        self.data = np.asarray(self.data, dtype=np.float32)
+        self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
+        if self.data.ndim != 3:
+            raise ValueError("data must be [T, H, W]")
+        if len(self.timestamps) != self.data.shape[0]:
+            raise ValueError("timestamps/frames length mismatch")
+        if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > 0):
+            raise ValueError("timestamps must be strictly increasing")
+        if not all(np.isfinite(frame).all() for frame in self.data):  # one frame's mask at a time
+            raise ValueError("non-finite temperatures")
+
+    @property
+    def n_frames(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def frame_shape(self) -> tuple[int, int]:
+        return self.data.shape[1:]
 
 
 def read_sequence(path) -> ThermalSequence:
@@ -381,7 +410,7 @@ def read_model_state(path) -> tuple[dict, object]:
 
 
 def load_cascade(path):
-    from .models.cascade import CascadeModel
+    from .models.cascade import CascadeModel  # here, as the models import this module
 
     header, state = read_model_state(path)
     if not isinstance(state, dict) or state.get("kind") != "cascade":
@@ -389,6 +418,8 @@ def load_cascade(path):
     if header["kind"] != "cascade":
         raise FormatError(f"{path}: header kind {header['kind']!r} is not the state's 'cascade'")
     model = CascadeModel.from_state(state)
+    if _pack(model.to_state()).hex() != header["params"]:
+        raise FormatError(f"{path}: parameter block is not what write_model writes for its model")
     if header.get("mode", model.mode.value) != model.mode.value:
         raise FormatError(f"{path}: header mode {header['mode']!r} is not the model's "
                           f"{model.mode.value!r}")

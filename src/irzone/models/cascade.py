@@ -105,15 +105,15 @@ class CascadeModel:
             raise FormatError(
                 f"standardizer has {standardizer.mean.shape[0]} features, not {FEATURE_DIM}"
             )
-        for name, stage in stages.items():
-            if state_fields(stage, kind=str) != [backend]:
+        models = {}
+        for name in stages_for_mode(mode):  # in table order, as cascade_train builds them
+            if state_fields(stages[name], kind=str) != [backend]:
                 raise FormatError(f"stage {name} is not a {backend} model")
-            stages[name] = loaders[backend](stage)
-            width = (stages[name].n_features if backend == "rf"
-                     else stages[name].layer_sizes[0])
+            loaded = models[name] = loaders[backend](stages[name])
+            width = loaded.n_features if backend == "rf" else loaded.layer_sizes[0]
             if width != FEATURE_DIM:
                 raise FormatError(f"stage {name} takes {width} features, not {FEATURE_DIM}")
-        return cls(mode=mode, backend=backend, standardizer=standardizer, stages=stages,
+        return cls(mode=mode, backend=backend, standardizer=standardizer, stages=models,
                    seed=seed)
 
 

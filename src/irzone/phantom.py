@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.ndimage import gaussian_filter
 
+from .io_formats import ThermalSequence
 from .preprocess import bilinear_sample
 from .zones import HA_LEAVES, NA_LEAVES, Mode, ZoneLabel, ZoneMask
 
@@ -124,35 +126,6 @@ class PhantomConfig:
                 raise ValueError("tumor center outside frame")
 
 
-@dataclass
-class ThermalSequence:
-    """Dense [T, H, W] temperature stack with timestamps (s) since coolant removal."""
-
-    data: np.ndarray
-    timestamps: np.ndarray
-    pixel_size: float
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float32)
-        self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
-        if self.data.ndim != 3:
-            raise ValueError("data must be [T, H, W]")
-        if len(self.timestamps) != self.data.shape[0]:
-            raise ValueError("timestamps/frames length mismatch")
-        if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > 0):
-            raise ValueError("timestamps must be strictly increasing")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("non-finite temperatures")
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def frame_shape(self) -> tuple[int, int]:
-        return self.data.shape[1:]
-
-
 def recovery_curve(params, t):
     """Newtonian recovery T(t) = T_base - dT * exp(-t / tau).
 
@@ -178,8 +151,6 @@ def _sample_param_maps(labels, overrides, recovery, rng, shape):
     noise); without coherent structure the frames decorrelate over the
     recovery and registration has nothing to lock onto.
     """
-    from scipy.ndimage import gaussian_filter
-
     maps = {k: np.zeros(shape) for k in ("t_base", "dt", "tau")}
     zone_of_label = {ZoneLabel.NWA: "NWA", **dict.fromkeys(NA_LEAVES, "NA"),
                      **dict.fromkeys(HA_LEAVES, "HA")}  # in the order of the draws

@@ -10,11 +10,12 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import evaluation
 from . import io_formats as io
 from .features import extract_features_batch
 from .models.cascade import CascadeConfig, CascadeModel, cascade_predict, cascade_train
 from .models.rf import RFConfig
-from .phantom import ThermalSequence, default_config_sampler, generate_phantom
+from .phantom import default_config_sampler, generate_phantom
 from .postprocess import (
     DEFAULT_MIN_AREA_MM2,
     DecisionThresholds,
@@ -78,25 +79,20 @@ def make_dataset(out_dir, mode_mix, config_sampler, seed=0) -> list[ManifestEntr
 
     rng = np.random.default_rng(seed)
     entries = []
-    idx = 0
     for mode in Mode:  # On, In, Off
-        count = int(mode_mix.get(mode.value, 0))
-        if count == 0:
-            continue
-        for _ in range(count):
+        for _ in range(int(mode_mix.get(mode.value, 0))):
             config = config_sampler(rng)
             config.mode = mode
             seq_seed = int(rng.integers(0, 2**31 - 1))
             seq, mask = generate_phantom(config, seq_seed)
-            seq_path = out_dir / f"seq_{idx:04d}.irts"
-            mask_path = out_dir / f"mask_{idx:04d}.pgm"
+            seq_path = out_dir / f"seq_{len(entries):04d}.irts"
+            mask_path = out_dir / f"mask_{len(entries):04d}.pgm"
             try:
                 io.write_sequence(seq_path, seq)
                 io.write_mask(mask_path, mask, mode)
             except OSError as e:
                 raise OSError(f"failed writing {seq_path}: {e}") from e
             entries.append(ManifestEntry(str(seq_path), str(mask_path)))
-            idx += 1
     write_manifest(out_dir / "manifest.txt", entries)
     return entries
 
@@ -126,7 +122,7 @@ def load_features(seq_path) -> SequenceFeatures:
     return _FEATURE_CACHE[key]
 
 
-def preprocess_sequence(seq: ThermalSequence) -> SequenceFeatures:
+def preprocess_sequence(seq: io.ThermalSequence) -> SequenceFeatures:
     """EDR + RDF + per-pixel fit + feature extraction for one sequence."""
     registered, rep = register_sequence(seq)
     cleaned, rep = remove_damaged_frames(registered, rep)
@@ -140,6 +136,13 @@ def preprocess_sequence(seq: ThermalSequence) -> SequenceFeatures:
     fits["degenerate"] = fits["degenerate"] | ~rep.valid_mask.ravel()
     feats = extract_features_batch(fits, series, cleaned.timestamps)
     return SequenceFeatures(features=feats, shape=(h, w))
+
+
+def check_frame_size(mask_path, mask: ZoneMask, other_path, shape, other="sequence"):
+    """A ValueError naming both files unless mask `mask_path` has the frame size `shape`."""
+    (mh, mw), (h, w) = mask.shape, shape
+    if (mh, mw) != (h, w):
+        raise ValueError(f"mask {mask_path} is {mw}x{mh}, but {other} {other_path} is {w}x{h}")
 
 
 def _pooled(manifest_path, mode: Mode, seed: int, cap: int, where=None) -> list:
@@ -159,10 +162,7 @@ def _pooled(manifest_path, mode: Mode, seed: int, cap: int, where=None) -> list:
     pooled = []
     for e, mask in pairs:
         sf = load_features(e.seq_path)
-        if mask.shape != sf.shape:
-            (mh, mw), (sh, sw) = mask.shape, sf.shape
-            raise ValueError(f"mask {e.mask_path} is {mw}x{mh}, "
-                             f"but sequence {e.seq_path} is {sw}x{sh}")
+        check_frame_size(e.mask_path, mask, e.seq_path, sf.shape)
         rows = np.arange(mask.labels.size) if where is None else np.flatnonzero(where(mask))
         if cap and len(rows) > cap:
             rows = rows[rng.choice(len(rows), size=cap, replace=False)]
@@ -183,7 +183,9 @@ def train_from_manifest(manifest_path, mode: Mode, config: CascadeConfig,
 
 
 def auto_zpr(shape, pixel_size, mode: Mode, margin: int = 16) -> ZoneMask:
-    """Trivial a priori mask: NWA border band, single tissue layer inside."""
+    """Trivial a priori mask (`--zpr auto`): NWA border band, single tissue layer inside."""
+    if len(mode.layers) > 1:  # the dura/cortex split cannot be guessed
+        raise ValueError(f"--zpr auto draws one tissue layer, but mode {mode.value} has two")
     h, w = shape
     labels = np.zeros((h, w), dtype=np.uint8)
     labels[margin : h - margin, margin : w - margin] = mode.layers[0][0]  # its NA leaf
@@ -214,7 +216,7 @@ class InferenceResult:
     prob_maps: dict
 
 
-def infer_sequence(model: CascadeModel, seq: ThermalSequence, z_pr: ZoneMask,
+def infer_sequence(model: CascadeModel, seq: io.ThermalSequence, z_pr: ZoneMask,
                    thresholds: DecisionThresholds, pf_radius: int = 1,
                    min_area_mm2: float = DEFAULT_MIN_AREA_MM2,
                    features: SequenceFeatures | None = None) -> InferenceResult:
@@ -267,8 +269,6 @@ def run_e2e(out_dir, seed: int, config: E2EConfig = E2EConfig()) -> dict:
 
     Everything on disk (datasets, models, predicted masks, report) is a pure
     function of (seed, config)."""
-    from .evaluation import report as make_report
-
     out_dir = Path(out_dir)
     sampler = default_config_sampler(
         config.mode, width=config.width, height=config.height, n_frames=config.n_frames,
@@ -307,7 +307,7 @@ def run_e2e(out_dir, seed: int, config: E2EConfig = E2EConfig()) -> dict:
             items.append((f"seq_{i:04d}", res.z_ps, ref))
         results[backend.upper()] = items
 
-    text = make_report(results)
+    text = evaluation.report(results)
     io._atomic_write(out_dir / "report.txt", [text.encode()])
     return {"report": text, "results": results}
 

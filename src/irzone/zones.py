@@ -56,13 +56,13 @@ class Mode(Enum):
     def legal_leaves(self) -> frozenset[ZoneLabel]:
         return frozenset((ZoneLabel.NWA,) + sum(self.layers, ()))
 
-    def check_labels(self, labels) -> None:
-        """ValueError naming the leaves among `labels` that cannot appear."""
+    def check_labels(self, labels, what: str = "labels") -> None:
+        """ValueError naming the leaves among `labels` (`what`) that cannot appear."""
         present = {ZoneLabel(int(c)) for c in np.unique(labels)}
         illegal = present - self.legal_leaves
         if illegal:
             names = sorted(l.name for l in illegal)
-            raise ValueError(f"labels {names} illegal in mode {self.value}")
+            raise ValueError(f"{what} {names} illegal in mode {self.value}")
 
     @classmethod
     def parse(cls, text: str) -> "Mode":
@@ -105,5 +105,5 @@ class ZoneMask:
     def ha(self) -> np.ndarray:
         return np.isin(self.labels, HA_LEAVES)
 
-    def check_mode(self, mode: Mode) -> None:
-        mode.check_labels(self.labels)
+    def check_mode(self, mode: Mode, what: str = "labels") -> None:
+        mode.check_labels(self.labels, what)

@@ -7,11 +7,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from irzone.io_formats import ThermalSequence
 from irzone.phantom import (
     DEFAULT_RECOVERY,
     EllipseSpec,
     PhantomConfig,
-    ThermalSequence,
     generate_phantom,
 )
 from irzone.zones import Mode

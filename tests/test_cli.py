@@ -6,24 +6,24 @@ import pytest
 from irzone import io_formats as io
 from irzone import pipeline
 from irzone.cli import main
+from irzone.zones import Mode, ZoneLabel, ZoneMask
 
 from conftest import small_config, write_model_block
 
 
-def write_leaf_model(path):
-    """An On-mode cascade whose stages are one-leaf forests that say 0.5."""
+def write_leaf_model(path, mode=Mode.ON):
+    """A cascade whose stages are one-leaf forests that say 0.5."""
     from irzone.features import FEATURE_DIM, Standardizer
-    from irzone.models.cascade import CascadeModel
+    from irzone.models.cascade import CascadeModel, stages_for_mode
     from irzone.models.rf import RFConfig, RFModel, Tree
-    from irzone.zones import Mode
 
     leaf = Tree(feature=np.array([-1]), threshold=np.zeros(1), left=np.array([-1]),
                 right=np.array([-1]), leaf_frac=np.array([0.5]))
     forest = RFModel(config=RFConfig(n_trees=1), trees=[leaf], n_features=FEATURE_DIM, seed=0)
     io.write_model(path, CascadeModel(
-        mode=Mode.ON, backend="rf",
+        mode=mode, backend="rf",
         standardizer=Standardizer(np.zeros(FEATURE_DIM), np.ones(FEATURE_DIM)),
-        stages={"C1": forest, "C4": forest},
+        stages=dict.fromkeys(stages_for_mode(mode), forest),
     ))
     return path
 
@@ -482,4 +482,73 @@ class TestFlow:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert f"mask {mask_path} is 96x72, but sequence {small} is 80x48" in err
+        assert not out.exists()
+
+
+class TestMismatchedInputs:
+    """A mask that does not fit the sequence, the model or the other mask is a
+    data error naming its file, and infer reports it before calibrating."""
+
+    @pytest.fixture
+    def nothing_preprocessed(self, monkeypatch):
+        # an empty cache makes every load preprocess
+        def preprocess_sequence(seq):
+            raise AssertionError("a sequence was preprocessed before the error")
+
+        monkeypatch.setattr(pipeline, "_FEATURE_CACHE", {})
+        monkeypatch.setattr(pipeline, "preprocess_sequence", preprocess_sequence)
+
+    @staticmethod
+    def write_mask(path, labels, mode=Mode.ON):
+        io.write_mask(path, ZoneMask(labels, 250e-6), mode)
+        return path
+
+    def infer(self, workspace, tmp_path, model, zpr, calib=True):
+        pred = tmp_path / "pred.pgm"
+        args = ["infer", "--model", str(model), "--zpr", str(zpr), "--out-mask", str(pred),
+                "--in", str(workspace / "train" / "seq_0001.irts")]
+        if calib:
+            args += ["--calib", str(workspace / "train" / "manifest.txt")]
+        code = main(args)
+        assert not pred.exists()
+        return code
+
+    def test_auto_zpr_with_a_two_layer_model_is_data_error(self, workspace, tmp_path, capsys,
+                                                          nothing_preprocessed):
+        model = write_leaf_model(tmp_path / "in.izm", Mode.IN)
+        assert self.infer(workspace, tmp_path, model, "auto", calib=False) == 2
+        assert "--zpr auto draws one tissue layer, but mode In has two" in capsys.readouterr().err
+
+    def test_zpr_of_another_frame_size_is_reported_before_calibration(
+            self, workspace, tmp_path, capsys, nothing_preprocessed):
+        zpr = self.write_mask(tmp_path / "small.pgm", np.zeros((64, 80), dtype=np.uint8))
+        model = write_leaf_model(tmp_path / "leaf.izm")
+        assert self.infer(workspace, tmp_path, model, zpr) == 2
+        seq = workspace / "train" / "seq_0001.irts"
+        assert f"mask {zpr} is 80x64, but sequence {seq} is 96x72" in capsys.readouterr().err
+
+    def test_zpr_of_another_mode_is_reported_before_calibration(
+            self, workspace, tmp_path, capsys, nothing_preprocessed):
+        labels = np.zeros((72, 96), dtype=np.uint8)
+        labels[10:60, 10:50] = int(ZoneLabel.NA_BC)
+        labels[20:30, 20:30] = int(ZoneLabel.HA_BC)
+        zpr = self.write_mask(tmp_path / "in.pgm", labels, Mode.IN)
+        model = write_leaf_model(tmp_path / "leaf.izm")
+        assert self.infer(workspace, tmp_path, model, zpr) == 2
+        assert (f"--zpr mask {zpr} has labels ['HA_BC', 'NA_BC'] illegal in mode On"
+                in capsys.readouterr().err)
+
+    def test_eval_of_masks_of_other_sizes_names_both(self, workspace, tmp_path, capsys):
+        pred = self.write_mask(tmp_path / "pred.pgm", np.zeros((64, 80), dtype=np.uint8))
+        ref = workspace / "train" / "mask_0000.pgm"
+        assert main(["eval", "--pred", str(pred), "--ref", str(ref)]) == 2
+        assert f"mask {pred} is 80x64, but mask {ref} is 96x72" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--ref", "--alg"])
+    def test_render_with_a_mask_of_another_size_names_both(self, workspace, tmp_path, capsys,
+                                                            flag):
+        mask = self.write_mask(tmp_path / "small.pgm", np.zeros((64, 80), dtype=np.uint8))
+        seq, out = workspace / "train" / "seq_0000.irts", tmp_path / "o.ppm"
+        assert main(["render", "--seq", str(seq), flag, str(mask), "--out", str(out)]) == 2
+        assert f"mask {mask} is 80x64, but sequence {seq} is 96x72" in capsys.readouterr().err
         assert not out.exists()

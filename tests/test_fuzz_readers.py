@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 
 from irzone import io_formats as io
 from irzone.features import FEATURE_DIM, Standardizer
+from irzone.io_formats import ThermalSequence
 from irzone.models.cascade import CascadeModel
 from irzone.models.rf import RFConfig, RFModel, Tree
 from irzone.models.sdae import SDAEModel
-from irzone.phantom import ThermalSequence
 from irzone.zones import Mode, ZoneLabel, ZoneMask
 
 FUZZ = settings(max_examples=300, deadline=2000, derandomize=True, database=None)

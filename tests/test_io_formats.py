@@ -11,7 +11,7 @@ import pytest
 
 from irzone import io_formats as io
 from irzone.features import FEATURE_DIM
-from irzone.phantom import ThermalSequence
+from irzone.io_formats import ThermalSequence
 from irzone.zones import LEAF_LABELS, Mode, ZoneLabel, ZoneMask
 
 from conftest import write_model_block
@@ -494,6 +494,31 @@ class TestModelFile:
     def test_header_deviation_is_format_error(self, tmp_path, edit, match):
         with pytest.raises(io.FormatError, match=match):
             io.load_cascade(self.edited_model(tmp_path, edit))
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: s.__setitem__("extra", 0),
+        lambda s: s["stages"]["C1"].__setitem__("extra", 0),
+        lambda s: s["stages"]["C1"]["trees"][0].__setitem__("extra", 0),
+        lambda s: s["standardizer"].__setitem__("extra", 0),
+        lambda s: s.__setitem__("seed", 1.0),
+        lambda s: s["standardizer"].__setitem__("mean", s["standardizer"]["mean"].astype("<f4")),
+        lambda s: s["standardizer"].__setitem__("scale", s["standardizer"]["scale"].astype(">f8")),
+        lambda s: s["stages"]["C4"]["trees"][0].__setitem__(
+            "feature", s["stages"]["C4"]["trees"][0]["feature"].astype("<i4")),
+        lambda s: s["stages"]["C1"].__setitem__("single_class", 5),
+        lambda s: s.__setitem__("mode", "on"),
+        lambda s: s.__setitem__("stages", dict(reversed(s["stages"].items()))),
+    ], ids=["extra-key", "extra-stage-key", "extra-tree-key", "extra-standardizer-key",
+            "float-seed", "f4-mean", "big-endian-scale", "i4-feature", "single-class-5",
+            "lower-case-mode", "stages-reversed"])
+    def test_state_that_write_model_would_not_write_is_format_error(self, tmp_path, edit):
+        # each decodes to a valid model, which write_model would write as other bytes
+        state = tiny_cascade().to_state()
+        edit(state)
+        path = tmp_path / "model.izm"
+        path.write_text(io._model_text("cascade", {"mode": "On"}, io._pack(state)))
+        with pytest.raises(io.FormatError, match=r"model\.izm: parameter block is not what"):
+            io.load_cascade(path)
 
     def test_header_fields_are_returned(self, tmp_path):
         header, state = io.read_model_state(self.edited_model(tmp_path, lambda t: t))

@@ -129,6 +129,11 @@ class TestAprioriMasks:
         assert z.labels[10, 15] == int(ZoneLabel.NA_BC)
         z.check_mode(Mode.OFF)
 
+    def test_auto_prior_rejects_a_two_layer_mode(self):
+        # one tissue layer would label all of an In-mode working area as dura
+        with pytest.raises(ValueError, match="--zpr auto draws one tissue layer, but mode In"):
+            auto_zpr((20, 30), 250e-6, Mode.IN, margin=4)
+
     def test_reference_prior_erases_tumor_distinction_only(self):
         labels = np.array(
             [[0, int(ZoneLabel.NA_DM)], [int(ZoneLabel.HA_DM), int(ZoneLabel.HA_BC)]],

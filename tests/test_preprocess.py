@@ -7,11 +7,11 @@ import threading
 import numpy as np
 import pytest
 
+from irzone.io_formats import ThermalSequence
 from irzone.phantom import (
     EllipseSpec,
     OccluderSpec,
     PhantomConfig,
-    ThermalSequence,
     generate_phantom,
     recovery_curve,
 )
@@ -271,8 +271,6 @@ class TestRegisterSequence:
 
     def test_aborts_below_two_frames(self, clean_phantom):
         seq, _ = clean_phantom
-        from irzone.phantom import ThermalSequence
-
         one = ThermalSequence(seq.data[:1], seq.timestamps[:1], seq.pixel_size)
         with pytest.raises(PipelineAbort):
             register_sequence(one)
