@@ -200,8 +200,7 @@ def _cmd_train(args) -> int:
         except ValueError as e:
             raise ValueError(f"config key {key!r}: {e}") from None
     model = train_from_manifest(args.manifest, mode, config, seed=args.seed, **kwargs)
-    io.write_model(args.model_out, model,
-                   header_extra={"mode": mode.value, "seed": args.seed})
+    io.write_model(args.model_out, model)
     print(f"wrote model to {args.model_out}")
     return 0
 
@@ -227,7 +226,7 @@ def _cmd_infer(args) -> int:
     else:  # checked against the sequence and the model before anything is calibrated
         z_pr, _ = io.read_mask(args.zpr)
         check_frame_size(args.zpr, z_pr, args.input, (h, w))
-        z_pr.check_mode(model.mode, f"--zpr mask {args.zpr} has labels")
+        model.mode.check_labels(z_pr.labels, f"--zpr mask {args.zpr} has labels")
     if args.calib:
         thresholds = calibrate_thresholds(model, args.calib, alpha, beta)
     else:

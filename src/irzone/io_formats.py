@@ -132,7 +132,7 @@ def read_sequence(path) -> ThermalSequence:
 # --- zone masks (PGM P5 + text sidecar) --------------------------------------
 
 def write_mask(path, mask: ZoneMask, mode: Mode):
-    mask.check_mode(mode)
+    mode.check_labels(mask.labels)
     h, w = mask.shape
     header = f"P5\n{w} {h}\n255\n".encode()
     _atomic_write(path, [header, mask.labels.tobytes()])
@@ -218,7 +218,7 @@ def read_mask(path) -> tuple[ZoneMask, Mode]:
     pixel_size = float(meta["pixel_size_m"])
     try:
         mask = ZoneMask(labels.copy(), pixel_size)
-        mask.check_mode(mode)
+        mode.check_labels(mask.labels)
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from e
     return mask, mode
@@ -353,20 +353,33 @@ def state_array(dtype, ndim):
     return convert
 
 
-def _model_text(kind, extra: dict, block: bytes) -> str:
-    """The text of a model file: magic, kind, extra header lines, then the
-    parameter block's checksum and lower-case hex, one line each."""
-    lines = ["irzone-model 1", f"kind {kind}"]
-    lines += [f"{k} {v}" for k, v in extra.items()]
-    lines += [f"checksum {hashlib.sha256(block).hexdigest()}", f"params {block.hex()}"]
-    return "\n".join(lines) + "\n"
+def _model_header(kind, fields: dict, block: bytes) -> dict:
+    """The lines of a model file after its first, {key: value}: kind, the
+    fields, then the parameter block's checksum and lower-case hex."""
+    return {"kind": kind, **fields, "checksum": hashlib.sha256(block).hexdigest(),
+            "params": block.hex()}
+
+
+def _model_text(header: dict) -> str:
+    """The text of a model file: its first line, then one line per header field."""
+    return "\n".join(["irzone-model 1"] + [f"{k} {v}" for k, v in header.items()]) + "\n"
+
+
+def _header_fields(state) -> dict:
+    """The state's mode and seed, when it has them, as a model file's header repeats them."""
+    return {key: str(state[key]) for key in ("mode", "seed") if key in state}
 
 
 def write_model(path, model, header_extra: dict | None = None):
+    """Write `model`; its header repeats the state's kind, mode and seed. A
+    `header_extra` value other than the model's is a ValueError, and nothing is written."""
     state = model.to_state()
-    block = _pack(state)
-    _atomic_write(path, [_model_text(state.get("kind", "unknown"), header_extra or {},
-                                     block).encode()])
+    fields = _header_fields(state)
+    for key, value in (header_extra or {}).items():
+        if str(value) != fields.get(key):
+            raise ValueError(f"header_extra {key} {value!r} is not the model's "
+                             f"{fields.get(key)!r}")
+    _atomic_write(path, [_model_text(_model_header(state["kind"], fields, _pack(state))).encode()])
 
 
 def read_model_state(path) -> tuple[dict, object]:
@@ -398,7 +411,7 @@ def read_model_state(path) -> tuple[dict, object]:
     if hashlib.sha256(block).hexdigest() != header["checksum"]:
         raise FormatError(f"{path}: checksum mismatch")
     extra = {k: v for k, v in header.items() if k not in ("kind", "checksum", "params")}
-    if text != _model_text(header["kind"], extra, block):
+    if text != _model_text(_model_header(header["kind"], extra, block)):
         raise FormatError(f"{path}: header is not laid out as write_model writes it")
     try:
         state, end = _unpack(block)
@@ -410,19 +423,27 @@ def read_model_state(path) -> tuple[dict, object]:
 
 
 def load_cascade(path):
+    """The cascade in a model file that is byte for byte what `write_model`
+    writes for it; otherwise a FormatError naming the first line that differs."""
     from .models.cascade import CascadeModel  # here, as the models import this module
 
     header, state = read_model_state(path)
     if not isinstance(state, dict) or state.get("kind") != "cascade":
         raise FormatError(f"{path}: not a cascade model file")
-    if header["kind"] != "cascade":
-        raise FormatError(f"{path}: header kind {header['kind']!r} is not the state's 'cascade'")
     model = CascadeModel.from_state(state)
-    if _pack(model.to_state()).hex() != header["params"]:
-        raise FormatError(f"{path}: parameter block is not what write_model writes for its model")
-    if header.get("mode", model.mode.value) != model.mode.value:
-        raise FormatError(f"{path}: header mode {header['mode']!r} is not the model's "
-                          f"{model.mode.value!r}")
+    state = model.to_state()
+    want = _model_header(state["kind"], _header_fields(state), _pack(state))
+    # read_model_state checked that the file holds its header's lines in order
+    for (key, value), (want_key, want_value) in zip(header.items(), want.items()):
+        if key != want_key:
+            raise FormatError(f"{path}: header has a {key} line where write_model "
+                              f"writes {want_key}")
+        if value == want_value:
+            continue
+        if key in ("checksum", "params"):
+            raise FormatError(f"{path}: parameter block is not what write_model writes "
+                              f"for its model")
+        raise FormatError(f"{path}: header {key} {value!r} is not the model's {want_value!r}")
     return model
 
 

@@ -67,12 +67,6 @@ class CascadeModel:
     stages: dict  # stage name -> RFModel | SDAEModel
     seed: int = 0
 
-    def stage_proba(self, name: str, Xs: np.ndarray) -> np.ndarray:
-        model = self.stages[name]
-        if isinstance(model, RFModel):
-            return rf_predict_proba(model, Xs)
-        return model.predict_proba(Xs)
-
     def to_state(self) -> dict:
         return {
             "kind": "cascade",
@@ -205,8 +199,10 @@ def cascade_predict(model: CascadeModel, features) -> dict[ZoneLabel, np.ndarray
 
     def proba(name):
         out = np.zeros(n)
-        if usable.any() and name in model.stages:
-            out[usable] = model.stage_proba(name, Xs)
+        if usable.any():
+            stage = model.stages[name]
+            out[usable] = (rf_predict_proba(stage, Xs) if isinstance(stage, RFModel)
+                           else stage.predict_proba(Xs))
         return out
 
     branch = {name: proba(name) for name in stages_for_mode(mode)}  # in table order

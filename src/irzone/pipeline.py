@@ -227,7 +227,7 @@ def infer_sequence(model: CascadeModel, seq: io.ThermalSequence, z_pr: ZoneMask,
     filtered, _ = topological_filter(z_ps.labels, z_ps.pixel_size,
                                      min_area_mm2=min_area_mm2)
     z_final = ZoneMask(filtered, z_ps.pixel_size)
-    z_final.check_mode(model.mode)
+    model.mode.check_labels(z_final.labels)
     return InferenceResult(z_ps=z_final, prob_maps=smoothed)
 
 
@@ -290,8 +290,7 @@ def run_e2e(out_dir, seed: int, config: E2EConfig = E2EConfig()) -> dict:
         )
         model = train_from_manifest(train_manifest, config.mode, cconfig,
                                     seed=seed, max_pixels_per_seq=config.pixels_per_seq)
-        io.write_model(out_dir / f"model_{backend}.izm", model,
-                       header_extra={"mode": config.mode.value, "seed": seed})
+        io.write_model(out_dir / f"model_{backend}.izm", model)
         thresholds = calibrate_thresholds(model, train_manifest,
                                           config.alpha, config.beta, seed=seed,
                                           pf_radius=config.pf_radius)

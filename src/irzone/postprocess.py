@@ -11,7 +11,6 @@ from scipy import ndimage
 
 from .zones import HA_LEAVES, LAYERS, Mode, ZoneMask
 
-STRUCTURE_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 STRUCTURE_8 = np.ones((3, 3), dtype=bool)
 
 DEFAULT_MIN_AREA_MM2 = 2.0
@@ -29,23 +28,14 @@ class ComponentReport:
     entries: list[dict] = field(default_factory=list)  # label, count, area_mm2, action
 
 
-def _structure(connectivity: int) -> np.ndarray:
-    if connectivity == 4:
-        return STRUCTURE_4
-    if connectivity == 8:
-        return STRUCTURE_8
-    raise ValueError("connectivity must be 4 or 8")
-
-
-def connected_components(label_map, connectivity: int = 8) -> list[Component]:
-    """Maximal same-label connected regions; every pixel in exactly one."""
+def connected_components(label_map) -> list[Component]:
+    """Maximal same-label 8-connected regions; every pixel in exactly one."""
     lm = np.asarray(label_map)
     if lm.ndim != 2:
         raise ValueError("label map must be 2D")
-    struct = _structure(connectivity)
     comps = []
     for value in np.unique(lm):
-        cc, n = ndimage.label(lm == value, structure=struct)
+        cc, n = ndimage.label(lm == value, structure=STRUCTURE_8)
         # one pass over the frame: each label's pixels in raster order
         where = ndimage.value_indices(cc, ignore_value=0)
         for k in range(1, n + 1):
@@ -67,22 +57,16 @@ def topological_filter(label_map, pixel_size, min_area_mm2=DEFAULT_MIN_AREA_MM2)
     it, read from the map as earlier relabels of the pass left it. Ties go to
     the label covering more of the frame at that moment, then to the smaller
     code. A frame whose whole area is below `min_area_mm2` is returned
-    unchanged with a warning entry."""
+    unchanged. The report lists each relabel in the order made."""
     if min_area_mm2 < 0:
         raise ValueError("min_area_mm2 must be nonnegative")
     lm = np.asarray(label_map).copy()
     px_mm2 = (pixel_size * 1e3) ** 2
     report = ComponentReport()
-
-    def entry(label, count, action):
-        return {"label": label, "count": count, "area_mm2": count * px_mm2, "action": action}
-
     if lm.size * px_mm2 < min_area_mm2:
-        report.entries.append(
-            entry(-1, lm.size, "warning: whole frame below threshold, unchanged"))
         return lm, report
 
-    comps = connected_components(lm, 8)
+    comps = connected_components(lm)
     vals, counts = np.unique(lm, return_counts=True)
     totals = dict(zip(vals.tolist(), counts.tolist()))  # kept current through relabels
     while True:
@@ -112,12 +96,11 @@ def topological_filter(label_map, pixel_size, min_area_mm2=DEFAULT_MIN_AREA_MM2)
             totals[c.label] -= c.size
             totals[new] += c.size
             changed = True
-            report.entries.append(entry(c.label, c.size, f"relabeled to {new}"))
+            report.entries.append({"label": c.label, "count": c.size,
+                                   "area_mm2": c.size * px_mm2, "action": f"relabeled to {new}"})
         if not changed:
             break
-        comps = connected_components(lm, 8)
-
-    report.entries += [entry(c.label, c.size, "kept") for c in comps]
+        comps = connected_components(lm)
     return lm, report
 
 
@@ -180,7 +163,7 @@ def lps_decide(prob_maps: dict, z_pr: ZoneMask, mode: Mode,
                thresholds: DecisionThresholds) -> ZoneMask:
     """Final decision: the a priori mask fixes NWA and the BC/DM split; within
     the remaining tissue a pixel is HA iff smoothed P(HA) >= theta."""
-    z_pr.check_mode(mode)
+    mode.check_labels(z_pr.labels)
     shape = z_pr.labels.shape
     for v in prob_maps.values():
         if np.asarray(v).shape != shape:
@@ -193,5 +176,5 @@ def lps_decide(prob_maps: dict, z_pr: ZoneMask, mode: Mode,
         out[layer & is_ha] = ha
         out[layer & ~is_ha] = na
     z_ps = ZoneMask(out, z_pr.pixel_size)
-    z_ps.check_mode(mode)
+    mode.check_labels(z_ps.labels)
     return z_ps

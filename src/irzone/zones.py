@@ -104,6 +104,3 @@ class ZoneMask:
     @property
     def ha(self) -> np.ndarray:
         return np.isin(self.labels, HA_LEAVES)
-
-    def check_mode(self, mode: Mode, what: str = "labels") -> None:
-        mode.check_labels(self.labels, what)

@@ -80,6 +80,14 @@ class TestExitCodes:
         assert code == 2
         assert "irzone-model 1" in capsys.readouterr().err
 
+    def test_model_with_an_edited_seed_line_is_data_error_naming_it(self, tmp_path, capsys):
+        model = write_leaf_model(tmp_path / "leaf.izm")
+        model.write_text(model.read_text().replace("\nseed 0\n", "\nseed 999\n"))
+        code = main(["infer", "--model", str(model), "--in", str(tmp_path / "seq.irts"),
+                     "--out-mask", str(tmp_path / "pred.pgm")])
+        assert code == 2
+        assert f"{model}: header seed '999' is not the model's '0'" in capsys.readouterr().err
+
     def test_model_state_without_fields_is_data_error(self, tmp_path, capsys):
         model = write_model_block(tmp_path / "bad.izm", io._pack({"kind": "cascade"}))
         code = main(["infer", "--model", str(model), "--in", str(tmp_path / "seq.irts"),

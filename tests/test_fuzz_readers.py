@@ -225,8 +225,8 @@ def test_model_reader_behind_a_matching_checksum(backend, data):
     # the mutated parameter block reaches the decoder and the state checks
     block = param_block(backend)
     mutated = mutate(block, data.draw(mutations(len(block))))
-    text = (f"irzone-model 1\nkind cascade\nchecksum {hashlib.sha256(mutated).hexdigest()}\n"
-            f"params {mutated.hex()}\n")
+    text = (f"irzone-model 1\nkind cascade\nmode On\nseed 0\n"
+            f"checksum {hashlib.sha256(mutated).hexdigest()}\nparams {mutated.hex()}\n")
     fuzz_case({"": text.encode()}, "model.izm", io.load_cascade, None, None)
 
 

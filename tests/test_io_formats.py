@@ -1,5 +1,6 @@
 """File formats: sequence container, mask files, model persistence, overlays."""
 
+import dataclasses
 import os
 import re
 import struct
@@ -485,12 +486,18 @@ class TestModelFile:
         (lambda t: t + "\n", LAYOUT),
         (lambda t: re.sub(r"params (\w+)", r"params  \1 ", t), LAYOUT),
         (lambda t: t.replace("checksum ", "checksum  "), "checksum mismatch"),
-        (lambda t: t.replace("kind cascade", "seed 0\nkind cascade"), LAYOUT),
-        (lambda t: t.replace("mode On", "mode On\fseed 0"), LAYOUT),
+        (lambda t: t.replace("kind cascade", "note 0\nkind cascade"), LAYOUT),
+        (lambda t: t.replace("mode On\n", "mode On\f"), LAYOUT),
+        # every header line write_model writes, and no other
+        (lambda t: t.replace("mode On\n", ""),
+         "header has a seed line where write_model writes mode"),
+        (lambda t: t.replace("seed 0\n", "seed 0\nnote 0\n"),
+         "header has a note line where write_model writes checksum"),
     ], ids=["magic-flip", "kind-flip", "magic-and-kind-flip", "no-magic", "params-twice",
             "kind-twice", "checksum-twice", "other-kind", "other-mode", "upper-case-hex",
             "crlf", "no-final-newline", "trailing-blank-line", "padded-params",
-            "padded-checksum", "extra-line-before-kind", "form-feed-in-a-line"])
+            "padded-checksum", "extra-line-before-kind", "form-feed-in-a-line", "no-mode-line",
+            "extra-line-after-seed"])
     def test_header_deviation_is_format_error(self, tmp_path, edit, match):
         with pytest.raises(io.FormatError, match=match):
             io.load_cascade(self.edited_model(tmp_path, edit))
@@ -512,11 +519,15 @@ class TestModelFile:
             "float-seed", "f4-mean", "big-endian-scale", "i4-feature", "single-class-5",
             "lower-case-mode", "stages-reversed"])
     def test_state_that_write_model_would_not_write_is_format_error(self, tmp_path, edit):
-        # each decodes to a valid model, which write_model would write as other bytes
+        # each decodes to a valid model, which write_model would write as other bytes;
+        # the header is the one write_model writes for that model
+        from irzone.models.cascade import CascadeModel
+
         state = tiny_cascade().to_state()
         edit(state)
+        fields = io._header_fields(CascadeModel.from_state(state).to_state())
         path = tmp_path / "model.izm"
-        path.write_text(io._model_text("cascade", {"mode": "On"}, io._pack(state)))
+        path.write_text(io._model_text(io._model_header("cascade", fields, io._pack(state))))
         with pytest.raises(io.FormatError, match=r"model\.izm: parameter block is not what"):
             io.load_cascade(path)
 
@@ -525,10 +536,33 @@ class TestModelFile:
         assert (header["kind"], header["mode"]) == ("cascade", "On")
         assert state["mode"] == "On"
 
-    def test_header_without_mode_loads(self, tmp_path):
+    def test_header_comes_from_the_model(self, tmp_path):
+        # a header_extra that repeats the model's mode and seed changes no byte
+        model = dataclasses.replace(tiny_cascade(), seed=5)
+        io.write_model(tmp_path / "plain.izm", model)
+        io.write_model(tmp_path / "named.izm", model, header_extra={"mode": "On", "seed": 5})
+        plain = (tmp_path / "plain.izm").read_bytes()
+        assert plain == (tmp_path / "named.izm").read_bytes()
+        assert plain.decode().splitlines()[1:4] == ["kind cascade", "mode On", "seed 5"]
+        assert io.load_cascade(tmp_path / "plain.izm").seed == 5
+
+    @pytest.mark.parametrize("extra", [
+        {"mode": "Off"}, {"seed": 1}, {"mode": "On", "seed": "00"}, {"kind": "rf"}, {"note": 0},
+    ], ids=["other-mode", "other-seed", "seed-spelt-otherwise", "kind", "unknown-key"])
+    def test_header_extra_other_than_the_model_is_value_error(self, tmp_path, extra):
+        with pytest.raises(ValueError, match="is not the model's"):
+            io.write_model(tmp_path / "model.izm", tiny_cascade(), header_extra=extra)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_edited_seed_line_is_format_error_naming_the_file(self, tmp_path):
         path = tmp_path / "model.izm"
-        io.write_model(path, tiny_cascade())
-        assert io.load_cascade(path).mode is Mode.ON
+        io.write_model(path, tiny_cascade(), header_extra={"mode": "On", "seed": 0})
+        path.write_text(path.read_text().replace("\nseed 0\n", "\nseed 999\n"))
+        assert io.read_model_state(path)[0]["seed"] == "999"
+        with pytest.raises(io.FormatError,
+                           match=f"^{re.escape(str(path))}: header seed '999' is not the "
+                                 f"model's '0'$"):
+            io.load_cascade(path)
 
     def test_writes_are_atomic(self, tmp_path):
         path = tmp_path / "model.izm"

@@ -92,7 +92,7 @@ class TestGeneratePhantom:
         for mode in Mode:
             config = small_config(mode=mode)
             _, mask = generate_phantom(config, seed=4)
-            mask.check_mode(mode)
+            mode.check_labels(mask.labels)
 
     def test_in_mode_contains_both_layers(self):
         config = small_config(mode=Mode.IN)

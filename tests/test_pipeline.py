@@ -122,12 +122,12 @@ class TestAprioriMasks:
         z = auto_zpr((20, 30), 250e-6, Mode.ON, margin=4)
         assert np.all(z.labels[:4, :] == int(ZoneLabel.NWA))
         assert z.labels[10, 15] == int(ZoneLabel.NA_DM)
-        z.check_mode(Mode.ON)
+        Mode.ON.check_labels(z.labels)
 
     def test_auto_prior_uses_cortex_layer_for_off_mode(self):
         z = auto_zpr((20, 30), 250e-6, Mode.OFF, margin=4)
         assert z.labels[10, 15] == int(ZoneLabel.NA_BC)
-        z.check_mode(Mode.OFF)
+        Mode.OFF.check_labels(z.labels)
 
     def test_auto_prior_rejects_a_two_layer_mode(self):
         # one tissue layer would label all of an In-mode working area as dura

@@ -16,15 +16,13 @@ from irzone.zones import BC_LEAVES, LEAF_LABELS, Mode, ZoneLabel, ZoneMask
 
 NA = int(ZoneLabel.NA_DM)
 HA = int(ZoneLabel.HA_DM)
+STRUCTURE_8 = np.ones((3, 3), dtype=bool)  # the oracles' 8-connectivity
 
 
-def flood_fill_components(lm, connectivity):
-    """Independent stack-based flood fill, used as an oracle."""
+def flood_fill_components(lm):
+    """Independent stack-based 8-connected flood fill, used as an oracle."""
     h, w = lm.shape
-    if connectivity == 4:
-        nbrs = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    else:
-        nbrs = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
+    nbrs = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
     seen = np.zeros((h, w), dtype=bool)
     comps = []
     for sy in range(h):
@@ -55,23 +53,23 @@ class TestConnectedComponents:
     def test_single_foreign_pixel_makes_two_components(self):
         lm = np.full((4, 4), NA, dtype=np.uint8)
         lm[1, 1] = HA
-        comps = connected_components(lm, connectivity=8)
+        comps = connected_components(lm)
         assert sorted(c.size for c in comps) == [1, 15]
 
     def test_uniform_map_is_one_component(self):
         comps = connected_components(np.full((5, 7), NA, dtype=np.uint8))
         assert len(comps) == 1 and comps[0].size == 35
 
-    def test_checkerboard_under_4_connectivity_is_all_singletons(self):
+    def test_checkerboard_is_one_component_per_colour(self):
+        # diagonal neighbours connect: each colour is one 8-connected region
         lm = np.indices((4, 4)).sum(axis=0) % 2
-        comps = connected_components(lm, connectivity=4)
-        assert len(comps) == 16
-        assert all(c.size == 1 for c in comps)
+        comps = connected_components(lm)
+        assert [(c.label, c.size) for c in comps] == [(0, 8), (1, 8)]
 
     def test_every_pixel_in_exactly_one_component(self):
         rng = np.random.default_rng(0)
         lm = rng.integers(0, 3, size=(10, 12))
-        comps = connected_components(lm, connectivity=8)
+        comps = connected_components(lm)
         all_pixels = np.concatenate([c.pixels for c in comps])
         assert sorted(all_pixels.tolist()) == list(range(lm.size))
 
@@ -80,27 +78,21 @@ class TestConnectedComponents:
         for _ in range(50):
             h, w = rng.integers(2, 16, size=2)
             lm = rng.integers(0, 4, size=(h, w))
-            for conn in (4, 8):
-                got = components_as_sets(connected_components(lm, conn))
-                want = set(flood_fill_components(lm, conn))
-                assert got == want
-
-    def test_rejects_bad_connectivity(self):
-        with pytest.raises(ValueError, match="connectivity"):
-            connected_components(np.zeros((3, 3)), connectivity=6)
+            got = components_as_sets(connected_components(lm))
+            assert got == set(flood_fill_components(lm))
 
 
-def loop_connected_components(label_map, connectivity):
+def loop_connected_components(label_map):
     """The per-component `cc.ravel() == k` scan connected_components replaced,
     kept as its oracle."""
     from scipy import ndimage
 
-    from irzone.postprocess import Component, _structure
+    from irzone.postprocess import Component
 
     lm = np.asarray(label_map)
     comps = []
     for value in np.unique(lm):
-        cc, n = ndimage.label(lm == value, structure=_structure(connectivity))
+        cc, n = ndimage.label(lm == value, structure=STRUCTURE_8)
         for k in range(1, n + 1):
             flat = np.flatnonzero(cc.ravel() == k)
             comps.append(Component(label=int(value), pixels=flat, size=len(flat)))
@@ -110,17 +102,17 @@ def loop_connected_components(label_map, connectivity):
 class TestConnectedComponentsMatchesLoop:
     """Same Component list as the old scan: order, labels, pixel arrays, sizes."""
 
-    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("seed", [4, 8])
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
-    def test_random_label_maps(self, connectivity, dtype):
-        rng = np.random.default_rng(connectivity)
+    def test_random_label_maps(self, seed, dtype):
+        rng = np.random.default_rng(seed)
         for _ in range(40):
             h, w = rng.integers(1, 40, size=2)
             lm = rng.integers(0, rng.integers(1, 6), size=(h, w)).astype(dtype)
             if rng.random() < 0.5:  # blocky maps with larger regions
                 lm = np.kron(lm[: h // 4 + 1, : w // 4 + 1], np.ones((4, 4), dtype=dtype))
-            got = connected_components(lm, connectivity)
-            want = loop_connected_components(lm, connectivity)
+            got = connected_components(lm)
+            want = loop_connected_components(lm)
             assert [(c.label, c.size) for c in got] == [(c.label, c.size) for c in want]
             for g, v in zip(got, want):
                 assert g.pixels.dtype == v.pixels.dtype
@@ -146,14 +138,14 @@ class TestTopologicalFilter:
         lm = np.full((6, 6), NA, dtype=np.uint8)
         out, report = topological_filter(lm, pixel_size=250e-6)
         assert np.array_equal(out, lm)
-        kept = [e for e in report.entries if e["action"] == "kept"]
-        assert len(kept) == 1 and kept[0]["count"] == 36
+        assert report.entries == []  # the report lists relabels only
+        assert [c.size for c in connected_components(out)] == [36]
 
-    def test_whole_frame_below_threshold_warns_and_returns_unchanged(self):
+    def test_whole_frame_below_threshold_returned_unchanged(self):
         lm = np.full((3, 3), HA, dtype=np.uint8)
         out, report = topological_filter(lm, pixel_size=250e-6, min_area_mm2=5.0)
         assert np.array_equal(out, lm)
-        assert any("warning" in e["action"] for e in report.entries)
+        assert report.entries == []
 
     def test_fixed_point_on_random_maps(self):
         rng = np.random.default_rng(2)
@@ -192,30 +184,22 @@ def oracle_boundary_majority(lm, comp_mask, struct, total_counts):
     return best[1]
 
 
-def oracle_topological_filter(label_map, pixel_size, min_area_mm2=2.0,
-                              connectivity=8, max_passes=10):
+def oracle_topological_filter(label_map, pixel_size, min_area_mm2=2.0, max_passes=10):
     """The full-frame implementation topological_filter replaced, kept as its
     oracle: a full-frame np.unique and dilation per small component, and a
-    fresh labelling for every pass and for the final listing."""
-    from irzone.postprocess import ComponentReport, _structure
+    fresh labelling for every pass."""
+    from irzone.postprocess import ComponentReport
 
     if min_area_mm2 < 0:
         raise ValueError("min_area_mm2 must be nonnegative")
     lm = np.asarray(label_map).copy()
-    struct = _structure(connectivity)
     px_mm2 = (pixel_size * 1e3) ** 2
     report = ComponentReport()
-
-    frame_area = lm.size * px_mm2
-    if frame_area < min_area_mm2:
-        report.entries.append({
-            "label": -1, "count": lm.size, "area_mm2": frame_area,
-            "action": "warning: whole frame below threshold, unchanged",
-        })
+    if lm.size * px_mm2 < min_area_mm2:
         return lm, report
 
     for _ in range(max_passes):
-        comps = connected_components(lm, connectivity)
+        comps = connected_components(lm)
         small = [c for c in comps if c.size * px_mm2 < min_area_mm2 and c.size < lm.size]
         if not small:
             break
@@ -229,7 +213,7 @@ def oracle_topological_filter(label_map, pixel_size, min_area_mm2=2.0,
                 continue
             vals, counts = np.unique(lm, return_counts=True)
             totals = dict(zip(vals.tolist(), counts.tolist()))
-            new = oracle_boundary_majority(lm, mask, struct, totals)
+            new = oracle_boundary_majority(lm, mask, STRUCTURE_8, totals)
             if new is None or new == c.label:
                 continue
             lm[mask] = new
@@ -240,12 +224,6 @@ def oracle_topological_filter(label_map, pixel_size, min_area_mm2=2.0,
             })
         if not changed:
             break
-
-    for c in connected_components(lm, connectivity):
-        report.entries.append({
-            "label": c.label, "count": c.size,
-            "area_mm2": c.size * px_mm2, "action": "kept",
-        })
     return lm, report
 
 
@@ -325,10 +303,11 @@ class TestTopologicalFilterMatchesOracle:
     def test_zero_and_huge_areas(self):
         rng = np.random.default_rng(15)
         lm = rng.integers(0, 3, size=(9, 11))
-        reports = {area: self.check(lm, area)[1] for area in (0.0, lm.size * 0.0625, 1e9)}
-        assert all(e["action"] == "kept" for e in reports[0.0].entries)
-        assert [e["action"] for e in reports[1e9].entries] == [
-            "warning: whole frame below threshold, unchanged"]
+        outs = {area: self.check(lm, area) for area in (0.0, lm.size * 0.0625, 1e9)}
+        # no component is below 0, and a frame below 1e9 mm^2 is left as it is
+        for area in (0.0, 1e9):
+            out, report = outs[area]
+            assert np.array_equal(out, lm) and report.entries == []
 
     def test_one_pass_per_ring(self):
         # k rings take k + 1 passes: the last relabels the centre pixel, and
@@ -339,7 +318,7 @@ class TestTopologicalFilterMatchesOracle:
             out, report = self.check(lm, area)
             short, _ = oracle_topological_filter(lm, PX, area, max_passes=k)
             assert not np.array_equal(out, short)
-            assert [e["action"] for e in report.entries].count("kept") == 1
+            assert len(connected_components(out)) == 1
             assert np.array_equal(topological_filter(out, PX, area)[0], out)
 
 
@@ -508,7 +487,7 @@ class TestLpsDecide:
         z_pr = ZoneMask(labels, 250e-6)
         maps = {l: rng.random(shape) for l in LEAF_LABELS}
         z_ps = lps_decide(maps, z_pr, Mode.ON, neutral_thresholds())
-        z_ps.check_mode(Mode.ON)
+        Mode.ON.check_labels(z_ps.labels)
         assert not np.isin(z_ps.labels, BC_LEAVES).any()
 
     def test_prior_layer_split_is_respected(self):

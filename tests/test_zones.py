@@ -70,12 +70,12 @@ class TestZoneMask:
     def test_check_mode_accepts_legal(self):
         labels = np.full((4, 4), int(ZoneLabel.NA_DM), dtype=np.uint8)
         labels[0, 0] = int(ZoneLabel.NWA)
-        ZoneMask(labels, 250e-6).check_mode(Mode.ON)
+        Mode.ON.check_labels(ZoneMask(labels, 250e-6).labels)
 
     def test_check_mode_rejects_illegal(self):
         labels = np.full((4, 4), int(ZoneLabel.NA_BC), dtype=np.uint8)
         with pytest.raises(ValueError, match="illegal in mode On"):
-            ZoneMask(labels, 250e-6).check_mode(Mode.ON)
+            Mode.ON.check_labels(ZoneMask(labels, 250e-6).labels)
 
 
 @st.composite
