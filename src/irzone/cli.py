@@ -259,6 +259,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_render(args) -> int:
     seq = io.read_sequence(args.seq)
+    if seq.n_frames == 0:
+        raise ValueError(f"sequence {args.seq} has no frames to render")
     background = seq.data.mean(axis=0)
     masks = {path: io.read_mask(path)[0] for path in (args.ref, args.alg) if path}
     for path, mask in masks.items():

@@ -3,7 +3,8 @@ inputs, then supervised fine-tuning with a softmax head.
 
 Pure-numpy SGD. Hidden units are sigmoid; decoders are affine with squared
 reconstruction error (inputs are standardized real values); the classifier
-head is a 2-way softmax trained with cross-entropy and early stopping.
+head is a 2-way softmax trained with cross-entropy and early stopping. Each
+pretrained layer is an `SDAEModel` [D, h, D], run by fine-tuning's passes.
 
 Training makes tens of thousands of minibatch steps of 64 rows. Each step is
 a few dozen numpy calls on arrays of a few kilobytes, so the calls' fixed
@@ -102,7 +103,8 @@ class _Workspace:
     """Buffers for the passes of an `SDAEModel` over up to `rows` rows, so
     that a training step allocates nothing. It holds:
 
-    - `acts`: each layer's output, the softmax probabilities last;
+    - `acts`: each layer's output, the output layer's affine values last
+      (turned into the softmax probabilities in place by `forward`);
     - `pair`: [rows, 1] scratch for the softmax's row max and row sum;
     - `first`: the flat index of each row's first class in the [rows, 2]
       softmax output;
@@ -143,21 +145,19 @@ def _cross_entropy(p, true):
     return -float(p_true.sum()) / len(p_true)  # np.mean's sum / n
 
 
-def pretrain_dae_layer(X, hidden_size, corruption=0.2, epochs=15, lr=0.05,
-                       seed=0, batch_size=64):
-    """One denoising autoencoder layer.
+def pretrain_dae_layer(X, hidden_size, config: SDAEConfig, seed):
+    """One denoising autoencoder layer, trained with the config's
+    `corruption`, `pretrain_epochs`, `lr` and `batch_size`: the network
+    [D, hidden_size, D], run through fine-tuning's passes, workspace and
+    update, with squared error in place of cross-entropy.
 
     Each input coordinate is zeroed with probability `corruption`; the layer
     learns to reconstruct the clean input. Returns ((W, b) encoder,
     (W_dec, b_dec) decoder, losses per epoch).
-
-    As in fine-tuning, the parameters are views into one flat array and their
-    gradients into another, and every batch writes into the same buffers.
     """
-    if not 0.0 <= corruption < 1.0:
-        raise ValueError("corruption must be in [0, 1)")
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
+    corruption, bs = config.corruption, config.batch_size
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(d)
     W = rng.uniform(-scale, scale, size=(d, hidden_size))
@@ -165,36 +165,29 @@ def pretrain_dae_layer(X, hidden_size, corruption=0.2, epochs=15, lr=0.05,
     Wd = rng.uniform(-1.0 / np.sqrt(hidden_size), 1.0 / np.sqrt(hidden_size),
                      size=(hidden_size, d))
     bd = np.zeros(d)
-    theta, (W, b, Wd, bd) = _flat_views([W, b, Wd, bd])
-    grad, (g_W, g_b, g_Wd, g_bd) = _flat_views([W, b, Wd, bd])
-    rows = min(batch_size, n)
-    h_buf, g_z_buf = np.empty((rows, hidden_size)), np.empty((rows, hidden_size))
-    err_buf, sq_buf = np.empty((rows, d)), np.empty((rows, d))
+    # weights, then biases: the order of the workspace's flat gradient
+    theta, (W, Wd, b, bd) = _flat_views([W, Wd, b, bd])
+    model = SDAEModel([d, hidden_size, d], [W, Wd], [b, bd], corruption)
+    rows = min(bs, n)
+    work, sq = _Workspace(model, rows), np.empty((rows, d))
     losses = []
-    for _ in range(epochs):
+    for _ in range(config.pretrain_epochs):
         # the epoch's rows in visiting order, and one mask draw for all of
         # them: the same random stream as one draw per batch
         Xo = X[rng.permutation(n)]
         Xc = Xo * (rng.random((n, d)) >= corruption) if corruption > 0 else Xo
         total = 0.0
-        for s in range(0, n, batch_size):
-            xb, xc = Xo[s : s + batch_size], Xc[s : s + batch_size]
+        for s in range(0, n, bs):
+            xb = Xo[s : s + bs]
             m = len(xb)
-            h = _sigmoid(_affine(xc, W, b, h_buf[:m]))
-            err = _affine(h, Wd, bd, err_buf[:m])
+            acts, err = model.layers(Xc[s : s + bs], work)
             err -= xb
-            total += float(np.square(err, out=sq_buf[:m]).sum())
+            total += float(np.square(err, out=sq[:m]).sum())
             err *= 2.0
             err /= m  # the reconstruction's gradient
-            np.dot(h.T, err, out=g_Wd)
-            np.add.reduce(err, axis=0, out=g_bd)
-            g_z = np.dot(err, Wd.T, out=g_z_buf[:m])
-            g_z *= h
-            g_z *= np.subtract(1.0, h, out=h)  # h is not read again
-            np.dot(xc.T, g_z, out=g_W)
-            np.add.reduce(g_z, axis=0, out=g_b)
-            grad *= lr
-            theta -= grad
+            model.backward(acts, err, work)
+            work.grad *= config.lr
+            theta -= work.grad
         loss = total / n
         if not math.isfinite(loss):
             raise TrainingDiverged("pretraining loss diverged", losses + [loss])
@@ -204,26 +197,31 @@ def pretrain_dae_layer(X, hidden_size, corruption=0.2, epochs=15, lr=0.05,
 
 @dataclass
 class SDAEModel:
-    layer_sizes: list[int]          # [D, h1, ..., 2]
+    layer_sizes: list[int]          # [D, h1, ..., 2]; [D, h, D] while pretraining
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     corruption: float
     trace: dict = field(default_factory=dict)
 
-    def forward(self, X, work=None):
-        """Returns (activations per layer, softmax output [N, 2]), written
-        into the workspace `work`, or into a new one without the backward
-        buffers if it is None."""
+    def layers(self, X, work):
+        """Writes each layer's output into the workspace `work`; returns (the
+        input and hidden activations, the output layer's affine values)."""
         h = np.asarray(X, dtype=np.float64)
         n = len(h)
-        if work is None:
-            work = _Workspace(self, n, backward=False)
         acts = [h]
         for W, b, buf in zip(self.weights[:-1], self.biases[:-1], work.acts):
             h = _sigmoid(_affine(h, W, b, buf[:n]))
             acts.append(h)
-        z = _affine(h, self.weights[-1], self.biases[-1], work.acts[-1][:n])
-        return acts, _softmax(z, work.pair[:n])
+        return acts, _affine(h, self.weights[-1], self.biases[-1], work.acts[-1][:n])
+
+    def forward(self, X, work=None):
+        """Returns (activations per layer, softmax output [N, 2]), written
+        into the workspace `work`, or into a new one without the backward
+        buffers if it is None."""
+        if work is None:
+            work = _Workspace(self, len(X), backward=False)
+        acts, z = self.layers(X, work)
+        return acts, _softmax(z, work.pair[:len(z)])
 
     def predict_proba(self, X) -> np.ndarray:
         """P(class 1) per row."""
@@ -260,6 +258,12 @@ class SDAEModel:
         loss = _cross_entropy(delta, true)
         delta.reshape(-1)[true] -= 1.0
         delta /= n
+        return (loss, *self.backward(acts, delta, work))
+
+    def backward(self, acts, delta, work):
+        """Back-propagates the output error `delta` of `layers`' activations
+        `acts`, overwriting the hidden ones; returns the workspace's gradients."""
+        n = len(delta)
         for i in range(len(self.weights) - 1, -1, -1):
             np.dot(acts[i].T, delta, out=work.gw[i])
             np.add.reduce(delta, axis=0, out=work.gb[i])
@@ -268,7 +272,7 @@ class SDAEModel:
                 delta = np.dot(delta, self.weights[i].T, out=work.deltas[i - 1][:n])
                 delta *= a
                 delta *= np.subtract(1.0, a, out=a)  # a is not read again
-        return loss, work.gw, work.gb
+        return work.gw, work.gb
 
     def to_state(self) -> dict:
         return {
@@ -307,8 +311,8 @@ def train_sdae(X, y, config: SDAEConfig = SDAEConfig(), seed: int = 0) -> SDAEMo
     hold-out loss has not improved for `patience` epochs; the weights with
     the best hold-out loss are kept. `trace["finetune_losses"]` holds one
     entry per epoch: the mean of that epoch's minibatch losses, weighted by
-    batch size, each taken before its batch's update. Training never runs a
-    forward pass over the whole training split: on thousands of rows the
+    batch size, each taken before its batch's update. Fine-tuning never runs
+    a forward pass over the whole training split: on thousands of rows the
     product is large enough for OpenBLAS to wake its second thread, which
     then busy-waits through the small minibatch products that follow.
 
@@ -325,15 +329,7 @@ def train_sdae(X, y, config: SDAEConfig = SDAEConfig(), seed: int = 0) -> SDAEMo
     codes = X
     pre_losses = []
     for li, h in enumerate(config.hidden_sizes):
-        (W, b), _, losses = pretrain_dae_layer(
-            codes,
-            h,
-            corruption=config.corruption,
-            epochs=config.pretrain_epochs,
-            lr=config.lr,
-            seed=seed + 1000 * (li + 1),
-            batch_size=config.batch_size,
-        )
+        (W, b), _, losses = pretrain_dae_layer(codes, h, config, seed + 1000 * (li + 1))
         weights.append(W)
         biases.append(b)
         codes = _sigmoid(codes @ W + b)

@@ -34,6 +34,7 @@ from .zones import LAYERS, LEAF_LABELS, Mode, ZoneMask
 
 
 CALIBRATION_PIXELS_PER_SEQ = 4000  # WA scores sampled per calibration sequence
+PF_RADIUS = 1  # smoothing radius: thresholds are fitted and cut at the same one
 
 
 @dataclass
@@ -217,7 +218,7 @@ class InferenceResult:
 
 
 def infer_sequence(model: CascadeModel, seq: io.ThermalSequence, z_pr: ZoneMask,
-                   thresholds: DecisionThresholds, pf_radius: int = 1,
+                   thresholds: DecisionThresholds, pf_radius: int = PF_RADIUS,
                    min_area_mm2: float = DEFAULT_MIN_AREA_MM2,
                    features: SequenceFeatures | None = None) -> InferenceResult:
     """Full per-sequence inference: features -> cascade -> PF -> LPS -> TF."""
@@ -248,7 +249,7 @@ class E2EConfig:
     rf_trees: ClassVar[int] = 30
     max_train_pixels: ClassVar[int] = 8000
     pixels_per_seq: ClassVar[int] = 6000
-    pf_radius: ClassVar[int] = 1
+    pf_radius: ClassVar[int] = PF_RADIUS
     min_area_mm2: ClassVar[float] = DEFAULT_MIN_AREA_MM2
 
     def __post_init__(self):
@@ -313,7 +314,7 @@ def run_e2e(out_dir, seed: int, config: E2EConfig = E2EConfig()) -> dict:
 
 def calibrate_thresholds(model: CascadeModel, manifest_path, alpha: float,
                          beta: float, seed: int = 0,
-                         pf_radius: int = 1) -> DecisionThresholds:
+                         pf_radius: int = PF_RADIUS) -> DecisionThresholds:
     """Fit the HA decision threshold on labeled calibration sequences.
 
     Probabilities are smoothed exactly as at decision time, otherwise the

@@ -560,3 +560,10 @@ class TestMismatchedInputs:
         assert main(["render", "--seq", str(seq), flag, str(mask), "--out", str(out)]) == 2
         assert f"mask {mask} is 80x64, but sequence {seq} is 96x72" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_render_of_a_sequence_without_frames_is_data_error(self, tmp_path, capsys):
+        seq, out = tmp_path / "empty.irts", tmp_path / "o.ppm"
+        io.write_sequence(seq, io.ThermalSequence(np.zeros((0, 72, 96)), np.zeros(0), 0.5))
+        assert main(["render", "--seq", str(seq), "--out", str(out)]) == 2
+        assert f"sequence {seq} has no frames to render" in capsys.readouterr().err
+        assert not out.exists()

@@ -51,26 +51,28 @@ class TestPretraining:
     def test_loss_decreases_on_realizable_target(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(100, 4))
-        _, _, losses = pretrain_dae_layer(x, hidden_size=6, corruption=0.0, epochs=30)
+        config = SDAEConfig(corruption=0.0, pretrain_epochs=30)
+        _, _, losses = pretrain_dae_layer(x, 6, config, seed=0)
         assert losses[-1] < losses[0]
 
     def test_losses_finite_throughout(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(120, 5))
-        _, _, losses = pretrain_dae_layer(x, hidden_size=4, corruption=0.2, epochs=10)
+        _, _, losses = pretrain_dae_layer(x, 4, SDAEConfig(pretrain_epochs=10), seed=0)
         assert np.all(np.isfinite(losses))
 
     def test_fixed_seed_gives_identical_weights(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(80, 3))
-        (w1, b1), _, _ = pretrain_dae_layer(x, 4, seed=5)
-        (w2, b2), _, _ = pretrain_dae_layer(x, 4, seed=5)
+        (w1, b1), _, _ = pretrain_dae_layer(x, 4, SDAEConfig(), seed=5)
+        (w2, b2), _, _ = pretrain_dae_layer(x, 4, SDAEConfig(), seed=5)
         assert np.array_equal(w1, w2)
         assert np.array_equal(b1, b2)
 
     def test_rejects_corruption_of_one(self):
+        # pretrain_dae_layer reads its corruption from a config, which rejects 1.0
         with pytest.raises(ValueError, match="corruption"):
-            pretrain_dae_layer(np.zeros((10, 2)), 2, corruption=1.0)
+            SDAEConfig(corruption=1.0)
 
 
 class TestTrainSDAE:
@@ -384,9 +386,10 @@ class TestTrainingMatchesOracle:
     @pytest.mark.parametrize("n", [64, 100])
     def test_pretrain_dae_layer(self, corruption, n):
         x, _ = noisy_data(n, d=4, seed=n)
-        kwargs = dict(corruption=corruption, epochs=5, lr=0.1, seed=3, batch_size=32)
-        got = pretrain_dae_layer(x, 6, **kwargs)
-        want = oracle_pretrain_dae_layer(x, 6, **kwargs)
+        config = SDAEConfig(corruption=corruption, pretrain_epochs=5, lr=0.1, batch_size=32)
+        got = pretrain_dae_layer(x, 6, config, seed=3)
+        want = oracle_pretrain_dae_layer(x, 6, corruption=corruption, epochs=5, lr=0.1,
+                                         seed=3, batch_size=32)
         assert_same_bytes([*got[0], *got[1]], [*want[0], *want[1]])
         assert got[2] == want[2]
 
@@ -524,6 +527,30 @@ def test_every_fine_tune_step_is_one_loss_and_grads_call(monkeypatch):
     assert rows == ([24] * 7 + [15]) * config.finetune_epochs
     assert len(frozen.trace["finetune_losses"]) == config.finetune_epochs
     assert_same_bytes(frozen.weights + frozen.biases, untrained)
+
+
+def test_every_pretraining_step_is_one_backward_call(monkeypatch):
+    """Pretraining takes its gradients from SDAEModel.backward, the pass
+    fine-tuning's loss_and_grads runs, one call per minibatch of every layer,
+    so the oracle and finite-difference tests check the code both stages run."""
+    x, y = noisy_data(203, d=5, seed=3)
+    config = SDAEConfig(hidden_sizes=(7, 3), pretrain_epochs=2, finetune_epochs=1,
+                        batch_size=24)
+    calls = []  # (layer sizes, rows) of every backward call
+    backward = SDAEModel.backward
+
+    def recording_backward(self, acts, delta, work):
+        calls.append((tuple(self.layer_sizes), len(delta)))
+        return backward(self, acts, delta, work)
+
+    monkeypatch.setattr(SDAEModel, "backward", recording_backward)
+    train_sdae(x, y, config, seed=0)
+    # each layer pretrains on all 203 rows = 8 * 24 + 11 per epoch; fine-tuning
+    # on the 183 left after the hold-out, 7 * 24 + 15
+    pretrain = [24] * 8 + [11]
+    assert calls == ([((5, 7, 5), m) for m in pretrain * 2]
+                     + [((7, 3, 7), m) for m in pretrain * 2]
+                     + [((5, 7, 3, 2), m) for m in [24] * 7 + [15]])
 
 
 class TestGradients:
