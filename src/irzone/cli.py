@@ -25,7 +25,7 @@ from .pipeline import (
     train_from_manifest,
 )
 from .postprocess import DecisionThresholds
-from .preprocess import register_sequence, remove_damaged_frames
+from .preprocess import naming_sequence, register_sequence, remove_damaged_frames
 from .zones import LEAF_LABELS, Mode
 
 
@@ -153,8 +153,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    registered, report = register_sequence(io.read_sequence(args.input))
-    _, report = remove_damaged_frames(registered, report)
+    seq = io.read_sequence(args.input)
+    with naming_sequence(args.input):
+        registered, report = register_sequence(seq)
+        _, report = remove_damaged_frames(registered, report)
     text = "\n".join(report.lines()) + "\n"
     if args.report:
         io._atomic_write(args.report, [text.encode()])
@@ -234,7 +236,8 @@ def _cmd_infer(args) -> int:
         thresholds = DecisionThresholds(alpha=alpha, beta=beta,
                                         theta_ha=0.5, achieved_alpha=0.0,
                                         achieved_beta=0.0)
-    res = infer_sequence(model, seq, z_pr, thresholds)
+    with naming_sequence(args.input):
+        res = infer_sequence(model, seq, z_pr, thresholds)
     io.write_mask(args.out_mask, res.z_ps, model.mode)
     if args.out_probs:
         # leaf probability planes stored in the sequence container,

@@ -9,7 +9,6 @@ import math
 import os
 import re
 import struct
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,9 +26,15 @@ class FormatError(ValueError):
 
 
 def _atomic_write(path, chunks):
+    """Write `chunks` to a new file beside `path`, then rename it over `path`.
+
+    The temporary is created with mode 0666 less the umask, as `open(path,
+    "wb")` would create it (`tempfile.mkstemp` gives 0600), and the rename
+    keeps that mode."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             for chunk in chunks:

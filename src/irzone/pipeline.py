@@ -27,6 +27,7 @@ from .postprocess import (
 )
 from .preprocess import (
     fit_recovery_batch,
+    naming_sequence,
     register_sequence,
     remove_damaged_frames,
 )
@@ -119,7 +120,8 @@ def load_features(seq_path) -> SequenceFeatures:
     if key not in _FEATURE_CACHE:
         if len(_FEATURE_CACHE) > 256:
             _FEATURE_CACHE.clear()
-        _FEATURE_CACHE[key] = preprocess_sequence(io.read_sequence(seq_path))
+        with naming_sequence(seq_path):
+            _FEATURE_CACHE[key] = preprocess_sequence(io.read_sequence(seq_path))
     return _FEATURE_CACHE[key]
 
 
@@ -265,8 +267,15 @@ class E2EConfig:
 
 
 def run_e2e(out_dir, seed: int, config: E2EConfig = E2EConfig()) -> dict:
-    """Full pipeline: generate train/test phantoms, train every backend,
-    calibrate thresholds, infer the test set, and write a quality report.
+    """Full pipeline: generate train/test phantoms, train and write every
+    backend, calibrate every backend's thresholds, then map the test set in
+    one pass and write a quality report.
+
+    Training and calibration read the training features through
+    `load_features`. Each test sequence is read and preprocessed once,
+    outside that cache, mapped by every backend in config order and then
+    dropped, so no test feature map is held while another backend trains.
+    Every step is seeded on its own, so the order changes no byte.
 
     Everything on disk (datasets, models, predicted masks, report) is a pure
     function of (seed, config)."""
@@ -280,32 +289,34 @@ def run_e2e(out_dir, seed: int, config: E2EConfig = E2EConfig()) -> dict:
     make_dataset(out_dir / "test", mode_mix={config.mode.value: config.n_test},
                  config_sampler=sampler, seed=seed + 1)
     train_manifest = out_dir / "train" / "manifest.txt"
-    test_entries = read_manifest(out_dir / "test" / "manifest.txt")
 
-    results = {}
+    models = {}
     for backend in config.backends:
         cconfig = CascadeConfig(
             backend=backend,
             rf=RFConfig(n_trees=config.rf_trees),
             max_train_pixels=config.max_train_pixels,
         )
-        model = train_from_manifest(train_manifest, config.mode, cconfig,
-                                    seed=seed, max_pixels_per_seq=config.pixels_per_seq)
-        io.write_model(out_dir / f"model_{backend}.izm", model)
-        thresholds = calibrate_thresholds(model, train_manifest,
-                                          config.alpha, config.beta, seed=seed,
-                                          pf_radius=config.pf_radius)
-        items = []
-        for i, e in enumerate(test_entries):
-            ref, _ = io.read_mask(e.mask_path)
-            z_pr = zpr_from_reference(ref)
-            res = infer_sequence(model, None, z_pr, thresholds,
+        models[backend] = train_from_manifest(train_manifest, config.mode, cconfig, seed=seed,
+                                              max_pixels_per_seq=config.pixels_per_seq)
+        io.write_model(out_dir / f"model_{backend}.izm", models[backend])
+    thresholds = {backend: calibrate_thresholds(model, train_manifest, config.alpha,
+                                                config.beta, seed=seed,
+                                                pf_radius=config.pf_radius)
+                  for backend, model in models.items()}
+
+    results = {backend.upper(): [] for backend in config.backends}
+    for i, e in enumerate(read_manifest(out_dir / "test" / "manifest.txt")):
+        sf = preprocess_sequence(io.read_sequence(e.seq_path))
+        ref, _ = io.read_mask(e.mask_path)
+        z_pr = zpr_from_reference(ref)
+        for backend, model in models.items():
+            res = infer_sequence(model, None, z_pr, thresholds[backend],
                                  pf_radius=config.pf_radius,
-                                 min_area_mm2=config.min_area_mm2,
-                                 features=load_features(e.seq_path))
+                                 min_area_mm2=config.min_area_mm2, features=sf)
             io.write_mask(out_dir / f"pred_{backend}_{i:04d}.pgm", res.z_ps, config.mode)
-            items.append((f"seq_{i:04d}", res.z_ps, ref))
-        results[backend.upper()] = items
+            results[backend.upper()].append((f"seq_{i:04d}", res.z_ps, ref))
+        del sf  # not held while the next sequence is preprocessed
 
     text = evaluation.report(results)
     io._atomic_write(out_dir / "report.txt", [text.encode()])

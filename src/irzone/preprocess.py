@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +26,15 @@ GN_TOL = 1e-9  # a pixel whose step is shorter has converged
 
 class PipelineAbort(RuntimeError):
     """Unrecoverable preprocessing failure (e.g. no usable frames left)."""
+
+
+@contextmanager
+def naming_sequence(seq_path):
+    """Re-raise a PipelineAbort of the block with the sequence file's path in its message."""
+    try:
+        yield
+    except PipelineAbort as e:
+        raise PipelineAbort(f"sequence {seq_path}: {e}") from None
 
 
 @dataclass
@@ -260,7 +269,11 @@ def bilinear_sample(frame, dx, dy):
 
 
 SNAP_EPS = 0.15  # px; sub-snap estimates are treated as zero (idempotence)
-AHEAD_MIN_PIXELS = 160 * 120  # smallest frame whose target blurs run a frame ahead
+# Smallest frame, in pixels, for which a preprocessing stage starts a second
+# thread: registration's look-ahead blur and the curve fit's pool. Below it
+# the thread costs more than it overlaps (see `register_sequence` and
+# `fit_recovery_batch` for the measured crossovers).
+THREAD_MIN_PIXELS = 160 * 120
 
 
 def _blurred_targets(data, pool):
@@ -298,7 +311,7 @@ def register_sequence(seq):
     target. After a zero or fatal shift the next reference is already
     prepared; only a frame that was moved is filtered and prepared again.
 
-    With more than one usable CPU and frames of at least AHEAD_MIN_PIXELS
+    With more than one usable CPU and frames of at least THREAD_MIN_PIXELS
     pixels, one worker thread computes the Gaussian blur of the next target
     frame while this one is scored (`_blurred_targets`); scipy's filter
     releases the GIL. Everything else stays on the calling thread: the rest
@@ -318,8 +331,9 @@ def register_sequence(seq):
     look-ahead took 8-9% longer at 96x72, 1-11% less at 128x96, from 6%
     less to 1% more at 160x120, 1-19% less at 224x168 and 14-26% less at
     320x240. An earlier measurement found 128x96 10% slower, so
-    AHEAD_MIN_PIXELS sits above both crossovers. Below it, and on one CPU,
-    no thread is started.
+    THREAD_MIN_PIXELS sits above both crossovers. Below it, and on one CPU,
+    no thread is started. The curve fit starts its pool from the same size
+    (`fit_recovery_batch`).
 
     Rotations and super-threshold shifts are not corrected: those frames are
     flagged fatal for the damaged-frame stage to delete.
@@ -336,7 +350,7 @@ def register_sequence(seq):
     report.shifts.append(ShiftEstimate(0.0, 0.0, 1.0))
     m = DEFAULT_MAX_SHIFT
     prev = _prepare(seq.data[0], HIGHPASS_SIGMA, m)  # the reference
-    ahead = _cpu_count() > 1 and h * w >= AHEAD_MIN_PIXELS
+    ahead = _cpu_count() > 1 and h * w >= THREAD_MIN_PIXELS
     with ThreadPoolExecutor(1) if ahead else nullcontext() as pool:
         targets = (_blurred_targets(seq.data, pool) if pool
                    else ((frame, None) for frame in seq.data[1:]))
@@ -580,11 +594,25 @@ def fit_recovery_batch(series, times):
     pixel's step from that pixel's column alone, and the initialisation and
     the rmse pass reduce each pixel's row with the same numpy call on a
     block of the same memory layout as the whole series, so numpy adds in
-    the same order. Both run on the calling thread. The Gauss-Newton blocks
-    of an iteration with more than one block build their normal equations on
-    a thread pool with one worker per CPU this process may use (numpy
-    releases the GIL in the block arithmetic); a fit of one block starts no
-    thread.
+    the same order. Both run on the calling thread. For a series of at least
+    THREAD_MIN_PIXELS pixels, the Gauss-Newton blocks of an iteration with
+    more than one block build their normal equations on a thread pool with
+    one worker per CPU this process may use (numpy releases the GIL in the
+    block arithmetic). A smaller series, and a fit of one block, starts no
+    thread and uses one scratch set. Medians of 7 alternating runs on 2
+    cores, with the same bytes either way:
+
+        pixels x frames   1 worker   2 workers
+        96x72 x 40           75 ms       80 ms
+        128x96 x 40         124 ms      126 ms
+        160x120 x 40        200 ms      215 ms
+        224x168 x 60        414 ms      320 ms
+        320x240 x 60        977 ms      559 ms
+
+    An earlier run gave 154 against 155 ms at 160x120, so the crossover
+    lies between 160x120 and 224x168. Below THREAD_MIN_PIXELS a second
+    worker saves nothing, and its scratch (6.6 MB at 96x72x40) is held for
+    nothing.
 
     A float32 series is read as it is, and no float64 copy of it is made:
     each block converts its own pixels to float64, which gives the values
@@ -607,7 +635,7 @@ def fit_recovery_batch(series, times):
     a, b, tau, degenerate = (np.concatenate(part) for part in zip(*init))
 
     yT = np.ascontiguousarray(y.T)  # [T, N]; no copy of the pipeline's frames
-    cpus = _cpu_count()
+    cpus = _cpu_count() if len(y) >= THREAD_MIN_PIXELS else 1
     workers = min(cpus, len(_blocks(len(y), cpus)))
     scratch = queue.SimpleQueue()
     size = len(t) * min(len(y), BLOCK)

@@ -494,8 +494,9 @@ class TestFlow:
 
 
 class TestMismatchedInputs:
-    """A mask that does not fit the sequence, the model or the other mask is a
-    data error naming its file, and infer reports it before calibrating."""
+    """A mask that does not fit the sequence, the model or the other mask, or
+    a sequence too short to register, is a data error naming its file, and
+    infer reports a mask before calibrating."""
 
     @pytest.fixture
     def nothing_preprocessed(self, monkeypatch):
@@ -566,4 +567,28 @@ class TestMismatchedInputs:
         io.write_sequence(seq, io.ThermalSequence(np.zeros((0, 72, 96)), np.zeros(0), 0.5))
         assert main(["render", "--seq", str(seq), "--out", str(out)]) == 2
         assert f"sequence {seq} has no frames to render" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("frames", [0, 1])
+    @pytest.mark.parametrize("command", ["preprocess", "infer", "train"])
+    def test_sequence_too_short_to_register_is_data_error_naming_it(self, tmp_path, capsys,
+                                                                    command, frames):
+        seq = tmp_path / "short.irts"
+        io.write_sequence(seq, io.ThermalSequence(np.full((frames, 72, 96), 30.0),
+                                                  np.arange(float(frames)), 0.5))
+        out = tmp_path / "out"
+        if command == "preprocess":
+            args = ["preprocess", "--in", str(seq), "--report", str(out)]
+        elif command == "infer":
+            args = ["infer", "--model", str(write_leaf_model(tmp_path / "leaf.izm")),
+                    "--in", str(seq), "--out-mask", str(out)]
+        else:
+            mask = self.write_mask(tmp_path / "mask.pgm", np.zeros((72, 96), dtype=np.uint8))
+            pipeline.write_manifest(tmp_path / "manifest.txt",
+                                    [pipeline.ManifestEntry(str(seq), str(mask))])
+            args = ["train", "--manifest", str(tmp_path / "manifest.txt"),
+                    "--model-out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"sequence {seq}: need at least 2 frames to register" in err, err
         assert not out.exists()

@@ -4,6 +4,8 @@ import dataclasses
 import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -569,6 +571,39 @@ class TestModelFile:
         io.write_model(path, tiny_cascade())
         leftovers = [p for p in tmp_path.iterdir() if p.name != "model.izm"]
         assert leftovers == []
+
+
+# writes a model, a mask, a sequence and a stage report under the umask argv[2]
+UMASK_CHILD = """
+import os, sys
+from pathlib import Path
+os.umask(int(sys.argv[2], 8))
+from conftest import small_config
+from test_io_formats import tiny_cascade
+from irzone import io_formats as io
+from irzone.cli import main
+from irzone.phantom import generate_phantom
+out = Path(sys.argv[1])
+seq, mask = generate_phantom(small_config(), seed=0)
+io.write_sequence(out / "seq.irts", seq)
+io.write_mask(out / "mask.pgm", mask, small_config().mode)
+io.write_model(out / "model.izm", tiny_cascade())
+assert main(["preprocess", "--in", str(out / "seq.irts"), "--report", str(out / "report.txt")]) == 0
+"""
+
+
+@pytest.mark.parametrize("umask, mode", [("022", 0o644), ("077", 0o600)])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    # in a child process, so that this one's umask stays as it is
+    paths = [str(Path(io.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [*paths, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", UMASK_CHILD, str(tmp_path), umask], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    modes = {p.name: oct(p.stat().st_mode & 0o777) for p in tmp_path.iterdir()}
+    names = ["mask.pgm", "mask.pgm.meta", "model.izm", "report.txt", "seq.irts"]
+    assert modes == dict.fromkeys(names, oct(mode))
 
 
 def loop_region_boundary(region):

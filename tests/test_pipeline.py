@@ -176,6 +176,25 @@ class TestLoadFeatures:
         assert load_features(path) is load_features(tmp_path / "." / "seq_0000.irts")
 
 
+def test_e2e_caches_the_training_features_and_maps_each_test_sequence_once(tmp_path,
+                                                                          monkeypatch):
+    """Training and calibration read the training features from the cache;
+    each test sequence is preprocessed once, outside it, for every backend."""
+    monkeypatch.setattr(pipeline, "_FEATURE_CACHE", {})
+    preprocessed = []
+    preprocess = pipeline.preprocess_sequence
+    monkeypatch.setattr(pipeline, "preprocess_sequence",
+                        lambda seq: preprocessed.append(seq.data.tobytes()) or preprocess(seq))
+    out = pipeline.run_e2e(tmp_path, seed=7, config=pipeline.E2EConfig(n_train=2, n_test=3))
+    train = read_manifest(tmp_path / "train" / "manifest.txt")
+    test = read_manifest(tmp_path / "test" / "manifest.txt")
+    assert sorted(path for path, _, _ in pipeline._FEATURE_CACHE) == sorted(
+        str((tmp_path / "train" / f"seq_{i:04d}.irts").resolve()) for i in range(2))
+    assert sorted(preprocessed) == sorted(io.read_sequence(e.seq_path).data.tobytes()
+                                          for e in train + test)
+    assert [len(items) for items in out["results"].values()] == [3, 3]
+
+
 def test_every_default_argument_is_hashable():
     """A mutable default is one object shared by every call that omits it:
     module-level state. Defaults must be immutable, so every one is hashable

@@ -313,7 +313,7 @@ class TestRegisterPreparedFrames:
         for name in CASES for ahead in (False, True)
     ])
     def test_shifts_and_data_match_pinned_hashes(self, name, ahead, monkeypatch):
-        # with two CPUs, these frames are below AHEAD_MIN_PIXELS unless "-ahead"
+        # with two CPUs, these frames are below THREAD_MIN_PIXELS unless "-ahead"
         # lowers it to 0
         overrides, seed, moved, fatal = self.CASES[name]
         prepared, handed_out = [], []
@@ -324,7 +324,7 @@ class TestRegisterPreparedFrames:
                             lambda *args: handed_out.append(1) or blurred_targets(*args))
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
         if ahead:
-            monkeypatch.setattr(preprocess, "AHEAD_MIN_PIXELS", 0)
+            monkeypatch.setattr(preprocess, "THREAD_MIN_PIXELS", 0)
         seq, _ = generate_phantom(small_config(**overrides), seed=seed)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6 if ahead else interval)  # frequent thread switches
@@ -350,7 +350,7 @@ class TestRegisterPreparedFrames:
                  + [(0.0, 0.0)] * 20), 22, 0, [9]))
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
         if ahead:
-            monkeypatch.setattr(preprocess, "AHEAD_MIN_PIXELS", 0)
+            monkeypatch.setattr(preprocess, "THREAD_MIN_PIXELS", 0)
         seq, _ = generate_phantom(small_config(**overrides), seed=seed)
         before = seq.data.tobytes()
         seq.data.flags.writeable = False  # registration never writes its input
@@ -364,7 +364,7 @@ class TestRegisterPreparedFrames:
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(preprocess, "ThreadPoolExecutor", None)  # calling it fails
-        monkeypatch.setattr(preprocess, "AHEAD_MIN_PIXELS", 0)
+        monkeypatch.setattr(preprocess, "THREAD_MIN_PIXELS", 0)
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 1)
         overrides, seed, _, _ = self.CASES["drift"]
         seq, _ = generate_phantom(small_config(**overrides), seed=seed)
@@ -608,9 +608,11 @@ def assert_fit_matches_einsum(series, times):
 
 
 def cleaned_phantom_series(seed, dtype=np.float64, **overrides):
-    """[N, T] series and times of a 96x72x40 phantom. In float32 the series is
-    the transposed view of the frames that the pipeline fits."""
-    config = PhantomConfig(width=96, height=72, n_frames=40, noise_sigma=0.03, **overrides)
+    """[N, T] series and times of a phantom, 96x72x40 unless `overrides` say
+    otherwise. In float32 the series is the transposed view of the frames
+    that the pipeline fits."""
+    config = PhantomConfig(**{"width": 96, "height": 72, "n_frames": 40,
+                              "noise_sigma": 0.03, **overrides})
     seq, _ = generate_phantom(config, seed=seed)
     cleaned, _ = remove_damaged_frames(*register_sequence(seq))
     series = cleaned.data.reshape(cleaned.n_frames, -1).T.astype(dtype, copy=False)
@@ -695,11 +697,13 @@ class TestFitRecoveryMatchesEinsum:
 class TestFitRecoveryWorkers:
     """Pixel blocks on a thread pool: the same bytes for any worker count.
     A float32 series, converted block by block, fits to the bytes of its
-    float64 copy; the oracle converts the whole series up front."""
+    float64 copy; the oracle converts the whole series up front. The tests
+    that pool series smaller than 160x120 lower THREAD_MIN_PIXELS to 0."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_same_bytes_for_any_worker_count(self, workers, monkeypatch):
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(preprocess, "THREAD_MIN_PIXELS", 0)
         full = preprocess.MAX_ITER
         for dtype in (np.float64, np.float32):
             series, times = cleaned_phantom_series(12, dtype)
@@ -713,6 +717,7 @@ class TestFitRecoveryWorkers:
         # the series the pipeline fits is a transposed, not C-ordered array;
         # 16 * 7 + 1 and 16 * 15 + 1 are one past a multiple of the block
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(preprocess, "THREAD_MIN_PIXELS", 0)
         monkeypatch.setattr(preprocess, "BLOCK", 16)
         for dtype in (np.float64, np.float32):
             series, times = cleaned_phantom_series(13, dtype)
@@ -723,6 +728,7 @@ class TestFitRecoveryWorkers:
     def test_more_workers_than_cores_with_frequent_switches(self, monkeypatch):
         # each block must have its scratch to itself; a shared one corrupts steps
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(preprocess, "THREAD_MIN_PIXELS", 0)
         monkeypatch.setattr(preprocess, "BLOCK", 24)
         series, times = cleaned_phantom_series(12, np.float32)
         interval = sys.getswitchinterval()
@@ -741,7 +747,9 @@ class TestFitRecoveryWorkers:
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 8)
         fit_recovery_batch(series[:1], times)  # one block: never more workers than blocks
 
-    def test_worker_count_follows_the_cpus_this_process_may_use(self, monkeypatch):
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker count of each thread pool the module starts, in order."""
         pools = []
 
         class RecordingPool(preprocess.ThreadPoolExecutor):
@@ -750,14 +758,31 @@ class TestFitRecoveryWorkers:
                 super().__init__(workers)
 
         monkeypatch.setattr(preprocess, "ThreadPoolExecutor", RecordingPool)
+        return pools
+
+    def test_worker_count_follows_the_cpus_this_process_may_use(self, pools, monkeypatch):
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 3)
         series, times = cleaned_phantom_series(12)
+        monkeypatch.setattr(preprocess, "THREAD_MIN_PIXELS", 0)  # after registration's
         assert len(series) == 96 * 72
         fit_recovery_batch(series, times)  # 3 blocks of 2,304 pixels
         fit_recovery_batch(series[:preprocess.BLOCK], times)  # one block: no pool
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
         fit_recovery_batch(series[:preprocess.BLOCK + 1], times)
         assert pools == [3, 2]
+
+    def test_a_pool_starts_only_from_160x120_pixels(self, pools, monkeypatch):
+        assert preprocess.THREAD_MIN_PIXELS == 160 * 120
+        for (w, h), want in [((96, 72), []), ((160, 120), [2])]:
+            series, times = cleaned_phantom_series(14, np.float32, width=w, height=h)
+            fits = {}
+            for cpus in (2, 1):
+                pools.clear()
+                monkeypatch.setattr(preprocess, "_cpu_count", lambda: cpus)
+                fits[cpus] = fit_recovery_batch(series, times)
+                assert pools == (want if cpus == 2 else []), (w, h, cpus)
+            for key, value in fits[1].items():
+                assert fits[2][key].tobytes() == value.tobytes(), (w, h, key)
 
     @staticmethod
     def assert_blocks(n, workers):
@@ -794,6 +819,7 @@ class TestFitRecoveryWorkers:
 
     def test_a_single_block_steps_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(preprocess, "THREAD_MIN_PIXELS", 0)
         monkeypatch.setattr(preprocess, "BLOCK", 24)
         events = []
         blocks_of, step = preprocess._blocks, preprocess._gauss_newton_step
