@@ -86,6 +86,8 @@ class ThermalSequence:
             raise ValueError("timestamps/frames length mismatch")
         if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > 0):
             raise ValueError("timestamps must be strictly increasing")
+        if not np.isfinite(self.timestamps).all():
+            raise ValueError("non-finite timestamps")
         if not all(np.isfinite(frame).all() for frame in self.data):  # one frame's mask at a time
             raise ValueError("non-finite temperatures")
 
@@ -122,7 +124,7 @@ def read_sequence(path) -> ThermalSequence:
             raise FormatError(f"{path}: payload size {size} != declared {expect}")
         # a frame too large for a record (checked before any array is made, as
         # a file of no frames does not bound w and h), a short read,
-        # non-finite temperatures, timestamps out of order
+        # non-finite temperatures, timestamps out of order or non-finite
         try:
             _frame_record(h, w)
             data, times = np.empty((n, h, w), dtype="<f4"), np.empty(n, dtype="<f8")
@@ -358,6 +360,20 @@ def state_array(dtype, ndim):
     return convert
 
 
+def _non_finite(state, where="state"):
+    """Where the first NaN or infinity of a model state is, or None: no
+    model predicts from one, so `write_model` refuses it and a reader rejects it."""
+    if isinstance(state, float) or (isinstance(state, np.ndarray) and state.dtype.kind == "f"):
+        return None if np.isfinite(state).all() else where
+    if isinstance(state, dict):
+        found = (_non_finite(v, f"{where}.{k}") for k, v in state.items())
+    elif isinstance(state, list):
+        found = (_non_finite(v, f"{where}[{i}]") for i, v in enumerate(state))
+    else:
+        return None
+    return next(filter(None, found), None)
+
+
 def _model_header(kind, fields: dict, block: bytes) -> dict:
     """The lines of a model file after its first, {key: value}: kind, the
     fields, then the parameter block's checksum and lower-case hex."""
@@ -377,8 +393,12 @@ def _header_fields(state) -> dict:
 
 def write_model(path, model, header_extra: dict | None = None):
     """Write `model`; its header repeats the state's kind, mode and seed. A
-    `header_extra` value other than the model's is a ValueError, and nothing is written."""
+    `header_extra` value other than the model's, or a NaN or infinity in the
+    model, is a ValueError, and nothing is written."""
     state = model.to_state()
+    where = _non_finite(state)
+    if where:
+        raise ValueError(f"{path}: model has a non-finite value in {where}; nothing written")
     fields = _header_fields(state)
     for key, value in (header_extra or {}).items():
         if str(value) != fields.get(key):
@@ -391,7 +411,8 @@ def read_model_state(path) -> tuple[dict, object]:
     """The header fields of a model file ({key: value}) and its decoded state.
 
     A file that is not byte for byte the text `write_model` writes for its
-    kind, extra header lines and parameter block is a FormatError.
+    kind, extra header lines and parameter block, or whose state holds a NaN
+    or an infinity, is a FormatError.
     """
     try:
         text = Path(path).read_bytes().decode()
@@ -420,10 +441,13 @@ def read_model_state(path) -> tuple[dict, object]:
         raise FormatError(f"{path}: header is not laid out as write_model writes it")
     try:
         state, end = _unpack(block)
+        where = _non_finite(state)
     except RecursionError as e:
         raise FormatError(f"{path}: parameter block nested too deeply") from e
     if end != len(block):
         raise FormatError(f"{path}: {len(block) - end} bytes after the parameter block")
+    if where:
+        raise FormatError(f"{path}: non-finite value in {where}")
     return header, state
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FEATURE_DIM, Standardizer, as_parts, fit_standardizer
+from ..forked import forked_map
 from ..io_formats import FormatError, state_fields
 from ..zones import BC_LEAVES, DM_LEAVES, HA_LEAVES, LEAF_LABELS, WA_LEAVES, Mode, ZoneLabel
 from .rf import RFConfig, RFModel, rf_predict_proba, train_rf
@@ -145,7 +146,11 @@ def cascade_train(features, labels, mode: Mode,
                   config: CascadeConfig = CascadeConfig(), seed: int = 0) -> CascadeModel:
     """Train each stage on the pixels its parent would route to it (teacher
     forcing with ground-truth labels). `features` (`features.as_parts`) are
-    read in place: each stage copies only the rows it draws."""
+    read in place: each stage copies only the rows it draws.
+
+    Every stage's rows are drawn here first, in table order; the stages then
+    train on the usable CPUs (`forked.forked_map`), each from its own rows
+    and seed, so the models are those of training them one after another."""
     parts = as_parts(features)
     y = np.asarray(labels)
     if any(m.shape[1:] != (FEATURE_DIM,) for m, _ in parts):
@@ -159,7 +164,9 @@ def cascade_train(features, labels, mode: Mode,
     std = fit_standardizer(parts, usable if usable.any() else None)
     rng = np.random.default_rng(seed)
 
-    stages, counts = {}, {}
+    # the draws, in table order from one generator; each stage's training
+    # gathers and standardises only the rows it drew
+    draws, counts = [], {}
     for si, name in enumerate(stages_for_mode(mode)):
         routed, positive = CASCADE[name]
         rows = np.flatnonzero(np.isin(y, routed) & usable)
@@ -169,15 +176,18 @@ def cascade_train(features, labels, mode: Mode,
         if min(counts[name]) < MIN_SAMPLES_PER_CLASS:
             raise ValueError(f"stage {name}: insufficient samples per class {counts}; "
                              f"need >= {MIN_SAMPLES_PER_CLASS}")
-        # pick the rows first: only the picked ones are copied and standardised
         pick = _subsample(ys, config.max_train_pixels,
                           balanced=(config.backend == "sdae"), rng=rng)
-        Xs, ys = std.apply(_gather(parts, rows[pick])), ys[pick]
-        stage_seed = seed + 7919 * (si + 1)
+        draws.append((rows[pick], ys[pick], seed + 7919 * (si + 1)))
+
+    def train(draw):
+        rows, ys, stage_seed = draw
+        Xs = std.apply(_gather(parts, rows))
         if config.backend == "rf":
-            stages[name] = train_rf(Xs, ys, config.rf, seed=stage_seed)
-        else:
-            stages[name] = train_sdae(Xs, ys, config.sdae, seed=stage_seed)
+            return train_rf(Xs, ys, config.rf, seed=stage_seed)
+        return train_sdae(Xs, ys, config.sdae, seed=stage_seed)
+
+    stages = dict(zip(stages_for_mode(mode), forked_map(train, draws)))
     return CascadeModel(mode=mode, backend=config.backend, standardizer=std,
                         stages=stages, seed=seed)
 

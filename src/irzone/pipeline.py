@@ -4,6 +4,7 @@ inference to a final zone mask."""
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -13,6 +14,7 @@ import numpy as np
 from . import evaluation
 from . import io_formats as io
 from .features import extract_features_batch
+from .forked import forked_map
 from .models.cascade import CascadeConfig, CascadeModel, cascade_predict, cascade_train
 from .models.rf import RFConfig
 from .phantom import default_config_sampler, generate_phantom
@@ -113,15 +115,34 @@ class SequenceFeatures:
 _FEATURE_CACHE: dict[tuple[str, int, int], SequenceFeatures] = {}
 
 
-def load_features(seq_path) -> SequenceFeatures:
+def _cache_key(seq_path) -> tuple[str, int, int]:
     path = Path(seq_path).resolve()
     st = path.stat()
-    key = (str(path), st.st_size, st.st_mtime_ns)
+    return str(path), st.st_size, st.st_mtime_ns
+
+
+def read_features(seq_path) -> SequenceFeatures:
+    """The features of the sequence file `seq_path`; a PipelineAbort names the file."""
+    with naming_sequence(seq_path):
+        return preprocess_sequence(io.read_sequence(seq_path))
+
+
+def _cache_features(seq_paths):
+    """Preprocess into the cache each of `seq_paths` it lacks, on the usable
+    CPUs (`forked.forked_map`). The cache is emptied first when the new
+    entries would take it past 256."""
+    paths = {_cache_key(p): p for p in seq_paths}
+    missing = [key for key in paths if key not in _FEATURE_CACHE]
+    if missing and len(_FEATURE_CACHE) + len(missing) > 256:
+        _FEATURE_CACHE.clear()
+        missing = list(paths)
+    _FEATURE_CACHE.update(zip(missing, forked_map(read_features, [paths[k] for k in missing])))
+
+
+def load_features(seq_path) -> SequenceFeatures:
+    key = _cache_key(seq_path)
     if key not in _FEATURE_CACHE:
-        if len(_FEATURE_CACHE) > 256:
-            _FEATURE_CACHE.clear()
-        with naming_sequence(seq_path):
-            _FEATURE_CACHE[key] = preprocess_sequence(io.read_sequence(seq_path))
+        _cache_features([seq_path])
     return _FEATURE_CACHE[key]
 
 
@@ -156,11 +177,15 @@ def _pooled(manifest_path, mode: Mode, seed: int, cap: int, where=None) -> list:
     selects ([H, W] bool), if given, or all of them. When `cap` is set and a
     sequence has more than `cap` such pixels, it contributes `cap` of them
     drawn without replacement from one generator seeded by `seed`. A mask of
-    another frame size than its sequence is a ValueError."""
+    another frame size than its sequence is a ValueError.
+
+    The sequences the feature cache lacks are preprocessed into it first, on
+    the usable CPUs (`_cache_features`)."""
     lines = [(e, *io.read_mask(e.mask_path)) for e in read_manifest(manifest_path)]
     pairs = [(e, mask) for e, mask, mask_mode in lines if mask_mode is mode]
     if not pairs:
         raise ValueError(f"manifest has no {mode.value}-mode sequences")
+    _cache_features([e.seq_path for e, _ in pairs])
     rng = np.random.default_rng(seed)
     pooled = []
     for e, mask in pairs:
@@ -273,9 +298,12 @@ def run_e2e(out_dir, seed: int, config: E2EConfig = E2EConfig()) -> dict:
 
     Training and calibration read the training features through
     `load_features`. Each test sequence is read and preprocessed once,
-    outside that cache, mapped by every backend in config order and then
-    dropped, so no test feature map is held while another backend trains.
-    Every step is seeded on its own, so the order changes no byte.
+    outside that cache, mapped by every backend in config order as it
+    arrives and then dropped, so no test feature map is held while another
+    backend trains. The training sequences, the test sequences and each
+    cascade's stages are computed on the usable CPUs (`forked.forked_map`).
+    Every step is seeded on its own, so neither the order nor the process
+    changes a byte.
 
     Everything on disk (datasets, models, predicted masks, report) is a pure
     function of (seed, config)."""
@@ -306,17 +334,18 @@ def run_e2e(out_dir, seed: int, config: E2EConfig = E2EConfig()) -> dict:
                   for backend, model in models.items()}
 
     results = {backend.upper(): [] for backend in config.backends}
-    for i, e in enumerate(read_manifest(out_dir / "test" / "manifest.txt")):
-        sf = preprocess_sequence(io.read_sequence(e.seq_path))
-        ref, _ = io.read_mask(e.mask_path)
-        z_pr = zpr_from_reference(ref)
-        for backend, model in models.items():
-            res = infer_sequence(model, None, z_pr, thresholds[backend],
-                                 pf_radius=config.pf_radius,
-                                 min_area_mm2=config.min_area_mm2, features=sf)
-            io.write_mask(out_dir / f"pred_{backend}_{i:04d}.pgm", res.z_ps, config.mode)
-            results[backend.upper()].append((f"seq_{i:04d}", res.z_ps, ref))
-        del sf  # not held while the next sequence is preprocessed
+    tests = read_manifest(out_dir / "test" / "manifest.txt")
+    with closing(forked_map(read_features, [e.seq_path for e in tests])) as maps:
+        for i, (e, sf) in enumerate(zip(tests, maps)):
+            ref, _ = io.read_mask(e.mask_path)
+            z_pr = zpr_from_reference(ref)
+            for backend, model in models.items():
+                res = infer_sequence(model, None, z_pr, thresholds[backend],
+                                     pf_radius=config.pf_radius,
+                                     min_area_mm2=config.min_area_mm2, features=sf)
+                io.write_mask(out_dir / f"pred_{backend}_{i:04d}.pgm", res.z_ps, config.mode)
+                results[backend.upper()].append((f"seq_{i:04d}", res.z_ps, ref))
+            del sf  # not held while the next sequence is preprocessed
 
     text = evaluation.report(results)
     io._atomic_write(out_dir / "report.txt", [text.encode()])

@@ -3,7 +3,6 @@ per-pixel recovery-curve fitting."""
 
 from __future__ import annotations
 
-import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -12,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from .forked import _cpu_count
 from .io_formats import ThermalSequence
 
 DEFAULT_MAX_SHIFT = 5          # px; larger drifts are treated as fatal
@@ -451,13 +451,6 @@ def remove_damaged_frames(seq, report):
 
 
 BLOCK = 4096  # most pixels per block of the per-pixel passes; keeps each [T, block] array in cache
-
-
-def _cpu_count():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _blocks(n, workers=1):

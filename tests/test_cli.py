@@ -1,11 +1,14 @@
 """Command-line surface: subcommands, exit codes, end-to-end flow."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from irzone import io_formats as io
 from irzone import pipeline
 from irzone.cli import main
+from irzone.phantom import generate_phantom
 from irzone.zones import Mode, ZoneLabel, ZoneMask
 
 from conftest import small_config, write_model_block
@@ -567,6 +570,20 @@ class TestMismatchedInputs:
         io.write_sequence(seq, io.ThermalSequence(np.zeros((0, 72, 96)), np.zeros(0), 0.5))
         assert main(["render", "--seq", str(seq), "--out", str(out)]) == 2
         assert f"sequence {seq} has no frames to render" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sequence_with_an_infinite_timestamp_is_data_error_naming_it(self, tmp_path,
+                                                                         capsys):
+        seq, out = tmp_path / "inf.irts", tmp_path / "out.pgm"
+        io.write_sequence(seq, generate_phantom(small_config(), seed=1)[0])
+        raw = bytearray(seq.read_bytes())
+        last = len(raw) - 4 * 48 * 64 - 8  # the last frame's timestamp
+        raw[last : last + 8] = struct.pack("<d", float("inf"))
+        seq.write_bytes(bytes(raw))
+        args = ["infer", "--model", str(write_leaf_model(tmp_path / "leaf.izm")),
+                "--in", str(seq), "--out-mask", str(out)]
+        assert main(args) == 2
+        assert f"{seq}: non-finite timestamps" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("frames", [0, 1])

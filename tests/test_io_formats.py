@@ -203,6 +203,7 @@ class TestSequenceContainer:
     @pytest.mark.parametrize("offset, packed, match", [
         (26, struct.pack("<d", float("nan")), "strictly increasing"),  # first timestamp
         (34, struct.pack("<f", float("inf")), "non-finite"),           # first temperature
+        (282, struct.pack("<d", float("inf")), "non-finite timestamps"),  # last timestamp
     ])
     def test_invalid_contents_are_format_errors(self, tmp_path, offset, packed, match):
         path = tmp_path / "a.irts"
@@ -212,6 +213,14 @@ class TestSequenceContainer:
         path.write_bytes(bytes(raw))
         with pytest.raises(io.FormatError, match=match):
             io.read_sequence(path)
+
+
+    @pytest.mark.parametrize("last", [float("inf"), float("nan")])
+    def test_non_finite_timestamp_is_rejected(self, last):
+        with pytest.raises(ValueError, match="timestamps"):
+            ThermalSequence(np.zeros((5, 2, 2)), [0.0, 1.0, 2.0, 3.0, last], 250e-6)
+        with pytest.raises(ValueError, match="non-finite timestamps"):
+            ThermalSequence(np.zeros((1, 2, 2)), [last], 250e-6)
 
 
 class TestMaskFile:
@@ -386,9 +395,10 @@ class TestParameterBlock:
                 io._unpack(block[:n])
 
 
-def tiny_cascade(seed=0):
+def tiny_cascade(seed=0, backend="rf"):
     from irzone.models.cascade import CascadeConfig, cascade_train
     from irzone.models.rf import RFConfig
+    from irzone.models.sdae import SDAEConfig
 
     rng = np.random.default_rng(seed)
     leaves = (0, 50, 100)
@@ -398,7 +408,9 @@ def tiny_cascade(seed=0):
         x[:, -1] = 0.0
         xs.append(x)
         ys.append(np.full(150, leaf, dtype=np.uint8))
-    config = CascadeConfig(backend="rf", rf=RFConfig(n_trees=5, min_leaf=2))
+    config = CascadeConfig(backend=backend, rf=RFConfig(n_trees=5, min_leaf=2),
+                           sdae=SDAEConfig(hidden_sizes=(4,), pretrain_epochs=1,
+                                           finetune_epochs=1))
     return cascade_train(np.concatenate(xs), np.concatenate(ys), Mode.ON, config)
 
 
@@ -531,6 +543,33 @@ class TestModelFile:
         path = tmp_path / "model.izm"
         path.write_text(io._model_text(io._model_header("cascade", fields, io._pack(state))))
         with pytest.raises(io.FormatError, match=r"model\.izm: parameter block is not what"):
+            io.load_cascade(path)
+
+    @pytest.mark.parametrize("backend, edit, where", [
+        ("sdae", lambda m: m.stages["C1"].weights[0].__setitem__((0, 0), np.nan),
+         "state.stages.C1.weights[0]"),
+        ("rf", lambda m: m.stages["C4"].trees[1].threshold.__setitem__(0, np.inf),
+         "state.stages.C4.trees[1].threshold"),
+    ], ids=["nan-sdae-weight", "inf-rf-threshold"])
+    def test_non_finite_parameter_is_refused_both_ways(self, tmp_path, backend, edit, where):
+        from irzone.models.cascade import CascadeModel
+
+        model = tiny_cascade(backend=backend)
+        path = tmp_path / "model.izm"
+        io.write_model(path, model)
+        assert io.load_cascade(path).to_state().keys() == model.to_state().keys()
+        written = path.read_bytes()
+        edit(model)
+        with pytest.raises(ValueError, match=re.escape(f"non-finite value in {where}")):
+            io.write_model(tmp_path / "bad.izm", model)
+        assert sorted(tmp_path.iterdir()) == [path] and path.read_bytes() == written
+        # the file write_model would write for it, were it allowed to
+        state = model.to_state()
+        fields = io._header_fields(CascadeModel.from_state(state).to_state())
+        path.write_text(io._model_text(io._model_header("cascade", fields, io._pack(state))))
+        with pytest.raises(io.FormatError,
+                           match=f"^{re.escape(str(path))}: non-finite value in "
+                                 f"{re.escape(where)}$"):
             io.load_cascade(path)
 
     def test_header_fields_are_returned(self, tmp_path):

@@ -1,5 +1,7 @@
 """Dataset generation on disk, manifests, a priori masks, per-sequence features."""
 
+import hashlib
+import os
 import re
 
 import numpy as np
@@ -179,19 +181,31 @@ class TestLoadFeatures:
 def test_e2e_caches_the_training_features_and_maps_each_test_sequence_once(tmp_path,
                                                                           monkeypatch):
     """Training and calibration read the training features from the cache;
-    each test sequence is preprocessed once, outside it, for every backend."""
+    each test sequence is preprocessed once, outside it, for every backend.
+    The calls are logged to a file opened for appending, so that the calls
+    of forked workers are counted too."""
     monkeypatch.setattr(pipeline, "_FEATURE_CACHE", {})
-    preprocessed = []
+    log = tmp_path / "preprocessed.log"
     preprocess = pipeline.preprocess_sequence
-    monkeypatch.setattr(pipeline, "preprocess_sequence",
-                        lambda seq: preprocessed.append(seq.data.tobytes()) or preprocess(seq))
+
+    def logged(seq):
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, hashlib.sha256(seq.data.tobytes()).hexdigest().encode() + b"\n")
+        finally:
+            os.close(fd)
+        return preprocess(seq)
+
+    monkeypatch.setattr(pipeline, "preprocess_sequence", logged)
     out = pipeline.run_e2e(tmp_path, seed=7, config=pipeline.E2EConfig(n_train=2, n_test=3))
     train = read_manifest(tmp_path / "train" / "manifest.txt")
     test = read_manifest(tmp_path / "test" / "manifest.txt")
     assert sorted(path for path, _, _ in pipeline._FEATURE_CACHE) == sorted(
         str((tmp_path / "train" / f"seq_{i:04d}.irts").resolve()) for i in range(2))
-    assert sorted(preprocessed) == sorted(io.read_sequence(e.seq_path).data.tobytes()
-                                          for e in train + test)
+    preprocessed = log.read_text().split()
+    assert sorted(preprocessed) == sorted(
+        hashlib.sha256(io.read_sequence(e.seq_path).data.tobytes()).hexdigest()
+        for e in train + test)
     assert [len(items) for items in out["results"].values()] == [3, 3]
 
 

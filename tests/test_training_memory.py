@@ -15,7 +15,7 @@ import tracemalloc
 
 import pytest
 
-from irzone import pipeline
+from irzone import forked, pipeline
 from irzone.features import FEATURE_DIM
 from irzone.models.cascade import CascadeConfig
 from irzone.models.rf import RFConfig
@@ -39,12 +39,16 @@ def manifest(tmp_path_factory):
     return root / "manifest.txt"
 
 
-# pixels_per_seq 6,000 draws from each 6,912-pixel sequence, as criterion 1 does
-@pytest.mark.parametrize("cap", [0, 6000], ids=["cap-0", "cap-6000"])
+# pixels_per_seq 6,000 draws from each 6,912-pixel sequence, as criterion 1 does.
+# On one CPU the whole training runs in this process; on two, a forked worker
+# trains every other stage, and this process's share is bounded too.
+@pytest.mark.parametrize("cap, cpus", [(0, 1), (6000, 1), (0, 2), (6000, 2)],
+                         ids=["cap-0", "cap-6000", "cap-0-2-cpus", "cap-6000-2-cpus"])
 @pytest.mark.parametrize("backend", list(CONFIGS))
 def test_training_allocates_at_most_one_and_a_half_pooled_matrices(manifest, backend, cap,
-                                                                   monkeypatch):
+                                                                   cpus, monkeypatch):
     # the features are cached first, so the peak is the training's own
+    monkeypatch.setattr(forked, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(pipeline, "_FEATURE_CACHE", {})
     entries = pipeline.read_manifest(manifest)
     cached = sum(pipeline.load_features(e.seq_path).features.nbytes for e in entries)
