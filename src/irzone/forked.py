@@ -12,12 +12,15 @@ results are the bytes of the serial loop. Nothing is handed out to
 whichever process is free: the caller's share is fixed, so every call it
 makes repeats exactly from run to run.
 
-A worker is pinned to one CPU of the caller's set, so that `_cpu_count()`
-is 1 inside it and nothing it runs starts threads or workers of its own.
-It leaves through `os._exit` on every path: it never runs the caller's
-`finally` blocks or `atexit` handlers and never flushes the caller's
-buffered output again. The caller kills and reaps every worker when the
-map ends, raises or is closed early.
+Each worker is pinned to one CPU of the caller's set, and the caller to
+the set's first CPU for the map's lifetime, so that `_cpu_count()` is 1
+in every item and nothing an item runs fans out again: a map inside an
+item, such as the registration of one sequence of a manifest's, is the
+serial loop. The caller gets its own set back when the map ends, raises
+or is closed. A worker leaves through `os._exit` on every path: it never
+runs the caller's `finally` blocks or `atexit` handlers and never flushes
+the caller's buffered output again. The caller kills and reaps every
+worker when the map ends, raises or is closed early.
 
 With one usable CPU, or without CPU affinity (`os.sched_setaffinity`:
 Windows, macOS), the map is the serial loop in-process.
@@ -87,6 +90,7 @@ def forked_map(fn, items):
     cpus = sorted(os.sched_getaffinity(0))
     workers = {}  # stride -> (pid, reader)
     try:
+        os.sched_setaffinity(0, cpus[:1])
         for k in range(1, n):
             pipe = os.pipe()
             pid = os.fork()
@@ -116,3 +120,4 @@ def forked_map(fn, items):
             reader.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        os.sched_setaffinity(0, cpus)

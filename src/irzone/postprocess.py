@@ -162,13 +162,18 @@ def ha_score(prob_maps: dict) -> np.ndarray:
 def lps_decide(prob_maps: dict, z_pr: ZoneMask, mode: Mode,
                thresholds: DecisionThresholds) -> ZoneMask:
     """Final decision: the a priori mask fixes NWA and the BC/DM split; within
-    the remaining tissue a pixel is HA iff smoothed P(HA) >= theta."""
+    the remaining tissue a pixel is HA iff smoothed P(HA) >= theta. A
+    non-finite score is a ValueError: it is neither HA nor NA."""
     mode.check_labels(z_pr.labels)
     shape = z_pr.labels.shape
     for v in prob_maps.values():
         if np.asarray(v).shape != shape:
             raise ValueError("probability map shape mismatch")
-    is_ha = ha_score(prob_maps) >= thresholds.theta_ha
+    score = ha_score(prob_maps)
+    if not np.isfinite(score).all():
+        raise ValueError(f"{np.count_nonzero(~np.isfinite(score))} pixels have a non-finite "
+                         "HA score")
+    is_ha = score >= thresholds.theta_ha
 
     out = np.zeros(shape, dtype=np.uint8)  # NWA
     for na, ha in LAYERS:

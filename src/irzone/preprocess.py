@@ -3,15 +3,13 @@ per-pixel recovery-curve fitting."""
 
 from __future__ import annotations
 
-import queue
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .forked import _cpu_count
+from .forked import _cpu_count, forked_map
 from .io_formats import ThermalSequence
 
 DEFAULT_MAX_SHIFT = 5          # px; larger drifts are treated as fatal
@@ -269,34 +267,51 @@ def bilinear_sample(frame, dx, dy):
 
 
 SNAP_EPS = 0.15  # px; sub-snap estimates are treated as zero (idempotence)
-# Smallest frame, in pixels, for which a preprocessing stage starts a second
-# thread: registration's look-ahead blur and the curve fit's pool. Below it
-# the thread costs more than it overlaps (see `register_sequence` and
+# Smallest frame, in pixels, from which registration and the curve fit split
+# a sequence across forked workers (`forked.forked_map`). Below it the fit's
+# second worker saves nothing (see `register_sequence` and
 # `fit_recovery_batch` for the measured crossovers).
-THREAD_MIN_PIXELS = 160 * 120
+FORK_MIN_PIXELS = 128 * 96
 
 
-def _blurred_targets(data, pool):
-    """(frame, its Gaussian blur) for each of data[1:], in order, as
-    `_prepare` takes them. `pool`'s one worker blurs the next frame while
-    the caller works on the one handed out. Both arrays of a pair are
-    float64 buffers that this thread allocates, two pairs in all, so the
-    worker allocates no frame-sized array; a handed-out pair is overwritten
-    once the next one is requested."""
-    ring = [(np.empty(data.shape[1:]), np.empty(data.shape[1:])) for _ in range(2)]
+def _snapped(est):
+    """`est`, or a zero shift with its score if it is not fatal and moves
+    less than SNAP_EPS in both axes."""
+    if not est.fatal and max(abs(est.dx), abs(est.dy)) < SNAP_EPS:
+        return ShiftEstimate(0.0, 0.0, est.peak_score)
+    return est
 
-    def submit(i):
-        frame, buf = ring[i % 2]
-        np.copyto(frame, data[i])
-        return frame, pool.submit(gaussian_filter, frame, HIGHPASS_SIGMA,
-                                  mode="nearest", output=buf)
 
-    ahead = submit(1)
-    for i in range(1, len(data)):
-        frame, blur = ahead
-        if i + 1 < len(data):
-            ahead = submit(i + 1)
-        yield frame, blur.result()
+def _still(est):
+    return not est.fatal and est.dx == 0.0 and est.dy == 0.0
+
+
+def _unmoved_run(data, frames, m):
+    """Snapped shifts of the frames `frames` (a range from 1), each against
+    the unmoved frame before it, up to the first that is fatal or moves."""
+    prev = _prepare(data[frames.start - 1], HIGHPASS_SIGMA, m)
+    shifts = []
+    for i in frames:
+        cur = _prepare(data[i], HIGHPASS_SIGMA, m)
+        shifts.append(_snapped(_shift_of_prepared(prev, cur, m)))
+        if not _still(shifts[-1]):
+            break
+        prev = cur
+    return shifts
+
+
+def _unmoved_shifts(data, m, workers):
+    """`_unmoved_run` of frames 1, 2, …, split into `workers` contiguous runs
+    that `forked_map` computes at once, walked in order up to the first
+    shift that is fatal or moves."""
+    workers = min(workers, len(data) - 1)
+    edges = [1 + (len(data) - 1) * k // workers for k in range(workers + 1)]
+    with closing(forked_map(lambda k: _unmoved_run(data, range(edges[k], edges[k + 1]), m),
+                            range(workers))) as runs:
+        for run in runs:
+            yield from run
+            if not _still(run[-1]):
+                return
 
 
 def register_sequence(seq):
@@ -305,35 +320,36 @@ def register_sequence(seq):
     Each frame is estimated against the previously aligned frame rather than
     frame 0: the recovery decorrelates frames far apart in time, while
     adjacent frames stay strongly correlated. The previously aligned frame is
-    already on frame 0's grid, so the estimate is the absolute shift.
+    already on frame 0's grid, so the estimate is the absolute shift. A
+    shift below SNAP_EPS snaps to zero.
 
     Each frame is filtered and prepared for the fast NCC surface once, as a
     target. After a zero or fatal shift the next reference is already
     prepared; only a frame that was moved is filtered and prepared again.
 
-    With more than one usable CPU and frames of at least THREAD_MIN_PIXELS
-    pixels, one worker thread computes the Gaussian blur of the next target
-    frame while this one is scored (`_blurred_targets`); scipy's filter
-    releases the GIL. Everything else stays on the calling thread: the rest
-    of `_prepare`, the scoring, the re-prepare of a moved frame and the
-    reuse of the reference. The blur is the same call on the same float64
-    frame, so every float is unchanged. The worker keeps two rules:
+    Until the first frame that is fatal or moves, every reference is the
+    unmoved frame before the target, so those shifts do not depend on one
+    another. For frames of at least FORK_MIN_PIXELS pixels they are computed
+    in contiguous runs, one per usable CPU (`forked.forked_map`): each run
+    prepares the frame before its first as its reference. The runs are
+    walked in order. From the first frame that is fatal or moves on, the
+    rest is the serial loop in this process; after a fatal frame it
+    prepares the unmoved frame before it again, as its reference. Every
+    shift is the same `_shift_of_prepared` call on the same prepared frames
+    as in the serial loop, so every float is unchanged. A run stops at its
+    first frame that is fatal or moves: what follows it is never read.
 
-    1. It calls only `gaussian_filter`, never a function the benchmark's
-       traced run wraps, so a traced run keeps every span.
-    2. It allocates no frame-sized array; the frames and the blurs go into
-       buffers this thread allocates. Memory a worker thread allocates stays
-       in that thread's malloc arena: running all of `_prepare` on the
-       worker raised the peak memory of mapping 320x240x60 sequences from
-       216-221 MB to 239-240 MB.
+    Medians of 9 alternating runs on 2 cores, one process against forked
+    runs, with the same bytes either way. Registration gains even at 96x72,
+    but FORK_MIN_PIXELS is set by the curve fit's crossover, which lies
+    above it:
 
-    Measured with 40 frames on 2 cores (medians of alternating runs), the
-    look-ahead took 8-9% longer at 96x72, 1-11% less at 128x96, from 6%
-    less to 1% more at 160x120, 1-19% less at 224x168 and 14-26% less at
-    320x240. An earlier measurement found 128x96 10% slower, so
-    THREAD_MIN_PIXELS sits above both crossovers. Below it, and on one CPU,
-    no thread is started. The curve fit starts its pool from the same size
-    (`fit_recovery_batch`).
+        pixels x frames   1 process   2 processes
+        96x72 x 40           59 ms        43 ms
+        128x96 x 40          87 ms        54 ms
+        160x120 x 40         91 ms        66 ms
+        224x168 x 60        279 ms       155 ms
+        320x240 x 60        475 ms       308 ms
 
     Rotations and super-threshold shifts are not corrected: those frames are
     flagged fatal for the damaged-frame stage to delete.
@@ -347,31 +363,31 @@ def register_sequence(seq):
     h, w = seq.frame_shape
     valid = np.ones((h, w), dtype=bool)
     out = seq.data  # shared until a frame moves
-    report.shifts.append(ShiftEstimate(0.0, 0.0, 1.0))
     m = DEFAULT_MAX_SHIFT
-    prev = _prepare(seq.data[0], HIGHPASS_SIGMA, m)  # the reference
-    ahead = _cpu_count() > 1 and h * w >= THREAD_MIN_PIXELS
-    with ThreadPoolExecutor(1) if ahead else nullcontext() as pool:
-        targets = (_blurred_targets(seq.data, pool) if pool
-                   else ((frame, None) for frame in seq.data[1:]))
-        for i, (frame, blur) in enumerate(targets, start=1):
-            cur = _prepare(frame, HIGHPASS_SIGMA, m, blur)
-            est = _shift_of_prepared(prev, cur, m)
-            if not est.fatal and max(abs(est.dx), abs(est.dy)) < SNAP_EPS:
-                est = ShiftEstimate(0.0, 0.0, est.peak_score)
-            report.shifts.append(est)
-            if est.fatal:
-                continue  # reference frozen; frame is deleted downstream
-            if est.dx == 0.0 and est.dy == 0.0:
-                prev = cur  # the new reference is this frame, already prepared
-            else:
-                out = seq.data.copy() if out is seq.data else out
-                aligned, v = bilinear_sample(
-                    seq.data[i].astype(np.float64), est.dx, est.dy
-                )
-                out[i] = aligned.astype(np.float32)
-                valid &= v
-                prev = _prepare(out[i], HIGHPASS_SIGMA, m)
+
+    def align(i, est):
+        """Frame i moved by `est` into `out`, prepared as the next reference."""
+        nonlocal out
+        out = seq.data.copy() if out is seq.data else out
+        aligned, v = bilinear_sample(seq.data[i].astype(np.float64), est.dx, est.dy)
+        out[i] = aligned.astype(np.float32)
+        np.logical_and(valid, v, out=valid)
+        return _prepare(out[i], HIGHPASS_SIGMA, m)
+
+    workers = _cpu_count() if h * w >= FORK_MIN_PIXELS else 1
+    report.shifts = [ShiftEstimate(0.0, 0.0, 1.0), *_unmoved_shifts(seq.data, m, workers)]
+    last = len(report.shifts) - 1  # the first frame that is fatal or moves, or the last frame
+    est = report.shifts[last]
+    if est.fatal:  # the reference stays the unmoved frame before it
+        prev = _prepare(seq.data[last - 1], HIGHPASS_SIGMA, m)
+    elif not _still(est):
+        prev = align(last, est)
+    for i in range(last + 1, seq.n_frames):
+        cur = _prepare(seq.data[i], HIGHPASS_SIGMA, m)
+        est = _snapped(_shift_of_prepared(prev, cur, m))
+        report.shifts.append(est)
+        if not est.fatal:  # a fatal frame leaves the reference; it is deleted downstream
+            prev = cur if _still(est) else align(i, est)
     if all(s.fatal for s in report.shifts[1:]):
         raise PipelineAbort("all frames flagged fatal during registration")
     report.valid_mask = valid
@@ -520,10 +536,7 @@ def _gauss_newton_step(yT, a, b, tau, t, scratch):
     in (T_base, dT, tau) for the series yT [T, M].
 
     The [T, M] temporaries go into `scratch`, four caller-owned flat arrays
-    of at least T * M floats, so that a worker thread allocates no large
-    array (each thread's malloc arena would keep its own). The caller
-    solves the equations: LAPACK called from two threads at once runs
-    slower than from one.
+    of at least T * M floats, which every block of every iteration reuses.
     """
     tc = t[:, None]
     e, r, j_tau, tmp = (buf[: yT.size].reshape(yT.shape) for buf in scratch)
@@ -545,25 +558,64 @@ def _gauss_newton_step(yT, a, b, tau, t, scratch):
     return JtJ, Jtr
 
 
-def _step_columns(yT, cols, a, b, tau, t, scratch):
-    """`_gauss_newton_step` for the columns `cols` of yT [T, N], in scratch
-    taken from the queue `scratch` and put back afterwards.
+def _step_columns(yT, cols, a, b, tau, t, bufs, gather):
+    """The Gauss-Newton step of the columns `cols` of yT [T, N].
 
-    The scratch is five float64 arrays and one of yT's dtype to gather
-    into; for a float64 yT that one is the first float64 array. np.take
+    The scratch is five float64 arrays `bufs` and `gather`, one of yT's
+    dtype to gather into; for a float64 yT that one is bufs[0]. np.take
     cannot cast into `out`, so float32 columns are gathered as they are and
     then converted, which changes no value."""
-    bufs, gather = scratch.get()
-    try:
-        shape, size = (len(t), len(cols)), len(t) * len(cols)
-        y = bufs[0][:size].reshape(shape)
-        g = gather[:size].reshape(shape)
-        np.take(yT, cols, axis=1, out=g, mode="clip")  # "clip": no copy before `out`
-        if g.dtype != y.dtype:
-            np.copyto(y, g)
-        return _gauss_newton_step(y, a, b, tau, t, bufs[1:])
-    finally:
-        scratch.put((bufs, gather))
+    shape, size = (len(t), len(cols)), len(t) * len(cols)
+    y = bufs[0][:size].reshape(shape)
+    g = gather[:size].reshape(shape)
+    np.take(yT, cols, axis=1, out=g, mode="clip")  # "clip": no copy before `out`
+    if g.dtype != y.dtype:
+        np.copyto(y, g)
+    JtJ, Jtr = _gauss_newton_step(y, a, b, tau, t, bufs[1:])
+    return np.linalg.solve(JtJ, Jtr[:, :, None])[:, :, 0]
+
+
+def _fit_part(y, yT, t, lo):
+    """`fit_recovery_batch`'s fit of the rows y [M, T], in this process: the
+    columns lo, …, lo + M - 1 of yT [T, N] are the same pixels, time-major."""
+    rows = _blocks(len(y))
+    init = [_init_rows(y[s], t) for s in rows]
+    a, b, tau, degenerate = (np.concatenate(part) for part in zip(*init))
+    size = len(t) * min(len(y), BLOCK)
+    bufs = np.empty((5, size))
+    gather = bufs[0] if yT.dtype == bufs.dtype else np.empty(size, yT.dtype)
+    idx = np.flatnonzero(~degenerate)  # the pixels still moving
+    for _ in range(MAX_ITER):
+        if not len(idx):
+            break
+        ai, bi, taui = a[idx], b[idx], tau[idx]
+        step = np.concatenate([_step_columns(yT, lo + idx[s], ai[s], bi[s], taui[s], t, bufs,
+                                             gather) for s in _blocks(len(idx))])
+        a[idx] = ai + step[:, 0]
+        b[idx] = bi + step[:, 1]
+        tau[idx] = np.clip(taui + step[:, 2], 1e-3, 1e7)
+        idx = idx[np.linalg.norm(step, axis=1) >= GN_TOL]
+
+    rmse = np.concatenate([_rmse_rows(y[s], t, a[s], b[s], tau[s]) for s in rows])
+    converged = np.ones(len(y), dtype=bool)
+    converged[idx] = False
+    return {
+        "t_base": a,
+        "dt": b,
+        "tau": tau,
+        "rmse": np.where(np.isfinite(rmse), rmse, 0.0),
+        "degenerate": degenerate | (tau < TAU_MIN) | (tau > TAU_MAX) | ~np.isfinite(rmse),
+        "converged": converged,
+    }
+
+
+def _fit_parts(n, workers):
+    """Contiguous runs of whole blocks of `_blocks(n, workers)`, one per
+    worker, or one per block if there are fewer blocks."""
+    blocks = _blocks(n, workers)
+    k = min(workers, len(blocks))
+    edges = [len(blocks) * i // k for i in range(k + 1)]
+    return [slice(blocks[lo].start, blocks[hi - 1].stop) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def fit_recovery_batch(series, times):
@@ -587,25 +639,24 @@ def fit_recovery_batch(series, times):
     pixel's step from that pixel's column alone, and the initialisation and
     the rmse pass reduce each pixel's row with the same numpy call on a
     block of the same memory layout as the whole series, so numpy adds in
-    the same order. Both run on the calling thread. For a series of at least
-    THREAD_MIN_PIXELS pixels, the Gauss-Newton blocks of an iteration with
-    more than one block build their normal equations on a thread pool with
-    one worker per CPU this process may use (numpy releases the GIL in the
-    block arithmetic). A smaller series, and a fit of one block, starts no
-    thread and uses one scratch set. Medians of 7 alternating runs on 2
-    cores, with the same bytes either way:
+    the same order. No block is a single row of several (`_blocks`).
 
-        pixels x frames   1 worker   2 workers
-        96x72 x 40           75 ms       80 ms
-        128x96 x 40         124 ms      126 ms
-        160x120 x 40        200 ms      215 ms
-        224x168 x 60        414 ms      320 ms
-        320x240 x 60        977 ms      559 ms
+    For a series of at least FORK_MIN_PIXELS pixels, the blocks of
+    `_blocks(N, W)` for W usable CPUs are dealt out in W contiguous parts,
+    and each part is fitted whole, solves included, by its own process
+    (`forked.forked_map`); the parts are concatenated in order. A part is
+    whole blocks, so it holds no single row either, and each pixel iterates
+    as often as in one fit. Medians of 9 alternating runs on 2 cores, with
+    the same bytes either way:
 
-    An earlier run gave 154 against 155 ms at 160x120, so the crossover
-    lies between 160x120 and 224x168. Below THREAD_MIN_PIXELS a second
-    worker saves nothing, and its scratch (6.6 MB at 96x72x40) is held for
-    nothing.
+        pixels x frames   1 process   2 processes
+        96x72 x 40           85 ms        86 ms
+        128x96 x 40         151 ms       116 ms
+        160x120 x 40        175 ms       135 ms
+        224x168 x 60        443 ms       252 ms
+        320x240 x 60        790 ms       473 ms
+
+    So FORK_MIN_PIXELS is 128x96; below it a fit is one part, here.
 
     A float32 series is read as it is, and no float64 copy of it is made:
     each block converts its own pixels to float64, which gives the values
@@ -623,43 +674,7 @@ def fit_recovery_batch(series, times):
     if not np.all(np.diff(t) > 0):
         raise ValueError("times must be strictly increasing")
 
-    rows = _blocks(len(y))
-    init = [_init_rows(y[s], t) for s in rows]
-    a, b, tau, degenerate = (np.concatenate(part) for part in zip(*init))
-
     yT = np.ascontiguousarray(y.T)  # [T, N]; no copy of the pipeline's frames
-    cpus = _cpu_count() if len(y) >= THREAD_MIN_PIXELS else 1
-    workers = min(cpus, len(_blocks(len(y), cpus)))
-    scratch = queue.SimpleQueue()
-    size = len(t) * min(len(y), BLOCK)
-    for _ in range(workers):
-        bufs = np.empty((5, size))
-        scratch.put((bufs, bufs[0] if yT.dtype == bufs.dtype else np.empty(size, yT.dtype)))
-    idx = np.flatnonzero(~degenerate)  # the pixels still moving
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for _ in range(MAX_ITER):
-            if not len(idx):
-                break
-            ai, bi, taui = a[idx], b[idx], tau[idx]
-            blocks = _blocks(len(idx), workers)
-            systems = (pool.map if pool and len(blocks) > 1 else map)(
-                lambda s: _step_columns(yT, idx[s], ai[s], bi[s], taui[s], t, scratch),
-                blocks,
-            )  # solved here, each as it arrives, while the pool builds the next
-            step = np.concatenate([np.linalg.solve(JtJ, Jtr[:, :, None])[:, :, 0]
-                                   for JtJ, Jtr in systems])
-            a[idx] = ai + step[:, 0]
-            b[idx] = bi + step[:, 1]
-            tau[idx] = np.clip(taui + step[:, 2], 1e-3, 1e7)
-            idx = idx[np.linalg.norm(step, axis=1) >= GN_TOL]
-
-    rmse = np.concatenate([_rmse_rows(y[s], t, a[s], b[s], tau[s]) for s in rows])
-    degenerate = degenerate | (tau < TAU_MIN) | (tau > TAU_MAX) | ~np.isfinite(rmse)
-    return {
-        "t_base": a,
-        "dt": b,
-        "tau": tau,
-        "rmse": np.where(np.isfinite(rmse), rmse, 0.0),
-        "degenerate": degenerate,
-        "converged": np.isin(np.arange(len(y)), idx, invert=True),
-    }
+    workers = _cpu_count() if len(y) >= FORK_MIN_PIXELS else 1
+    parts = list(forked_map(lambda s: _fit_part(y[s], yT, t, s.start), _fit_parts(len(y), workers)))
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}

@@ -586,6 +586,24 @@ class TestMismatchedInputs:
         assert f"{seq}: non-finite timestamps" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_non_finite_feature_is_data_error_naming_the_sequence(self, workspace, tmp_path,
+                                                                     capsys, monkeypatch):
+        extract = pipeline.extract_features_batch
+
+        def one_nan(*args):
+            x = extract(*args)
+            x[np.flatnonzero(x[:, -1] < 0.5)[0], 0] = np.nan  # a pixel the cascade reads
+            return x
+
+        monkeypatch.setattr(pipeline, "extract_features_batch", one_nan)
+        seq, out = workspace / "train" / "seq_0001.irts", tmp_path / "out.pgm"
+        args = ["infer", "--model", str(write_leaf_model(tmp_path / "leaf.izm")),
+                "--in", str(seq), "--out-mask", str(out)]
+        assert main(args) == 2
+        assert (f"sequence {seq}: 1 pixels have a non-finite feature or probability"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("frames", [0, 1])
     @pytest.mark.parametrize("command", ["preprocess", "infer", "train"])
     def test_sequence_too_short_to_register_is_data_error_naming_it(self, tmp_path, capsys,

@@ -11,7 +11,7 @@ from contextlib import closing, contextmanager
 
 import pytest
 
-from irzone import forked, pipeline
+from irzone import forked, pipeline, preprocess
 from irzone import io_formats as io
 from irzone.cli import main
 from irzone.models.cascade import CascadeConfig
@@ -65,9 +65,29 @@ def test_results_come_back_in_input_order(monkeypatch, cpus, per_cpu, extra):
 
 
 def test_a_worker_sees_one_cpu(monkeypatch):
+    # and so does the caller, while it computes its own items
     use_cpus(monkeypatch, 2)
     here, there = forked.forked_map(lambda _: REAL_CPU_COUNT(), range(2))
-    assert (here, there) == (REAL_CPU_COUNT(), 1)
+    assert (here, there) == (1, 1)
+
+
+def test_the_caller_gets_its_cpus_back_on_end_error_and_close(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    cpus = os.sched_getaffinity(0)
+    assert list(forked.forked_map(lambda _: os.sched_getaffinity(0), range(3)))[::2] \
+        == [{min(cpus)}] * 2
+    assert os.sched_getaffinity(0) == cpus
+
+    def fail(x):
+        raise KeyError(f"item {x}")
+
+    with pytest.raises(KeyError, match="item 2"):
+        list(forked.forked_map(lambda x: fail(x) if x == 2 else x, range(4)))
+    assert os.sched_getaffinity(0) == cpus
+    with closing(forked.forked_map(lambda x: x, range(10))) as results:
+        assert next(results) == 0 and REAL_CPU_COUNT() == 1
+    assert os.sched_getaffinity(0) == cpus
+    assert_no_child_left()
 
 
 def test_a_worker_exception_keeps_its_type_and_message(monkeypatch):
@@ -147,6 +167,25 @@ def test_training_from_a_manifest_gives_the_one_cpu_bytes(manifest, tmp_path, mo
         features[cpus] = {key: sf.features.tobytes()
                           for key, sf in pipeline._FEATURE_CACHE.items()}
     assert len(features[1]) == 3 and features[2] == features[1]
+    assert (tmp_path / "2.izm").read_bytes() == (tmp_path / "1.izm").read_bytes()
+    assert_no_child_left()
+
+
+def test_a_preprocessing_inside_an_item_runs_on_one_cpu(manifest, tmp_path, monkeypatch):
+    """Every sequence splits across workers (FORK_MIN_PIXELS 0), but one
+    preprocessed inside an item of the manifest's map sees one CPU, so it
+    starts no nested map; the model is the one-CPU run's."""
+    monkeypatch.setattr(preprocess, "FORK_MIN_PIXELS", 0)
+    config = CascadeConfig(backend="rf", rf=RFConfig(n_trees=5), max_train_pixels=2000)
+    seen = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(preprocess, "_cpu_count", lambda: cpus if cpus == 1
+                            else seen.append(REAL_CPU_COUNT()) or seen[-1])
+        monkeypatch.setattr(pipeline, "_FEATURE_CACHE", {})
+        model = pipeline.train_from_manifest(manifest, Mode.ON, config, seed=2)
+        io.write_model(tmp_path / f"{cpus}.izm", model)
+    assert seen and set(seen) == {1}  # registration and the fit of the caller's items
     assert (tmp_path / "2.izm").read_bytes() == (tmp_path / "1.izm").read_bytes()
     assert_no_child_left()
 

@@ -59,7 +59,7 @@ def test_reading_holds_one_copy_of_the_frames(sequence, tmp_path):
 
 
 def test_registering_unmoved_frames_copies_none(sequence, monkeypatch):
-    # two CPUs: the look-ahead's two pairs of float64 frames are counted
+    # two CPUs: the caller scores its own run of frames, a worker the other
     monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
     peak = peak_of(preprocess.register_sequence, sequence)
     assert peak <= 2.0 * sequence.data.nbytes, peak / sequence.data.nbytes

@@ -15,6 +15,7 @@ from irzone.models.cascade import (
     CascadeConfig,
     CascadeModel,
     _subsample,
+    cascade_train,
     stages_for_mode,
 )
 from irzone.models.rf import RFConfig, train_rf
@@ -30,8 +31,9 @@ from irzone.pipeline import (
     write_manifest,
     zpr_from_reference,
 )
-from irzone.postprocess import ha_score
-from irzone.zones import Mode, ZoneLabel
+from irzone.postprocess import DecisionThresholds, ha_score
+from irzone.preprocess import PipelineAbort
+from irzone.zones import Mode, ZoneLabel, ZoneMask
 
 from conftest import small_config
 
@@ -160,6 +162,55 @@ class TestPreprocessSequence:
         assert np.all(np.isfinite(sf.features))
         # a clean, still sequence should yield almost no degenerate pixels
         assert np.mean(sf.features[:, -1]) < 0.05
+
+
+class TestNonFiniteFeatures:
+    """A non-finite feature of a pixel the cascade reads stops the mapping
+    before smoothing, whichever backend reads it; a degenerate pixel's
+    features are never read."""
+
+    @staticmethod
+    def features_and_model(backend):
+        rng = np.random.default_rng(3)
+        leaves = (ZoneLabel.NWA, ZoneLabel.NA_DM, ZoneLabel.HA_DM)
+        x = np.concatenate([rng.normal(2.0 * i, 0.3, size=(150, FEATURE_DIM))
+                            for i in range(len(leaves))])
+        x[:, -1] = 0.0
+        y = np.repeat(np.array(leaves, dtype=np.uint8), 150)
+        config = CascadeConfig(backend=backend, rf=RFConfig(n_trees=5, min_leaf=2),
+                               sdae=SDAEConfig(hidden_sizes=(4,), pretrain_epochs=1,
+                                               finetune_epochs=1))
+        model = cascade_train(x, y, Mode.ON, config)
+        features = rng.normal(2.0, 1.0, size=(20 * 24, FEATURE_DIM))
+        features[:, -1] = 0.0
+        return pipeline.SequenceFeatures(features, (20, 24)), model
+
+    @staticmethod
+    def infer(model, sf):
+        z_pr = ZoneMask(np.full(sf.shape, int(ZoneLabel.NA_DM), dtype=np.uint8), 250e-6)
+        thresholds = DecisionThresholds(alpha=0.05, beta=0.05, theta_ha=0.5,
+                                        achieved_alpha=0.0, achieved_beta=0.0)
+        return pipeline.infer_sequence(model, None, z_pr, thresholds, features=sf)
+
+    @pytest.mark.parametrize("backend", ["rf", "sdae"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_one_non_finite_feature_is_a_pipeline_abort(self, backend, value):
+        sf, model = self.features_and_model(backend)
+        self.infer(model, sf)
+        sf.features[201, 3] = value
+        with pytest.raises(PipelineAbort, match="^1 pixels have a non-finite feature"):
+            self.infer(model, sf)
+
+    @pytest.mark.parametrize("backend", ["rf", "sdae"])
+    def test_a_degenerate_pixels_features_are_not_read(self, backend):
+        sf, model = self.features_and_model(backend)
+        sf.features[201, -1] = 1.0
+        want = self.infer(model, sf)
+        sf.features[201, :-1] = np.nan
+        got = self.infer(model, sf)
+        assert np.array_equal(got.z_ps.labels, want.z_ps.labels)
+        for leaf, p in want.prob_maps.items():
+            assert got.prob_maps[leaf].tobytes() == p.tobytes()
 
 
 class TestLoadFeatures:

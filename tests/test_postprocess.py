@@ -513,3 +513,11 @@ class TestLpsDecide:
         maps = {l: np.zeros((4, 4)) for l in LEAF_LABELS}
         with pytest.raises(ValueError, match="shape mismatch"):
             lps_decide(maps, z_pr, Mode.ON, neutral_thresholds())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_score(self, value):
+        z_pr = ZoneMask(np.full((3, 3), NA, dtype=np.uint8), 250e-6)
+        maps = {l: np.zeros((3, 3)) for l in LEAF_LABELS}
+        maps[ZoneLabel.HA_DM][1, 2] = value
+        with pytest.raises(ValueError, match="^1 pixels have a non-finite HA score"):
+            lps_decide(maps, z_pr, Mode.ON, neutral_thresholds())

@@ -16,6 +16,8 @@ from irzone.phantom import (
     recovery_curve,
 )
 import irzone.preprocess as preprocess
+from irzone import forked
+from irzone.pipeline import preprocess_sequence
 from irzone.preprocess import (
     TAU_MAX,
     TAU_MIN,
@@ -291,11 +293,27 @@ def drift_schedule(n, jump=None):
     return schedule
 
 
+def fork_registration(monkeypatch, workers):
+    """Registration of any frame size in `workers` forked runs, whatever
+    this machine has."""
+    monkeypatch.setattr(preprocess, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(forked, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(preprocess, "FORK_MIN_PIXELS", 0)
+
+
+def moved_and_fatal(report):
+    """(frames moved, frames flagged fatal) of a registration report."""
+    shifts = list(enumerate(report.shifts))
+    return ([i for i, s in shifts if not s.fatal and (s.dx != 0.0 or s.dy != 0.0)],
+            [i for i, s in shifts if s.fatal])
+
+
 class TestRegisterPreparedFrames:
     """Each frame's FFT and summed-area tables are built once and reused as
     the next reference after a zero or fatal shift. The shifts, the
     registered data and the valid mask equal those of filtering and scoring
-    both frames afresh for every pair (`loop_register_sequence`)."""
+    both frames afresh for every pair (`loop_register_sequence`), in one
+    process and with the frames scored "-ahead" in forked runs."""
 
     # name: (small_config overrides, seed, frames moved, fatal frames)
     CASES = {
@@ -313,30 +331,23 @@ class TestRegisterPreparedFrames:
         for name in CASES for ahead in (False, True)
     ])
     def test_shifts_and_data_match_pinned_hashes(self, name, ahead, monkeypatch):
-        # with two CPUs, these frames are below THREAD_MIN_PIXELS unless "-ahead"
+        # with two CPUs, these frames are below FORK_MIN_PIXELS unless "-ahead"
         # lowers it to 0
         overrides, seed, moved, fatal = self.CASES[name]
-        prepared, handed_out = [], []
-        prepare, blurred_targets = preprocess._prepare, preprocess._blurred_targets
+        prepared = []
+        prepare = preprocess._prepare
         monkeypatch.setattr(preprocess, "_prepare",
                             lambda *args: prepared.append(1) or prepare(*args))
-        monkeypatch.setattr(preprocess, "_blurred_targets",
-                            lambda *args: handed_out.append(1) or blurred_targets(*args))
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
         if ahead:
-            monkeypatch.setattr(preprocess, "THREAD_MIN_PIXELS", 0)
+            fork_registration(monkeypatch, 2)
         seq, _ = generate_phantom(small_config(**overrides), seed=seed)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6 if ahead else interval)  # frequent thread switches
-        try:
-            registered, report = register_sequence(seq)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(handed_out) == ahead
+        registered, report = register_sequence(seq)
         assert sum(s.dx != 0.0 or s.dy != 0.0 for s in report.shifts if not s.fatal) == moved
         assert [i for i, s in enumerate(report.shifts) if s.fatal] == fatal
-        # once per frame as a target, plus once more for every frame moved
-        assert len(prepared) == seq.n_frames + moved
+        if not ahead:  # a worker's calls are not seen here
+            # once per frame as a target, plus once more for every frame moved
+            assert len(prepared) == seq.n_frames + moved
         assert_registration_matches_loop(seq, registered, report)
 
     @pytest.mark.parametrize("name, ahead", [
@@ -350,7 +361,7 @@ class TestRegisterPreparedFrames:
                  + [(0.0, 0.0)] * 20), 22, 0, [9]))
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
         if ahead:
-            monkeypatch.setattr(preprocess, "THREAD_MIN_PIXELS", 0)
+            fork_registration(monkeypatch, 2)
         seq, _ = generate_phantom(small_config(**overrides), seed=seed)
         before = seq.data.tobytes()
         seq.data.flags.writeable = False  # registration never writes its input
@@ -363,13 +374,105 @@ class TestRegisterPreparedFrames:
         assert_registration_matches_loop(seq, registered, report)
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(preprocess, "ThreadPoolExecutor", None)  # calling it fails
-        monkeypatch.setattr(preprocess, "THREAD_MIN_PIXELS", 0)
+        # nor a process: the runs are the serial loop in this one
+        monkeypatch.setattr(preprocess, "FORK_MIN_PIXELS", 0)
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(forked.os, "fork", None)  # calling it fails
         overrides, seed, _, _ = self.CASES["drift"]
         seq, _ = generate_phantom(small_config(**overrides), seed=seed)
+        threads = threading.active_count()
+        registered, report = register_sequence(seq)
+        assert threading.active_count() == threads
+        assert_registration_matches_loop(seq, registered, report)
+
+
+def step_schedule(n, steps):
+    """Still frames whose content steps by (1, 1) px at each frame in
+    `steps` and stays there, so that every frame from the first step on
+    moves onto frame 0's grid. A frame whose negated index is in `steps`
+    jumps out of the window and back."""
+    dx, schedule = 0.0, []
+    for i in range(n):
+        if i in steps:
+            dx += 1.0
+        schedule.append((7.0, -1.0) if -i in steps else (dx, dx))
+    return schedule
+
+
+class TestRegisterInForkedRuns:
+    """Frames 1 … n - 1 split into W runs scored at once, each against the
+    unmoved frame before it; from the first frame that is fatal or moves the
+    walk goes on with the serial loop. Every case equals the loop oracle."""
+
+    N = 30
+
+    @classmethod
+    def worker_start(cls, workers):
+        """The first frame of the last run."""
+        return 1 + (cls.N - 1) * (workers - 1) // workers
+
+    def register(self, monkeypatch, workers, schedule, seed=31):
+        fork_registration(monkeypatch, workers)
+        seq, _ = generate_phantom(small_config(noise_sigma=0.03, n_frames=len(schedule),
+                                               shift_schedule=schedule), seed=seed)
         registered, report = register_sequence(seq)
         assert_registration_matches_loop(seq, registered, report)
+        return moved_and_fatal(report)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_moved_frame_inside_a_workers_run(self, workers, monkeypatch):
+        assert self.worker_start(workers) < 25
+        moved = self.register(monkeypatch, workers, step_schedule(self.N, {25}))
+        assert moved == (list(range(25, self.N)), [])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["last-of-a-run", "first-of-the-next"])
+    def test_a_moved_frame_at_a_run_boundary(self, workers, offset, monkeypatch):
+        first = self.worker_start(workers) + offset
+        moved = self.register(monkeypatch, workers, step_schedule(self.N, {first}))
+        assert moved == (list(range(first, self.N)), [])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_fatal_frame_at_a_run_boundary(self, workers, monkeypatch):
+        lo = self.worker_start(workers)
+        assert self.register(monkeypatch, workers, step_schedule(self.N, {-lo})) == ([], [lo])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_fatal_frame_then_a_moved_one_in_the_same_run(self, workers, monkeypatch):
+        lo = self.worker_start(workers)
+        moved = self.register(monkeypatch, workers, step_schedule(self.N, {-(lo + 1), lo + 3}))
+        assert moved == (list(range(lo + 3, self.N)), [lo + 1])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_frame_1_moved(self, workers, monkeypatch):
+        moved = self.register(monkeypatch, workers, step_schedule(self.N, {1}))
+        assert moved == (list(range(1, self.N)), [])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_two_frame_sequence(self, workers, monkeypatch):
+        config = small_config(noise_sigma=0.03, n_frames=3, shift_schedule=step_schedule(3, {1}))
+        seq, _ = generate_phantom(config, seed=31)  # phantoms have at least 3 frames
+        fork_registration(monkeypatch, workers)
+        for frames, moved in (([0, 1], [1]), ([0, 0], [])):  # frame 1 moves, or not
+            two = ThermalSequence(seq.data[frames], seq.timestamps[:2], seq.pixel_size)
+            registered, report = register_sequence(two)
+            assert_registration_matches_loop(two, registered, report)
+            assert moved_and_fatal(report) == (moved, [])
+
+    @pytest.mark.parametrize("schedule", [None, drift_schedule(30)], ids=["still", "drift"])
+    def test_preprocessing_starts_no_thread(self, schedule, monkeypatch):
+        # the thread count is read inside each registration and fit step here
+        fork_registration(monkeypatch, 2)
+        counts = []
+        for name in ("_prepare", "_gauss_newton_step"):
+            fn = getattr(preprocess, name)
+            monkeypatch.setattr(preprocess, name, lambda *args, fn=fn: counts.append(
+                threading.active_count()) or fn(*args))
+        seq, _ = generate_phantom(small_config(noise_sigma=0.03, shift_schedule=schedule),
+                                  seed=21)
+        threads = threading.active_count()
+        preprocess_sequence(seq)
+        assert counts and set(counts) == {threads}
 
 
 class TestRemoveDamagedFrames:
@@ -694,16 +797,24 @@ class TestFitRecoveryMatchesEinsum:
         assert_fit_matches_einsum(72.0 - exact, times)  # cooling instead of warming
 
 
+def fork_fit(monkeypatch, workers):
+    """The curve fit of any series in `workers` forked parts, whatever this
+    machine has."""
+    monkeypatch.setattr(preprocess, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(forked, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(preprocess, "FORK_MIN_PIXELS", 0)
+
+
 class TestFitRecoveryWorkers:
-    """Pixel blocks on a thread pool: the same bytes for any worker count.
-    A float32 series, converted block by block, fits to the bytes of its
-    float64 copy; the oracle converts the whole series up front. The tests
-    that pool series smaller than 160x120 lower THREAD_MIN_PIXELS to 0."""
+    """Whole pixel blocks fitted by forked processes: the same bytes for any
+    worker count. A float32 series, converted block by block, fits to the
+    bytes of its float64 copy; the oracle converts the whole series up
+    front. The tests that split series smaller than FORK_MIN_PIXELS lower
+    it to 0."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_same_bytes_for_any_worker_count(self, workers, monkeypatch):
-        monkeypatch.setattr(preprocess, "_cpu_count", lambda: workers)
-        monkeypatch.setattr(preprocess, "THREAD_MIN_PIXELS", 0)
+        fork_fit(monkeypatch, workers)
         full = preprocess.MAX_ITER
         for dtype in (np.float64, np.float32):
             series, times = cleaned_phantom_series(12, dtype)
@@ -716,8 +827,7 @@ class TestFitRecoveryWorkers:
     def test_small_blocks_and_a_leftover_row(self, rows, workers, monkeypatch):
         # the series the pipeline fits is a transposed, not C-ordered array;
         # 16 * 7 + 1 and 16 * 15 + 1 are one past a multiple of the block
-        monkeypatch.setattr(preprocess, "_cpu_count", lambda: workers)
-        monkeypatch.setattr(preprocess, "THREAD_MIN_PIXELS", 0)
+        fork_fit(monkeypatch, workers)
         monkeypatch.setattr(preprocess, "BLOCK", 16)
         for dtype in (np.float64, np.float32):
             series, times = cleaned_phantom_series(13, dtype)
@@ -726,61 +836,71 @@ class TestFitRecoveryWorkers:
                 assert_fit_matches_einsum(part, times)
 
     def test_more_workers_than_cores_with_frequent_switches(self, monkeypatch):
-        # each block must have its scratch to itself; a shared one corrupts steps
-        monkeypatch.setattr(preprocess, "_cpu_count", lambda: 8)
-        monkeypatch.setattr(preprocess, "THREAD_MIN_PIXELS", 0)
+        # eight processes share this machine's cores, each with its own scratch
+        fork_fit(monkeypatch, 8)
         monkeypatch.setattr(preprocess, "BLOCK", 24)
         series, times = cleaned_phantom_series(12, np.float32)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            assert_fit_matches_einsum(series[:1500], times)
-            assert_fit_matches_einsum(series[:1500].astype(np.float64), times)
-        finally:
-            sys.setswitchinterval(interval)
+        assert_fit_matches_einsum(series[:1500], times)
+        assert_fit_matches_einsum(series[:1500].astype(np.float64), times)
 
     def test_one_worker_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(preprocess, "ThreadPoolExecutor", None)  # calling it fails
+        # nor a process: one part is fitted here
+        monkeypatch.setattr(forked.os, "fork", None)  # calling it fails
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 1)
         series, times = cleaned_phantom_series(12)
+        threads = threading.active_count()
         assert_fit_matches_einsum(series[:600], times)
-        monkeypatch.setattr(preprocess, "_cpu_count", lambda: 8)
-        fit_recovery_batch(series[:1], times)  # one block: never more workers than blocks
+        fork_fit(monkeypatch, 8)
+        fit_recovery_batch(series[:1], times)  # one block: never more parts than blocks
+        assert threading.active_count() == threads
 
     @pytest.fixture
-    def pools(self, monkeypatch):
-        """The worker count of each thread pool the module starts, in order."""
-        pools = []
+    def parts(self, monkeypatch):
+        """The parts of each forked map the fit starts, in order."""
+        parts, forked_map = [], preprocess.forked_map
 
-        class RecordingPool(preprocess.ThreadPoolExecutor):
-            def __init__(self, workers):
-                pools.append(workers)
-                super().__init__(workers)
+        def recording_map(fn, items):
+            parts.append(list(items))
+            return forked_map(fn, parts[-1])
 
-        monkeypatch.setattr(preprocess, "ThreadPoolExecutor", RecordingPool)
-        return pools
+        monkeypatch.setattr(preprocess, "forked_map", recording_map)
+        return parts
 
-    def test_worker_count_follows_the_cpus_this_process_may_use(self, pools, monkeypatch):
-        monkeypatch.setattr(preprocess, "_cpu_count", lambda: 3)
+    def assert_whole_blocks(self, parts, n, workers):
+        """`parts` cover range(n) in order, each a run of whole blocks of
+        `_blocks(n, workers)`."""
+        edges = {s.start for s in preprocess._blocks(n, workers)} | {n}
+        assert parts[0].start == 0 and parts[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+        assert {p.start for p in parts} | {p.stop for p in parts} <= edges
+
+    def test_worker_count_follows_the_cpus_this_process_may_use(self, parts, monkeypatch):
         series, times = cleaned_phantom_series(12)
-        monkeypatch.setattr(preprocess, "THREAD_MIN_PIXELS", 0)  # after registration's
+        parts.clear()  # registration's map
+        fork_fit(monkeypatch, 3)
         assert len(series) == 96 * 72
+        block = preprocess.BLOCK
         fit_recovery_batch(series, times)  # 3 blocks of 2,304 pixels
-        fit_recovery_batch(series[:preprocess.BLOCK], times)  # one block: no pool
-        monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
-        fit_recovery_batch(series[:preprocess.BLOCK + 1], times)
-        assert pools == [3, 2]
+        fit_recovery_batch(series[:block], times)  # one block: one part, no fork
+        fork_fit(monkeypatch, 2)
+        fit_recovery_batch(series[:block + 1], times)
+        assert [len(p) for p in parts] == [3, 1, 2]
+        for items, n, workers in zip(parts, (len(series), block, block + 1), (3, 3, 2)):
+            self.assert_whole_blocks(items, n, workers)
 
-    def test_a_pool_starts_only_from_160x120_pixels(self, pools, monkeypatch):
-        assert preprocess.THREAD_MIN_PIXELS == 160 * 120
-        for (w, h), want in [((96, 72), []), ((160, 120), [2])]:
+    def test_a_fork_starts_only_from_128x96_pixels(self, parts, monkeypatch):
+        assert preprocess.FORK_MIN_PIXELS == 128 * 96
+        monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
+        for (w, h), split in [((96, 72), False), ((128, 96), True)]:
             series, times = cleaned_phantom_series(14, np.float32, width=w, height=h)
             fits = {}
             for cpus in (2, 1):
-                pools.clear()
+                parts.clear()
                 monkeypatch.setattr(preprocess, "_cpu_count", lambda: cpus)
                 fits[cpus] = fit_recovery_batch(series, times)
-                assert pools == (want if cpus == 2 else []), (w, h, cpus)
+                workers = 2 if split and cpus == 2 else 1
+                assert len(parts[0]) == workers, (w, h, cpus)
+                self.assert_whole_blocks(parts[0], len(series), workers)
             for key, value in fits[1].items():
                 assert fits[2][key].tobytes() == value.tobytes(), (w, h, key)
 
@@ -818,37 +938,29 @@ class TestFitRecoveryWorkers:
                         or len(sizes) == n // 2
 
     def test_a_single_block_steps_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(preprocess, "THREAD_MIN_PIXELS", 0)
-        monkeypatch.setattr(preprocess, "BLOCK", 24)
+        # a plan of one block is one part, fitted here; of several, none here
+        fork_fit(monkeypatch, 2)
         events = []
-        blocks_of, step = preprocess._blocks, preprocess._gauss_newton_step
-
-        def recording_blocks(n, workers=1):
-            blocks = blocks_of(n, workers)
-            if workers > 1:  # the pool's size and each Gauss-Newton iteration
-                events.append(len(blocks))
-            return blocks
+        step = preprocess._gauss_newton_step
 
         def recording_step(yT, *args):
             events.append(threading.current_thread() is threading.main_thread())
             return step(yT, *args)
 
-        monkeypatch.setattr(preprocess, "_blocks", recording_blocks)
         monkeypatch.setattr(preprocess, "_gauss_newton_step", recording_step)
         series, times = cleaned_phantom_series(12)
+        assert len(preprocess._blocks(300, 2)) == 1
         assert_fit_matches_einsum(series[:300], times)
-        iterations = []
-        for e in events:
-            if type(e) is int:
-                iterations.append((e, []))
-            else:
-                iterations[-1][1].append(e)
-        assert iterations.pop(0) == (len(blocks_of(300, 2)), [])  # sizes the pool
-        assert {len(on_main) == count for count, on_main in iterations} == {True}
-        assert {count > 1 for count, _ in iterations} == {False, True}
-        for count, on_main in iterations:
-            assert count % 2 == 0 and not any(on_main) if count > 1 else on_main == [True]
+        assert events and all(events)
+        monkeypatch.setattr(preprocess, "BLOCK", 24)
+        assert preprocess._fit_parts(300, 2) == [slice(0, 150), slice(150, 300)]
+        events.clear()
+        assert_fit_matches_einsum(series[:300], times)
+        here = list(events)
+        events.clear()
+        monkeypatch.setattr(preprocess, "_cpu_count", lambda: 1)
+        fit_recovery_batch(series[:150], times)
+        assert here == events  # the steps of the first part alone, each on this thread
 
     @pytest.mark.parametrize("columns", [1, 2, 3, 17, 4096])
     def test_time_sum_adds_rows_in_order_from_zero(self, columns):

@@ -155,7 +155,7 @@ def test_undamaged_sequence_keeps_the_registered_frames():
 
 def test_preprocessing_allocates_at_most_three_and_a_half_frame_stacks(monkeypatch):
     # the whole-series float64 path peaked at 6.2 times the frames here; the
-    # fit holds one scratch set of about 10 MiB per worker, so two are fixed
+    # fit holds one scratch set of about 10 MiB in each process it runs in
     monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
     seq, _ = generate_phantom(PhantomConfig(), seed=0)  # 320x240x60
     tracemalloc.start()
