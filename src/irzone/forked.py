@@ -13,14 +13,15 @@ whichever process is free: the caller's share is fixed, so every call it
 makes repeats exactly from run to run.
 
 Each worker is pinned to one CPU of the caller's set, and the caller to
-the set's first CPU for the map's lifetime, so that `_cpu_count()` is 1
-in every item and nothing an item runs fans out again: a map inside an
-item, such as the registration of one sequence of a manifest's, is the
-serial loop. The caller gets its own set back when the map ends, raises
-or is closed. A worker leaves through `os._exit` on every path: it never
-runs the caller's `finally` blocks or `atexit` handlers and never flushes
-the caller's buffered output again. The caller kills and reaps every
-worker when the map ends, raises or is closed early.
+the set's first CPU while it computes an item of its own, so that
+`_cpu_count()` is 1 in every item and nothing an item runs fans out again:
+a map inside an item, such as the registration of one sequence of a
+manifest's, is the serial loop. The caller gets its own set back as each
+of its items returns or raises, so the consumer's code between results
+runs on the whole set. A worker leaves through `os._exit` on every path:
+it never runs the caller's `finally` blocks or `atexit` handlers and never
+flushes the caller's buffered output again. The caller kills and reaps
+every worker when the map ends, raises or is closed early.
 
 With one usable CPU, or without CPU affinity (`os.sched_setaffinity`:
 Windows, macOS), the map is the serial loop in-process.
@@ -90,7 +91,6 @@ def forked_map(fn, items):
     cpus = sorted(os.sched_getaffinity(0))
     workers = {}  # stride -> (pid, reader)
     try:
-        os.sched_setaffinity(0, cpus[:1])
         for k in range(1, n):
             pipe = os.pipe()
             pid = os.fork()
@@ -100,7 +100,12 @@ def forked_map(fn, items):
             workers[k] = pid, os.fdopen(pipe[0], "rb")
         for i, item in enumerate(items):
             if i % n == 0:
-                yield fn(item)
+                os.sched_setaffinity(0, cpus[:1])
+                try:
+                    value = fn(item)
+                finally:
+                    os.sched_setaffinity(0, cpus)
+                yield value
                 continue
             pid, reader = workers[i % n]
             try:
@@ -120,4 +125,3 @@ def forked_map(fn, items):
             reader.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        os.sched_setaffinity(0, cpus)

@@ -22,6 +22,7 @@ import numpy as np
 from ..features import FEATURE_DIM, Standardizer, as_parts, fit_standardizer
 from ..forked import forked_map
 from ..io_formats import FormatError, state_fields
+from ..preprocess import PipelineAbort
 from ..zones import BC_LEAVES, DM_LEAVES, HA_LEAVES, LEAF_LABELS, WA_LEAVES, Mode, ZoneLabel
 from .rf import RFConfig, RFModel, rf_predict_proba, train_rf
 from .sdae import SDAEConfig, SDAEModel, train_sdae
@@ -192,11 +193,27 @@ def cascade_train(features, labels, mode: Mode,
                         stages=stages, seed=seed)
 
 
+def _abort_on_non_finite(values, rows, what):
+    """A PipelineAbort counting the rows of `values` [N] or [N, k] selected
+    by the mask `rows` that hold a non-finite value."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = np.count_nonzero(rows & ~finite.reshape(len(values), -1).all(axis=1))
+        if bad:
+            raise PipelineAbort(f"{bad} pixels have a non-finite {what}")
+
+
 def cascade_predict(model: CascadeModel, features) -> dict[ZoneLabel, np.ndarray]:
     """Per-pixel probabilities over the mode's legal leaves (others zero).
 
     Probabilities over the legal set sum to 1. Leaf probability is the product
     of the branch probabilities along the cascade path.
+
+    A non-finite feature of a pixel the stages read (one not flagged
+    degenerate), or a non-finite branch probability, is a PipelineAbort. It
+    is checked here, not at extraction, because features also come from
+    callers and the cache, and only these rows matter; the forest turns a
+    NaN feature into a finite probability.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != FEATURE_DIM:
@@ -205,6 +222,7 @@ def cascade_predict(model: CascadeModel, features) -> dict[ZoneLabel, np.ndarray
     mode = model.mode
     degen = X[:, FEATURE_DIM - 1] >= 0.5
     usable = ~degen
+    _abort_on_non_finite(X, usable, "feature")
     Xs = model.standardizer.apply(X[usable])
 
     def proba(name):
@@ -216,6 +234,7 @@ def cascade_predict(model: CascadeModel, features) -> dict[ZoneLabel, np.ndarray
         return out
 
     branch = {name: proba(name) for name in stages_for_mode(mode)}  # in table order
+    _abort_on_non_finite(sum(branch.values()), usable, "probability")  # cannot overflow
     probs = {}
     for leaf in LEAF_LABELS:
         p = np.zeros(n)

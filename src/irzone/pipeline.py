@@ -28,7 +28,6 @@ from .postprocess import (
     topological_filter,
 )
 from .preprocess import (
-    PipelineAbort,
     fit_recovery_batch,
     naming_sequence,
     register_sequence,
@@ -233,21 +232,9 @@ def zpr_from_reference(mask: ZoneMask) -> ZoneMask:
 def smoothed_probs(model: CascadeModel, sf: SequenceFeatures, radius: int) -> dict:
     """Cascade leaf probabilities as (h, w) maps after probabilistic smoothing:
     the distribution that threshold calibration fits and the decision cuts.
-
-    A non-finite feature of a pixel the cascade reads (one not flagged
-    degenerate), or a non-finite probability, is a PipelineAbort before the
-    smoothing's running sums spread it over its row and column. It is
-    checked here, not at extraction, because features also come from
-    callers and the cache, and only the cascade's rows matter; the forest
-    turns a NaN feature into a finite probability."""
-    x = sf.features
-    bad = ~np.isfinite(x).all(axis=1) & ~(x[:, -1] >= 0.5)  # cascade_predict's usable rows
-    if not bad.any():
-        probs = cascade_predict(model, x)
-        bad = ~np.isfinite(sum(probs.values()))  # a sum of probabilities cannot overflow
-    if bad.any():
-        raise PipelineAbort(f"{np.count_nonzero(bad)} pixels have a non-finite feature "
-                            "or probability")
+    `cascade_predict` stops a non-finite feature or probability before the
+    smoothing's running sums spread it over its row and column."""
+    probs = cascade_predict(model, sf.features)
     h, w = sf.shape
     maps = {l: probs[l].reshape(h, w) for l in LEAF_LABELS}
     return probabilistic_filter(maps, radius=radius)

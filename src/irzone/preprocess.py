@@ -116,13 +116,13 @@ def _summed_area(frame):
     return sat
 
 
-def _prepare(frame, sigma, m, blur=None):
+def _prepare(frame, sigma, m):
     """`frame` high-pass filtered to float64, prepared for lags in [-m, m]^2.
 
-    The filter subtracts the frame's Gaussian blur at `sigma` (none at 0),
-    or `blur` if the caller has computed it. Centring on the filtered
-    frame's own mean leaves every NCC score unchanged and keeps the variance
-    subtraction of the fast surface well conditioned.
+    The filter subtracts the frame's Gaussian blur at `sigma` (none at 0).
+    Centring on the filtered frame's own mean leaves every NCC score
+    unchanged and keeps the variance subtraction of the fast surface well
+    conditioned.
     """
     from scipy import fft  # on first use: importing scipy.fft takes 0.02-0.06 s
 
@@ -130,10 +130,8 @@ def _prepare(frame, sigma, m, blur=None):
     h, w = frame.shape
     if h < 16 or w < 16:
         raise ValueError("frames must be at least 16x16")
-    if blur is None and sigma > 0:
-        blur = gaussian_filter(frame, sigma, mode="nearest")
-    if blur is not None:
-        frame = frame - blur
+    if sigma > 0:
+        frame = frame - gaussian_filter(frame, sigma, mode="nearest")
     a = frame - frame.mean()
     a2 = a * a
     return _PreparedFrame(frame, fft.rfft2(a, _padded_shape(frame.shape, m)),
@@ -329,15 +327,18 @@ def register_sequence(seq):
 
     Until the first frame that is fatal or moves, every reference is the
     unmoved frame before the target, so those shifts do not depend on one
-    another. For frames of at least FORK_MIN_PIXELS pixels they are computed
-    in contiguous runs, one per usable CPU (`forked.forked_map`): each run
-    prepares the frame before its first as its reference. The runs are
-    walked in order. From the first frame that is fatal or moves on, the
-    rest is the serial loop in this process; after a fatal frame it
-    prepares the unmoved frame before it again, as its reference. Every
-    shift is the same `_shift_of_prepared` call on the same prepared frames
-    as in the serial loop, so every float is unchanged. A run stops at its
-    first frame that is fatal or moves: what follows it is never read.
+    another. For frames of at least FORK_MIN_PIXELS pixels on more than one
+    usable CPU they are computed in contiguous runs, one per CPU
+    (`forked.forked_map`): each run prepares the frame before its first as
+    its reference. The runs are walked in order. From the first frame that
+    is fatal or moves on, the rest is the serial loop in this process. If
+    that frame is fatal and not the last, the unmoved frame before it, the
+    reference, was prepared in a worker, so it is prepared once more here.
+    Every shift is the same `_shift_of_prepared` call on the same prepared
+    frames as in the serial loop, so every float is unchanged. A run stops
+    at its first frame that is fatal or moves: what follows it is never
+    read. Below FORK_MIN_PIXELS or on one CPU the whole sequence is the
+    serial loop.
 
     Medians of 9 alternating runs on 2 cores, one process against forked
     runs, with the same bytes either way. Registration gains even at 96x72,
@@ -375,14 +376,18 @@ def register_sequence(seq):
         return _prepare(out[i], HIGHPASS_SIGMA, m)
 
     workers = _cpu_count() if h * w >= FORK_MIN_PIXELS else 1
-    report.shifts = [ShiftEstimate(0.0, 0.0, 1.0), *_unmoved_shifts(seq.data, m, workers)]
-    last = len(report.shifts) - 1  # the first frame that is fatal or moves, or the last frame
-    est = report.shifts[last]
-    if est.fatal:  # the reference stays the unmoved frame before it
-        prev = _prepare(seq.data[last - 1], HIGHPASS_SIGMA, m)
-    elif not _still(est):
-        prev = align(last, est)
-    for i in range(last + 1, seq.n_frames):
+    report.shifts = [ShiftEstimate(0.0, 0.0, 1.0)]
+    if workers < 2:
+        prev = _prepare(seq.data[0], HIGHPASS_SIGMA, m)
+    else:
+        report.shifts += _unmoved_shifts(seq.data, m, workers)
+        last = len(report.shifts) - 1  # the first frame that is fatal or moves, or the last
+        est = report.shifts[last]
+        if not est.fatal and not _still(est):
+            prev = align(last, est)
+        elif est.fatal and last < seq.n_frames - 1:  # the reference: the unmoved frame before it
+            prev = _prepare(seq.data[last - 1], HIGHPASS_SIGMA, m)
+    for i in range(len(report.shifts), seq.n_frames):
         cur = _prepare(seq.data[i], HIGHPASS_SIGMA, m)
         est = _snapped(_shift_of_prepared(prev, cur, m))
         report.shifts.append(est)

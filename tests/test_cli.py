@@ -600,7 +600,7 @@ class TestMismatchedInputs:
         args = ["infer", "--model", str(write_leaf_model(tmp_path / "leaf.izm")),
                 "--in", str(seq), "--out-mask", str(out)]
         assert main(args) == 2
-        assert (f"sequence {seq}: 1 pixels have a non-finite feature or probability"
+        assert (f"sequence {seq}: 1 pixels have a non-finite feature"
                 in capsys.readouterr().err)
         assert not out.exists()
 

@@ -18,8 +18,9 @@ from irzone.models.cascade import (
     cascade_train,
     stages_for_mode,
 )
+from irzone.models import cascade
 from irzone.models.rf import RFConfig, train_rf
-from irzone.models.sdae import SDAEConfig, train_sdae
+from irzone.models.sdae import SDAEConfig, SDAEModel, train_sdae
 from irzone.phantom import default_config_sampler, generate_phantom
 from irzone.pipeline import (
     ManifestEntry,
@@ -199,6 +200,25 @@ class TestNonFiniteFeatures:
         self.infer(model, sf)
         sf.features[201, 3] = value
         with pytest.raises(PipelineAbort, match="^1 pixels have a non-finite feature"):
+            self.infer(model, sf)
+
+    @pytest.mark.parametrize("backend", ["rf", "sdae"])
+    def test_one_non_finite_probability_is_a_pipeline_abort(self, backend, monkeypatch):
+        sf, model = self.features_and_model(backend)
+
+        def one_nan(p):
+            p = p.copy()
+            p[7] = np.nan
+            return p
+
+        if backend == "rf":
+            predict = cascade.rf_predict_proba
+            monkeypatch.setattr(cascade, "rf_predict_proba", lambda *args: one_nan(predict(*args)))
+        else:
+            predict = SDAEModel.predict_proba
+            monkeypatch.setattr(SDAEModel, "predict_proba",
+                                lambda self, x: one_nan(predict(self, x)))
+        with pytest.raises(PipelineAbort, match="^1 pixels have a non-finite probability"):
             self.infer(model, sf)
 
     @pytest.mark.parametrize("backend", ["rf", "sdae"])

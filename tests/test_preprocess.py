@@ -1,7 +1,6 @@
 """Registration, damaged-frame removal, and recovery-curve fitting."""
 
 import itertools
-import sys
 import threading
 
 import numpy as np
@@ -324,6 +323,9 @@ class TestRegisterPreparedFrames:
         "occluded": (dict(noise_sigma=0.03, shift_schedule=drift_schedule(30),
                           damaged_frames={4: OccluderSpec(), 17: OccluderSpec(x0=20, y0=10)}),
                      23, 28, []),
+        # frame 9 jumps out of the window and back; no frame moves
+        "fatal-only": (dict(noise_sigma=0.03, shift_schedule=[(0.0, 0.0)] * 9 + [(7.0, -1.0)]
+                            + [(0.0, 0.0)] * 20), 22, 0, [9]),
     }
 
     @pytest.mark.parametrize("name, ahead", [
@@ -352,13 +354,10 @@ class TestRegisterPreparedFrames:
 
     @pytest.mark.parametrize("name, ahead", [
         pytest.param(name, ahead, id=name + ("-ahead" if ahead else ""))
-        for name in [*CASES, "fatal-only"] for ahead in (False, True)
+        for name in CASES for ahead in (False, True)
     ])
     def test_frames_are_shared_until_one_moves(self, name, ahead, monkeypatch):
-        # "fatal-only": frame 9 jumps out of the window and back; no frame moves
-        overrides, seed, moved, fatal = self.CASES.get(name, (
-            dict(noise_sigma=0.03, shift_schedule=[(0.0, 0.0)] * 9 + [(7.0, -1.0)]
-                 + [(0.0, 0.0)] * 20), 22, 0, [9]))
+        overrides, seed, moved, fatal = self.CASES[name]
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
         if ahead:
             fork_registration(monkeypatch, 2)
@@ -442,6 +441,22 @@ class TestRegisterInForkedRuns:
         lo = self.worker_start(workers)
         moved = self.register(monkeypatch, workers, step_schedule(self.N, {-(lo + 1), lo + 3}))
         assert moved == (list(range(lo + 3, self.N)), [lo + 1])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_fatal_last_frame_prepares_no_reference_again(self, workers, monkeypatch):
+        fork_registration(monkeypatch, workers)
+        prepared = []
+        prepare = preprocess._prepare
+        monkeypatch.setattr(preprocess, "_prepare",
+                            lambda *args: prepared.append(1) or prepare(*args))
+        seq, _ = generate_phantom(small_config(noise_sigma=0.03, n_frames=self.N,
+                                               shift_schedule=step_schedule(self.N, {1 - self.N})),
+                                  seed=31)
+        registered, report = register_sequence(seq)
+        # this process scores the first run itself (frames 0 … its last), and no more
+        assert len(prepared) == 1 + (self.N - 1) // workers
+        assert moved_and_fatal(report) == ([], [self.N - 1])
+        assert_registration_matches_loop(seq, registered, report)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_frame_1_moved(self, workers, monkeypatch):
