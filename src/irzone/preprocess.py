@@ -13,6 +13,7 @@ from .forked import _cpu_count, forked_map
 from .io_formats import ThermalSequence
 
 DEFAULT_MAX_SHIFT = 5          # px; larger drifts are treated as fatal
+MIN_FRAME_SIDE = 16            # px; smaller frames cannot be registered
 DEFAULT_OUTLIER_FRAC = 0.1
 DEFAULT_OUTLIER_TEMP_DEV = 1.0  # °C
 NOISE_FLOOR_C = 0.03           # imager sensitivity
@@ -128,8 +129,8 @@ def _prepare(frame, sigma, m):
 
     frame = np.asarray(frame, dtype=np.float64)
     h, w = frame.shape
-    if h < 16 or w < 16:
-        raise ValueError("frames must be at least 16x16")
+    if min(h, w) < MIN_FRAME_SIDE:
+        raise ValueError(f"frames must be at least {MIN_FRAME_SIDE}x{MIN_FRAME_SIDE}")
     if sigma > 0:
         frame = frame - gaussian_filter(frame, sigma, mode="nearest")
     a = frame - frame.mean()
@@ -284,9 +285,18 @@ def _still(est):
     return not est.fatal and est.dx == 0.0 and est.dy == 0.0
 
 
+def _runs(n, k):
+    """k contiguous slices covering range(n) in order, their sizes differing
+    by at most one."""
+    edges = [n * i // k for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
 def _unmoved_run(data, frames, m):
     """Snapped shifts of the frames `frames` (a range from 1), each against
-    the unmoved frame before it, up to the first that is fatal or moves."""
+    the unmoved frame before it, up to the first that is fatal or moves; and
+    after a fatal frame that is not the sequence's last, the prepared
+    reference of the frames after it (else None)."""
     prev = _prepare(data[frames.start - 1], HIGHPASS_SIGMA, m)
     shifts = []
     for i in frames:
@@ -295,21 +305,7 @@ def _unmoved_run(data, frames, m):
         if not _still(shifts[-1]):
             break
         prev = cur
-    return shifts
-
-
-def _unmoved_shifts(data, m, workers):
-    """`_unmoved_run` of frames 1, 2, …, split into `workers` contiguous runs
-    that `forked_map` computes at once, walked in order up to the first
-    shift that is fatal or moves."""
-    workers = min(workers, len(data) - 1)
-    edges = [1 + (len(data) - 1) * k // workers for k in range(workers + 1)]
-    with closing(forked_map(lambda k: _unmoved_run(data, range(edges[k], edges[k + 1]), m),
-                            range(workers))) as runs:
-        for run in runs:
-            yield from run
-            if not _still(run[-1]):
-                return
+    return shifts, prev if shifts[-1].fatal and i < len(data) - 1 else None
 
 
 def register_sequence(seq):
@@ -322,23 +318,22 @@ def register_sequence(seq):
     shift below SNAP_EPS snaps to zero.
 
     Each frame is filtered and prepared for the fast NCC surface once, as a
-    target. After a zero or fatal shift the next reference is already
-    prepared; only a frame that was moved is filtered and prepared again.
+    target; after a zero or fatal shift the reference stays prepared, and
+    only a frame that was moved is filtered and prepared again.
 
     Until the first frame that is fatal or moves, every reference is the
     unmoved frame before the target, so those shifts do not depend on one
-    another. For frames of at least FORK_MIN_PIXELS pixels on more than one
-    usable CPU they are computed in contiguous runs, one per CPU
-    (`forked.forked_map`): each run prepares the frame before its first as
-    its reference. The runs are walked in order. From the first frame that
-    is fatal or moves on, the rest is the serial loop in this process. If
-    that frame is fatal and not the last, the unmoved frame before it, the
-    reference, was prepared in a worker, so it is prepared once more here.
-    Every shift is the same `_shift_of_prepared` call on the same prepared
-    frames as in the serial loop, so every float is unchanged. A run stops
-    at its first frame that is fatal or moves: what follows it is never
-    read. Below FORK_MIN_PIXELS or on one CPU the whole sequence is the
-    serial loop.
+    another. Frames 1 … n − 1 are split (`_runs`) into contiguous runs of
+    `_unmoved_run`, one per usable CPU for frames of at least
+    FORK_MIN_PIXELS pixels and else one, which `forked.forked_map` computes
+    at once; each run prepares the frame before its first as its reference.
+    The runs are walked in order up to the first frame that is fatal or
+    moves, and from there on the rest is the serial loop in this process.
+    A run that stops at a fatal frame hands back the reference it holds, so
+    no frame is prepared twice here. Every shift is the same
+    `_shift_of_prepared` call on the same prepared frames as in the serial
+    loop, so every float is unchanged. What follows a run's stop is never
+    read.
 
     Medians of 9 alternating runs on 2 cores, one process against forked
     runs, with the same bytes either way. Registration gains even at 96x72,
@@ -360,8 +355,10 @@ def register_sequence(seq):
     """
     if seq.n_frames < 2:
         raise PipelineAbort("need at least 2 frames to register")
-    report = PreprocessReport()
     h, w = seq.frame_shape
+    if min(h, w) < MIN_FRAME_SIDE:
+        raise PipelineAbort(f"frames must be at least {MIN_FRAME_SIDE}x{MIN_FRAME_SIDE}")
+    report = PreprocessReport()
     valid = np.ones((h, w), dtype=bool)
     out = seq.data  # shared until a frame moves
     m = DEFAULT_MAX_SHIFT
@@ -375,19 +372,18 @@ def register_sequence(seq):
         np.logical_and(valid, v, out=valid)
         return _prepare(out[i], HIGHPASS_SIGMA, m)
 
-    workers = _cpu_count() if h * w >= FORK_MIN_PIXELS else 1
+    workers = min(_cpu_count() if h * w >= FORK_MIN_PIXELS else 1, seq.n_frames - 1)
+    runs = [range(1, seq.n_frames)[s] for s in _runs(seq.n_frames - 1, workers)]
     report.shifts = [ShiftEstimate(0.0, 0.0, 1.0)]
-    if workers < 2:
-        prev = _prepare(seq.data[0], HIGHPASS_SIGMA, m)
-    else:
-        report.shifts += _unmoved_shifts(seq.data, m, workers)
-        last = len(report.shifts) - 1  # the first frame that is fatal or moves, or the last
-        est = report.shifts[last]
-        if not est.fatal and not _still(est):
-            prev = align(last, est)
-        elif est.fatal and last < seq.n_frames - 1:  # the reference: the unmoved frame before it
-            prev = _prepare(seq.data[last - 1], HIGHPASS_SIGMA, m)
-    for i in range(len(report.shifts), seq.n_frames):
+    with closing(forked_map(lambda frames: _unmoved_run(seq.data, frames, m), runs)) as walk:
+        for shifts, prev in walk:
+            report.shifts += shifts
+            if not _still(shifts[-1]):
+                break
+    last = len(report.shifts) - 1  # the first frame that is fatal or moves, or the last
+    if not report.shifts[last].fatal and not _still(report.shifts[last]):
+        prev = align(last, report.shifts[last])
+    for i in range(last + 1, seq.n_frames):
         cur = _prepare(seq.data[i], HIGHPASS_SIGMA, m)
         est = _snapped(_shift_of_prepared(prev, cur, m))
         report.shifts.append(est)
@@ -474,20 +470,15 @@ def remove_damaged_frames(seq, report):
 BLOCK = 4096  # most pixels per block of the per-pixel passes; keeps each [T, block] array in cache
 
 
-def _blocks(n, workers=1):
-    """Slices covering range(n): one if n fits BLOCK, else a multiple of
-    `workers` of at most BLOCK whose sizes differ by at most one, so that no
-    worker is left with a short last block.
+def _blocks(n):
+    """Slices covering range(n) (`_runs`): one if n fits BLOCK, else
+    ceil(n / BLOCK) of sizes that differ by at most one.
 
     There are at most n // 2 blocks, so no block is a single row unless n
     is 1: numpy reduces a [1, T] block along another loop than a row of a
     taller array that is not C-ordered, with other rounding.
     """
-    k = max(1, -(-n // BLOCK))
-    if k > 1:
-        k = min(-(-k // workers) * workers, n // 2)
-    edges = [n * i // k for i in range(k + 1)]
-    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    return _runs(n, max(1, min(-(-n // BLOCK), n // 2)))
 
 
 def _time_sum(x):
@@ -614,15 +605,6 @@ def _fit_part(y, yT, t, lo):
     }
 
 
-def _fit_parts(n, workers):
-    """Contiguous runs of whole blocks of `_blocks(n, workers)`, one per
-    worker, or one per block if there are fewer blocks."""
-    blocks = _blocks(n, workers)
-    k = min(workers, len(blocks))
-    edges = [len(blocks) * i // k for i in range(k + 1)]
-    return [slice(blocks[lo].start, blocks[hi - 1].stop) for lo, hi in zip(edges[:-1], edges[1:])]
-
-
 def fit_recovery_batch(series, times):
     """Vectorized least-squares fit of T(t) = T_base - dT exp(-t/tau).
 
@@ -646,13 +628,13 @@ def fit_recovery_batch(series, times):
     block of the same memory layout as the whole series, so numpy adds in
     the same order. No block is a single row of several (`_blocks`).
 
-    For a series of at least FORK_MIN_PIXELS pixels, the blocks of
-    `_blocks(N, W)` for W usable CPUs are dealt out in W contiguous parts,
-    and each part is fitted whole, solves included, by its own process
-    (`forked.forked_map`); the parts are concatenated in order. A part is
-    whole blocks, so it holds no single row either, and each pixel iterates
-    as often as in one fit. Medians of 9 alternating runs on 2 cores, with
-    the same bytes either way:
+    For a series of at least FORK_MIN_PIXELS pixels, the rows are split
+    (`_runs`) into one contiguous part per usable CPU, but no more parts
+    than `_blocks(N)` has blocks, and each part is fitted whole, solves
+    included, by its own process (`forked.forked_map`); the parts are
+    concatenated in order. So no part is a single row of several, and each
+    pixel iterates as often as in one fit. Medians of 9 alternating runs on
+    2 cores, with the same bytes either way:
 
         pixels x frames   1 process   2 processes
         96x72 x 40           85 ms        86 ms
@@ -681,5 +663,6 @@ def fit_recovery_batch(series, times):
 
     yT = np.ascontiguousarray(y.T)  # [T, N]; no copy of the pipeline's frames
     workers = _cpu_count() if len(y) >= FORK_MIN_PIXELS else 1
-    parts = list(forked_map(lambda s: _fit_part(y[s], yT, t, s.start), _fit_parts(len(y), workers)))
-    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+    parts = _runs(len(y), min(workers, len(_blocks(len(y)))))
+    fits = list(forked_map(lambda s: _fit_part(y[s], yT, t, s.start), parts))
+    return {key: np.concatenate([fit[key] for fit in fits]) for key in fits[0]}

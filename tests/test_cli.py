@@ -627,3 +627,34 @@ class TestMismatchedInputs:
         err = capsys.readouterr().err
         assert f"sequence {seq}: need at least 2 frames to register" in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, where", [
+        ("preprocess", "here"), ("infer", "here"), ("train", "here"), ("train", "in-a-worker")])
+    def test_frames_below_16x16_are_a_data_error_naming_the_sequence(
+            self, workspace, tmp_path, capsys, monkeypatch, command, where):
+        from irzone import forked
+
+        seq = tmp_path / "tiny.irts"
+        io.write_sequence(seq, io.ThermalSequence(np.full((5, 12, 12), 30.0), np.arange(5.0),
+                                                  0.5))
+        out = tmp_path / "out"
+        if command == "preprocess":
+            args = ["preprocess", "--in", str(seq), "--report", str(out)]
+        elif command == "infer":
+            args = ["infer", "--model", str(write_leaf_model(tmp_path / "leaf.izm")),
+                    "--in", str(seq), "--out-mask", str(out)]
+        else:  # a manifest whose other sequence is preprocessed first, in this process
+            monkeypatch.setattr(pipeline, "_FEATURE_CACHE", {})
+            monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
+            tiny = pipeline.ManifestEntry(
+                str(seq), str(self.write_mask(tmp_path / "tiny.pgm", np.zeros((12, 12), np.uint8))))
+            other = pipeline.ManifestEntry(str(workspace / "train" / "seq_0000.irts"),
+                                           str(workspace / "train" / "mask_0000.pgm"))
+            pipeline.write_manifest(tmp_path / "manifest.txt",
+                                    [other, tiny] if where == "in-a-worker" else [tiny, other])
+            args = ["train", "--manifest", str(tmp_path / "manifest.txt"),
+                    "--model-out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"sequence {seq}: frames must be at least 16x16" in err, err
+        assert not out.exists()

@@ -233,6 +233,14 @@ class TestEstimateShiftMatchesLoop:
             assert_matches_loop(ref, tgt, max_shift=max_shift)
 
 
+def count_prepares(monkeypatch):
+    """A list that gets one item per `_prepare` call made in this process."""
+    prepared, prepare = [], preprocess._prepare
+    monkeypatch.setattr(preprocess, "_prepare",
+                        lambda *args: prepared.append(1) or prepare(*args))
+    return prepared
+
+
 class TestRegisterSequence:
     def test_seeded_run_matches_recorded_estimates(self):
         # frame 5 jumps past the window
@@ -275,6 +283,14 @@ class TestRegisterSequence:
         one = ThermalSequence(seq.data[:1], seq.timestamps[:1], seq.pixel_size)
         with pytest.raises(PipelineAbort):
             register_sequence(one)
+
+    @pytest.mark.parametrize("shape", [(12, 12), (15, 64), (48, 15)])
+    def test_aborts_below_16x16_before_preparing_a_frame(self, shape, monkeypatch):
+        prepared = count_prepares(monkeypatch)
+        seq = ThermalSequence(np.full((5, *shape), 30.0, np.float32), np.arange(5.0), 0.5)
+        with pytest.raises(PipelineAbort, match="frames must be at least 16x16"):
+            register_sequence(seq)
+        assert prepared == []
 
     def test_report_serializes_to_lines(self, clean_phantom):
         seq, _ = clean_phantom
@@ -336,10 +352,7 @@ class TestRegisterPreparedFrames:
         # with two CPUs, these frames are below FORK_MIN_PIXELS unless "-ahead"
         # lowers it to 0
         overrides, seed, moved, fatal = self.CASES[name]
-        prepared = []
-        prepare = preprocess._prepare
-        monkeypatch.setattr(preprocess, "_prepare",
-                            lambda *args: prepared.append(1) or prepare(*args))
+        prepared = count_prepares(monkeypatch)
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 2)
         if ahead:
             fork_registration(monkeypatch, 2)
@@ -445,10 +458,7 @@ class TestRegisterInForkedRuns:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_a_fatal_last_frame_prepares_no_reference_again(self, workers, monkeypatch):
         fork_registration(monkeypatch, workers)
-        prepared = []
-        prepare = preprocess._prepare
-        monkeypatch.setattr(preprocess, "_prepare",
-                            lambda *args: prepared.append(1) or prepare(*args))
+        prepared = count_prepares(monkeypatch)
         seq, _ = generate_phantom(small_config(noise_sigma=0.03, n_frames=self.N,
                                                shift_schedule=step_schedule(self.N, {1 - self.N})),
                                   seed=31)
@@ -456,6 +466,25 @@ class TestRegisterInForkedRuns:
         # this process scores the first run itself (frames 0 … its last), and no more
         assert len(prepared) == 1 + (self.N - 1) // workers
         assert moved_and_fatal(report) == ([], [self.N - 1])
+        assert_registration_matches_loop(seq, registered, report)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_fatal_frame_inside_a_workers_run_prepares_no_frame_twice(self, workers,
+                                                                        monkeypatch):
+        # the worker's run hands back the reference it prepared for the frames
+        # after the fatal one, which this process then scores serially
+        fork_registration(monkeypatch, workers)
+        prepared = count_prepares(monkeypatch)
+        fatal = self.worker_start(workers) + 2
+        seq, _ = generate_phantom(small_config(noise_sigma=0.03, n_frames=self.N,
+                                               shift_schedule=step_schedule(self.N, {-fatal})),
+                                  seed=31)
+        registered, report = register_sequence(seq)
+        # frame 0, this process's own run, and each frame after the fatal one
+        assert len(prepared) == 1 + (self.N - 1) // workers + (self.N - 1 - fatal)
+        if workers == 2:
+            assert len(prepared) == 27
+        assert moved_and_fatal(report) == ([], [fatal])
         assert_registration_matches_loop(seq, registered, report)
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -812,6 +841,24 @@ class TestFitRecoveryMatchesEinsum:
         assert_fit_matches_einsum(72.0 - exact, times)  # cooling instead of warming
 
 
+def assert_split(slices, n):
+    """The sizes of `slices`, which cover range(n) in order and differ in
+    size by at most one."""
+    assert [i for s in slices for i in range(n)[s]] == list(range(n))
+    sizes = [s.stop - s.start for s in slices]
+    assert max(sizes) - min(sizes) <= 1
+    return sizes
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+def test_runs_split_a_range_in_order_into_k_balanced_slices(k):
+    # registration's runs, the fit's parts and the blocks all come from here
+    for n in range(40):
+        runs = preprocess._runs(n, k)
+        assert len(runs) == k and all(s.step is None for s in runs)
+        assert_split(runs, n)
+
+
 def fork_fit(monkeypatch, workers):
     """The curve fit of any series in `workers` forked parts, whatever this
     machine has."""
@@ -821,7 +868,7 @@ def fork_fit(monkeypatch, workers):
 
 
 class TestFitRecoveryWorkers:
-    """Whole pixel blocks fitted by forked processes: the same bytes for any
+    """Pixel parts fitted by forked processes: the same bytes for any
     worker count. A float32 series, converted block by block, fits to the
     bytes of its float64 copy; the oracle converts the whole series up
     front. The tests that split series smaller than FORK_MIN_PIXELS lower
@@ -871,7 +918,8 @@ class TestFitRecoveryWorkers:
 
     @pytest.fixture
     def parts(self, monkeypatch):
-        """The parts of each forked map the fit starts, in order."""
+        """The items of each forked map preprocessing starts, in order: the
+        fit's parts, and registration's runs before them."""
         parts, forked_map = [], preprocess.forked_map
 
         def recording_map(fn, items):
@@ -881,27 +929,29 @@ class TestFitRecoveryWorkers:
         monkeypatch.setattr(preprocess, "forked_map", recording_map)
         return parts
 
-    def assert_whole_blocks(self, parts, n, workers):
-        """`parts` cover range(n) in order, each a run of whole blocks of
-        `_blocks(n, workers)`."""
-        edges = {s.start for s in preprocess._blocks(n, workers)} | {n}
-        assert parts[0].start == 0 and parts[-1].stop == n
-        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
-        assert {p.start for p in parts} | {p.stop for p in parts} <= edges
+    @staticmethod
+    def assert_parts(parts, n, workers):
+        """`parts` split range(n) (`assert_split`) into one part per worker,
+        but no more than `_blocks(n)` has blocks, so none is a single row of
+        several."""
+        sizes = assert_split(parts, n)
+        assert len(parts) == min(workers, len(preprocess._blocks(n)))
+        assert min(sizes) >= 2 or n == 1
 
     def test_worker_count_follows_the_cpus_this_process_may_use(self, parts, monkeypatch):
         series, times = cleaned_phantom_series(12)
         parts.clear()  # registration's map
         fork_fit(monkeypatch, 3)
         assert len(series) == 96 * 72
-        block = preprocess.BLOCK
+        block = 96 * 72 // 3
+        monkeypatch.setattr(preprocess, "BLOCK", block)
         fit_recovery_batch(series, times)  # 3 blocks of 2,304 pixels
         fit_recovery_batch(series[:block], times)  # one block: one part, no fork
         fork_fit(monkeypatch, 2)
         fit_recovery_batch(series[:block + 1], times)
         assert [len(p) for p in parts] == [3, 1, 2]
         for items, n, workers in zip(parts, (len(series), block, block + 1), (3, 3, 2)):
-            self.assert_whole_blocks(items, n, workers)
+            self.assert_parts(items, n, workers)
 
     def test_a_fork_starts_only_from_128x96_pixels(self, parts, monkeypatch):
         assert preprocess.FORK_MIN_PIXELS == 128 * 96
@@ -915,26 +965,42 @@ class TestFitRecoveryWorkers:
                 fits[cpus] = fit_recovery_batch(series, times)
                 workers = 2 if split and cpus == 2 else 1
                 assert len(parts[0]) == workers, (w, h, cpus)
-                self.assert_whole_blocks(parts[0], len(series), workers)
+                self.assert_parts(parts[0], len(series), workers)
             for key, value in fits[1].items():
                 assert fits[2][key].tobytes() == value.tobytes(), (w, h, key)
 
+    @pytest.mark.parametrize("block", [3, 4, 5])
+    def test_parts_never_hold_a_single_row_of_several(self, block, monkeypatch):
+        # each part plans its own blocks, which must not be single rows either;
+        # below a BLOCK of 3 a block may hold more than BLOCK pixels, which the
+        # fit's scratch is not sized for
+        series, times = cleaned_phantom_series(12)
+        planned = []
+        monkeypatch.setattr(preprocess, "forked_map",
+                            lambda fn, items: planned.append(list(items)) or map(fn, planned[-1]))
+        monkeypatch.setattr(preprocess, "FORK_MIN_PIXELS", 0)
+        monkeypatch.setattr(preprocess, "BLOCK", block)
+        for n in range(1, 24):
+            for workers in (1, 2, 3, 7):
+                monkeypatch.setattr(preprocess, "_cpu_count", lambda: workers)
+                fit_recovery_batch(series[:n], times)
+                self.assert_parts(planned[-1], n, workers)
+                if n <= block:  # a one-block fit is one part
+                    assert planned[-1] == [slice(0, n)]
+
     @staticmethod
-    def assert_blocks(n, workers):
-        blocks = preprocess._blocks(n, workers)
-        sizes = [s.stop - s.start for s in blocks]
-        assert blocks[0].start == 0 and blocks[-1].stop == n
-        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-        assert max(sizes) - min(sizes) <= 1
+    def assert_blocks(n):
+        blocks = preprocess._blocks(n)
+        sizes = assert_split(blocks, n)
+        assert min(sizes) >= 2 or n == 1
         return sizes
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 6912, 8192, 8193, 76800])
-    def test_gauss_newton_blocks_are_balanced(self, n, workers):
-        sizes = self.assert_blocks(n, workers)
+    def test_gauss_newton_blocks_are_balanced(self, n):
+        sizes = self.assert_blocks(n)
         assert max(sizes) <= preprocess.BLOCK
-        assert len(sizes) == 1 if n <= preprocess.BLOCK else len(sizes) % workers == 0
-        if (n, workers) == (6912, 2):  # a 96x72 frame: 2 x 3456, not 4096 + 2816
+        assert len(sizes) == -(-n // preprocess.BLOCK)
+        if n == 6912:  # a 96x72 frame: 2 x 3456, not 4096 + 2816
             assert sizes == [3456, 3456]
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5])
@@ -943,16 +1009,19 @@ class TestFitRecoveryWorkers:
         monkeypatch.setattr(preprocess, "BLOCK", block)
         assert preprocess._blocks(0) == [slice(0, 0)]
         for n in range(1, 40):
-            for workers in (1, 2, 3, 4, 7):
-                sizes = self.assert_blocks(n, workers)
-                assert min(sizes) >= 2 or n == 1
-                if n <= block:
-                    assert len(sizes) == 1
-                else:  # a multiple of the workers, unless capped at n // 2 blocks
-                    assert len(sizes) % workers == 0 and max(sizes) <= block \
-                        or len(sizes) == n // 2
+            sizes = self.assert_blocks(n)
+            if n <= block:
+                assert len(sizes) == 1
+            else:  # ceil(n / block) blocks, unless capped at n // 2
+                assert len(sizes) == min(-(-n // block), n // 2)
+                assert max(sizes) <= block or len(sizes) == n // 2
 
-    def test_a_single_block_steps_on_the_calling_thread(self, monkeypatch):
+    def test_a_320x240_fit_is_two_parts_of_ten_blocks(self):
+        parts = preprocess._runs(320 * 240, min(2, len(preprocess._blocks(320 * 240))))
+        assert parts == [slice(0, 38_400), slice(38_400, 76_800)]
+        assert [s.stop - s.start for s in preprocess._blocks(38_400)] == [3_840] * 10
+
+    def test_a_single_block_steps_on_the_calling_thread(self, parts, monkeypatch):
         # a plan of one block is one part, fitted here; of several, none here
         fork_fit(monkeypatch, 2)
         events = []
@@ -964,13 +1033,15 @@ class TestFitRecoveryWorkers:
 
         monkeypatch.setattr(preprocess, "_gauss_newton_step", recording_step)
         series, times = cleaned_phantom_series(12)
-        assert len(preprocess._blocks(300, 2)) == 1
+        assert len(preprocess._blocks(300)) == 1
+        parts.clear()  # registration's map
         assert_fit_matches_einsum(series[:300], times)
+        assert parts == [[slice(0, 300)]]
         assert events and all(events)
         monkeypatch.setattr(preprocess, "BLOCK", 24)
-        assert preprocess._fit_parts(300, 2) == [slice(0, 150), slice(150, 300)]
         events.clear()
         assert_fit_matches_einsum(series[:300], times)
+        assert parts[-1] == [slice(0, 150), slice(150, 300)]
         here = list(events)
         events.clear()
         monkeypatch.setattr(preprocess, "_cpu_count", lambda: 1)
