@@ -23,8 +23,9 @@ it never runs the caller's `finally` blocks or `atexit` handlers and never
 flushes the caller's buffered output again. The caller kills and reaps
 every worker when the map ends, raises or is closed early.
 
-With one usable CPU, or without CPU affinity (`os.sched_setaffinity`:
-Windows, macOS), the map is the serial loop in-process.
+With one usable CPU the map is the serial loop in-process. Without CPU
+affinity (Windows, macOS) `_cpu_count()` is 1, so neither the map nor any
+split sized by it cuts anything.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ import signal
 
 
 def _cpu_count():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
+    """CPUs this process may run on and pin workers to: 1 without CPU
+    affinity (Windows, macOS). Where affinity exists, so does os.fork."""
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity"):
         return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return 1
 
 
 def _outcome(fn, item) -> tuple[bool, bytes]:
@@ -48,8 +50,10 @@ def _outcome(fn, item) -> tuple[bool, bytes]:
         return True, pickle.dumps((True, fn(item)), pickle.HIGHEST_PROTOCOL)
     except Exception as e:
         try:
-            return False, pickle.dumps((False, e), pickle.HIGHEST_PROTOCOL)
-        except Exception:  # an exception that does not pickle: its type and message
+            message = pickle.dumps((False, e), pickle.HIGHEST_PROTOCOL)
+            pickle.loads(message)  # as the caller will: a pickle may not rebuild it
+            return False, message
+        except Exception:  # an exception that does not round-trip: its type and message
             return False, pickle.dumps((False, RuntimeError(f"{type(e).__name__}: {e}")),
                                        pickle.HIGHEST_PROTOCOL)
 
@@ -84,7 +88,7 @@ def forked_map(fn, items):
     it) to reap the workers when its consumer may stop early."""
     items = list(items)
     n = min(_cpu_count(), len(items))
-    if n < 2 or not hasattr(os, "sched_setaffinity"):  # where it exists, so does os.fork
+    if n < 2:
         for item in items:
             yield fn(item)
         return

@@ -82,6 +82,9 @@ class ThermalSequence:
         self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
         if self.data.ndim != 3:
             raise ValueError("data must be [T, H, W]")
+        n, h, w = self.data.shape
+        if n and not h * w:  # a sequence of no frames is legal
+            raise ValueError(f"frame size {w}x{h} is empty")
         if len(self.timestamps) != self.data.shape[0]:
             raise ValueError("timestamps/frames length mismatch")
         if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > 0):

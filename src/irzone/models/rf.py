@@ -145,93 +145,61 @@ class RFModel:
         )
 
 
-class _TreeBuilder:
-    def __init__(self, X, y, config, n_feat_split, rng):
-        self.X = X
-        self.y = y.astype(np.float64)
-        self.cfg = config
-        self.k = n_feat_split
-        self.rng = rng
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.leaf_frac = []
+def _best_split(X, y, idx, k, min_leaf, rng):
+    """(feature, threshold, left rows, right rows) of the lowest-Gini split of
+    the rows `idx` over k features drawn from `rng`, or None when no split
+    lowers the node's impurity."""
+    Xi, yi = X[idx], y[idx]
+    n = len(idx)
+    feats = rng.choice(X.shape[1], size=k, replace=False)
+    best = None
+    best_gini = np.inf
+    for f in feats:
+        order = np.argsort(Xi[:, f], kind="stable")
+        xs = Xi[order, f]
+        ys = yi[order]
+        # valid split positions: between distinct values, honoring min_leaf
+        c1 = np.cumsum(ys)[:-1]          # class-1 counts left of each cut
+        nl = np.arange(1, n)
+        nr = n - nl
+        distinct = xs[1:] != xs[:-1]
+        ok = distinct & (nl >= min_leaf) & (nr >= min_leaf)
+        if not ok.any():
+            continue
+        p1l = c1 / nl
+        p1r = (c1[-1] + ys[-1] - c1) / nr
+        gini = nl * 2 * p1l * (1 - p1l) + nr * 2 * p1r * (1 - p1r)
+        gini = gini / n
+        gini = np.where(ok, gini, np.inf)
+        pos = int(np.argmin(gini))
+        if gini[pos] < best_gini - 1e-15:
+            best_gini = gini[pos]
+            thr = 0.5 * (xs[pos] + xs[pos + 1])
+            best = (int(f), float(thr), idx[order[: pos + 1]], idx[order[pos + 1 :]])
+    # reject splits that do not improve impurity
+    if best is not None:
+        p = yi.mean()
+        parent_gini = 2 * p * (1 - p)
+        if best_gini >= parent_gini - 1e-12:
+            return None
+    return best
 
-    def _new_node(self):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.leaf_frac.append(0.0)
-        return len(self.feature) - 1
 
-    def build(self, idx, depth) -> int:
-        node = self._new_node()
-        y = self.y[idx]
-        frac = float(y.mean())
-        self.leaf_frac[node] = frac
-        if (
-            depth >= self.cfg.max_depth
-            or len(idx) < 2 * self.cfg.min_leaf
-            or frac == 0.0
-            or frac == 1.0
-        ):
-            return node
-        split = self._best_split(idx)
-        if split is None:
-            return node
-        f, thr, left_idx, right_idx = split
-        self.feature[node] = f
-        self.threshold[node] = thr
-        self.left[node] = self.build(left_idx, depth + 1)
-        self.right[node] = self.build(right_idx, depth + 1)
+def _grow(X, y, idx, depth, k, config, rng, rows) -> int:
+    """Append the subtree of the rows `idx` to `rows`, one row
+    [feature, threshold, left, right, leaf_frac] per node in pre-order (a
+    leaf keeps feature -1), and return the index of its root."""
+    node = len(rows)
+    frac = float(y[idx].mean())
+    rows.append([-1, 0.0, -1, -1, frac])
+    if depth >= config.max_depth or len(idx) < 2 * config.min_leaf or frac in (0.0, 1.0):
         return node
-
-    def _best_split(self, idx):
-        X, y = self.X[idx], self.y[idx]
-        n = len(idx)
-        feats = self.rng.choice(self.X.shape[1], size=self.k, replace=False)
-        best = None
-        best_gini = np.inf
-        for f in feats:
-            order = np.argsort(X[:, f], kind="stable")
-            xs = X[order, f]
-            ys = y[order]
-            # valid split positions: between distinct values, honoring min_leaf
-            c1 = np.cumsum(ys)[:-1]          # class-1 counts left of each cut
-            nl = np.arange(1, n)
-            nr = n - nl
-            distinct = xs[1:] != xs[:-1]
-            ok = distinct & (nl >= self.cfg.min_leaf) & (nr >= self.cfg.min_leaf)
-            if not ok.any():
-                continue
-            p1l = c1 / nl
-            p1r = (c1[-1] + ys[-1] - c1) / nr
-            gini = nl * 2 * p1l * (1 - p1l) + nr * 2 * p1r * (1 - p1r)
-            gini = gini / n
-            gini = np.where(ok, gini, np.inf)
-            pos = int(np.argmin(gini))
-            if gini[pos] < best_gini - 1e-15:
-                best_gini = gini[pos]
-                thr = 0.5 * (xs[pos] + xs[pos + 1])
-                best = (int(f), float(thr), idx[order[: pos + 1]], idx[order[pos + 1 :]])
-        # reject splits that do not improve impurity
-        if best is not None:
-            p = y.mean()
-            parent_gini = 2 * p * (1 - p)
-            if best_gini >= parent_gini - 1e-12:
-                return None
-        return best
-
-    def to_tree(self) -> Tree:
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int64),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
-            leaf_frac=np.asarray(self.leaf_frac, dtype=np.float64),
-        )
+    split = _best_split(X, y, idx, k, config.min_leaf, rng)
+    if split is not None:
+        f, thr, left, right = split
+        left = _grow(X, y, left, depth + 1, k, config, rng, rows)  # the left subtree draws first
+        rows[node][:4] = f, thr, left, _grow(X, y, right, depth + 1, k, config, rng, rows)
+    return node
 
 
 def train_rf(X, y, config: RFConfig = RFConfig(), seed: int = 0) -> RFModel:
@@ -241,16 +209,18 @@ def train_rf(X, y, config: RFConfig = RFConfig(), seed: int = 0) -> RFModel:
         raise ValueError("X must be [N, D] with matching labels")
     if not np.isin(y, [0, 1]).all():
         raise ValueError("labels must be binary 0/1")
+    y = y.astype(np.float64)
     d = X.shape[1]
     k = math.ceil(math.sqrt(d))  # never above d
     rng = np.random.default_rng(seed)
     n = X.shape[0]
     trees = []
     for _ in range(config.n_trees):
-        boot = rng.integers(0, n, size=n)
-        builder = _TreeBuilder(X, y, config, k, rng)
-        builder.build(boot, 0)
-        trees.append(builder.to_tree())
+        rows = []
+        _grow(X, y, rng.integers(0, n, size=n), 0, k, config, rng, rows)
+        feature, threshold, left, right, leaf_frac = np.array(rows).T.copy()
+        trees.append(Tree(feature.astype(np.int64), threshold, left.astype(np.int64),
+                          right.astype(np.int64), leaf_frac))
     return RFModel(
         config=config,
         trees=trees,

@@ -36,6 +36,9 @@ class TrainingDiverged(RuntimeError):
         super().__init__(message)
         self.trace = trace
 
+    def __reduce__(self):  # pickled with its trace, as a forked worker sends it
+        return type(self), (self.args[0], self.trace)
+
 
 @dataclass(frozen=True)
 class SDAEConfig:

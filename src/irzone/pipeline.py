@@ -72,9 +72,10 @@ def make_dataset(out_dir, mode_mix, config_sampler, seed=0) -> list[ManifestEntr
 
     `mode_mix` is {mode value ("On", "In" or "Off"): count}; any other key is
     a ValueError. `config_sampler(rng)` gives each phantom's config, whose
-    mode is then set from the mix. Deterministic for a fixed seed.
+    mode is then set from the mix. Deterministic for a fixed seed. The
+    paths are absolute, so the manifest reads the same from any directory.
     """
-    out_dir = Path(out_dir)
+    out_dir = Path(out_dir).absolute()
     unknown = set(mode_mix) - {m.value for m in Mode}
     if unknown:
         raise ValueError(f"unknown modes in mode_mix: {sorted(unknown)}; expected On, In, Off")

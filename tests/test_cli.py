@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, end-to-end flow."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +149,23 @@ class TestGen:
         out = tmp_path / "ds"
         assert main(["gen", "--n", "0", "--out", str(out)]) == 0
         assert (out / "manifest.txt").read_text() == ""
+
+    def test_a_manifest_written_with_a_relative_out_trains_from_any_directory(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "_FEATURE_CACHE", {})
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--n", "2", "--out", "data", "--width", "96", "--height", "72",
+                     "--frames", "20", "--seed", "3"]) == 0
+        for entry in pipeline.read_manifest(tmp_path / "data" / "manifest.txt"):
+            assert entry.seq_path == str(tmp_path / "data" / Path(entry.seq_path).name)
+            assert entry.mask_path == str(tmp_path / "data" / Path(entry.mask_path).name)
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        (tmp_path / "small.cfg").write_text("rf.n_trees = 5\nmax_train_pixels = 2000\n")
+        model = tmp_path / "model.izm"
+        assert main(["train", "--manifest", str(tmp_path / "data" / "manifest.txt"),
+                     "--config", str(tmp_path / "small.cfg"), "--model-out", str(model)]) == 0
+        assert io.load_cascade(model).mode == Mode.ON
 
     def test_mode_mix_writes_combined_manifest(self, tmp_path):
         out = tmp_path / "mix"
@@ -570,6 +588,16 @@ class TestMismatchedInputs:
         io.write_sequence(seq, io.ThermalSequence(np.zeros((0, 72, 96)), np.zeros(0), 0.5))
         assert main(["render", "--seq", str(seq), "--out", str(out)]) == 2
         assert f"sequence {seq} has no frames to render" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("h, w", [(0, 20), (20, 0)])
+    def test_render_of_frames_without_pixels_is_data_error_naming_it(self, tmp_path, capsys,
+                                                                     h, w):
+        seq, out = tmp_path / "flat.irts", tmp_path / "o.ppm"
+        seq.write_bytes(io.MAGIC + struct.pack("<HIIId", io.VERSION, w, h, 3, 0.5)
+                        + np.arange(3.0).astype("<f8").tobytes())
+        assert main(["render", "--seq", str(seq), "--out", str(out)]) == 2
+        assert f"{seq}: frame size {w}x{h} is empty" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sequence_with_an_infinite_timestamp_is_data_error_naming_it(self, tmp_path,

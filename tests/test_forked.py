@@ -14,12 +14,15 @@ import pytest
 from irzone import forked, pipeline, preprocess
 from irzone import io_formats as io
 from irzone.cli import main
+from irzone.models import cascade
 from irzone.models.cascade import CascadeConfig
 from irzone.models.rf import RFConfig
-from irzone.models.sdae import SDAEConfig
+from irzone.models.sdae import SDAEConfig, TrainingDiverged
 from irzone.phantom import default_config_sampler
 from irzone.preprocess import PipelineAbort
 from irzone.zones import Mode
+
+from test_cascade import synthetic_dataset
 
 REAL_CPU_COUNT = forked._cpu_count
 
@@ -124,6 +127,70 @@ def test_an_exception_that_does_not_pickle_keeps_its_type_name_and_message(monke
 
     with pytest.raises(RuntimeError, match="Local: item 1"):
         list(forked.forked_map(lambda x: x if x == 0 else fail(x), range(2)))
+    assert_no_child_left()
+
+
+class TwoArguments(Exception):
+    """Pickles, but pickle cannot rebuild it: its args hold one of the two
+    arguments its __init__ takes."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+        self.detail = detail
+
+
+def test_an_exception_that_does_not_unpickle_keeps_its_type_name_and_message(monkeypatch):
+    use_cpus(monkeypatch, 2)
+
+    def fail(x):
+        raise TwoArguments(f"item {x}", x)
+
+    with pytest.raises(RuntimeError, match="TwoArguments: item 1"):
+        list(forked.forked_map(lambda x: x if x == 0 else fail(x), range(2)))
+    assert_no_child_left()
+
+
+TRACE = [0.69, 0.52, float("inf")]
+
+
+def diverge_at_the_second_stage(monkeypatch):
+    """Make the On-mode cascade's second SDAE stage (seed 7919 * 2 at
+    training seed 0) diverge; on two CPUs a worker trains it."""
+    train = cascade.train_sdae
+
+    def train_sdae(X, y, config, seed):
+        if seed == 7919 * 2:
+            raise TrainingDiverged("fine-tune loss diverged", TRACE)
+        return train(X, y, config, seed=seed)
+
+    monkeypatch.setattr(cascade, "train_sdae", train_sdae)
+
+
+FAST_SDAE = SDAEConfig(hidden_sizes=(8,), pretrain_epochs=1, finetune_epochs=3)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_diverged_stage_reaches_the_caller_with_its_trace(monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    diverge_at_the_second_stage(monkeypatch)
+    x, y = synthetic_dataset(Mode.ON, n_per_class=100)
+    with pytest.raises(TrainingDiverged, match="^fine-tune loss diverged$") as caught:
+        cascade.cascade_train(x, y, Mode.ON, CascadeConfig(backend="sdae", sdae=FAST_SDAE))
+    assert caught.value.trace == TRACE
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_train_with_a_diverged_stage_exits_2(manifest, tmp_path, monkeypatch, capsys, cpus):
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(pipeline, "_FEATURE_CACHE", {})
+    diverge_at_the_second_stage(monkeypatch)
+    config, out = tmp_path / "train.cfg", tmp_path / "model.izm"
+    config.write_text("sdae.finetune_epochs = 3\n")
+    assert main(["train", "--manifest", str(manifest), "--backend", "sdae",
+                 "--config", str(config), "--model-out", str(out)]) == 2
+    assert "error: fine-tune loss diverged" in capsys.readouterr().err
+    assert not out.exists()
     assert_no_child_left()
 
 

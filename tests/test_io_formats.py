@@ -190,6 +190,18 @@ class TestSequenceContainer:
         with pytest.raises(io.FormatError, match="payload size"):
             io.read_sequence(path)
 
+    @pytest.mark.parametrize("h, w", [(0, 20), (20, 0), (0, 0)])
+    def test_frames_without_pixels_are_format_error_naming_the_file(self, tmp_path, h, w):
+        # three frames of no pixels: each record is its timestamp alone
+        path = tmp_path / "a.irts"
+        path.write_bytes(io.MAGIC + struct.pack("<HIIId", io.VERSION, w, h, 3, 250e-6)
+                         + np.arange(3.0).astype("<f8").tobytes())
+        with pytest.raises(io.FormatError, match=f"a.irts: frame size {w}x{h} is empty"):
+            io.read_sequence(path)
+        with pytest.raises(ValueError, match="is empty"):
+            io.write_sequence(path, ThermalSequence(np.zeros((3, h, w)), np.arange(3.0), 250e-6))
+        assert ThermalSequence(np.zeros((0, h, w)), np.zeros(0), 250e-6).n_frames == 0
+
     @pytest.mark.parametrize("pixel_size", [0.0, -250e-6, float("nan"), float("inf")])
     def test_pixel_size_must_be_a_positive_length(self, tmp_path, pixel_size):
         path = tmp_path / "a.irts"

@@ -1,6 +1,7 @@
 """Registration, damaged-frame removal, and recovery-curve fitting."""
 
 import itertools
+import os
 import threading
 
 import numpy as np
@@ -968,6 +969,25 @@ class TestFitRecoveryWorkers:
                 self.assert_parts(parts[0], len(series), workers)
             for key, value in fits[1].items():
                 assert fits[2][key].tobytes() == value.tobytes(), (w, h, key)
+
+    def test_without_cpu_affinity_nothing_is_split(self, parts, monkeypatch):
+        """Where no worker can be pinned (no os.sched_getaffinity and
+        os.sched_setaffinity: Windows, macOS), a process has one CPU, whatever
+        os.cpu_count says: a 128x96 sequence is registered in one run, with
+        no reference prepared twice, and fitted in one part."""
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.delattr(os, "sched_setaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert forked._cpu_count() == 1
+        seq, _ = generate_phantom(PhantomConfig(width=128, height=96, n_frames=40,
+                                                noise_sigma=0.03), seed=12)
+        prepared = count_prepares(monkeypatch)
+        registered, report = register_sequence(seq)
+        moved = sum(s.dx != 0.0 or s.dy != 0.0 for s in report.shifts if not s.fatal)
+        assert len(prepared) == seq.n_frames + moved
+        cleaned, _ = remove_damaged_frames(registered, report)
+        fit_recovery_batch(cleaned.data.reshape(cleaned.n_frames, -1).T, cleaned.timestamps)
+        assert [len(p) for p in parts] == [1, 1]  # registration's run, then the fit's part
 
     @pytest.mark.parametrize("block", [3, 4, 5])
     def test_parts_never_hold_a_single_row_of_several(self, block, monkeypatch):

@@ -1,6 +1,7 @@
 """Random-forest backend: CART splits, bagging, determinism."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -181,6 +182,164 @@ class TestTraversalMatchesOracle:
         x = np.random.default_rng(5).normal(size=(3000, 6))
         self.assert_same_bytes(restored, x)
         assert rf_predict_proba(restored, x).tobytes() == rf_predict_proba(model, x).tobytes()
+
+
+# The class `train_rf` grew each tree with before `_grow`, kept verbatim as
+# its oracle.
+class _TreeBuilder:
+    def __init__(self, X, y, config, n_feat_split, rng):
+        self.X = X
+        self.y = y.astype(np.float64)
+        self.cfg = config
+        self.k = n_feat_split
+        self.rng = rng
+        self.feature = []
+        self.threshold = []
+        self.left = []
+        self.right = []
+        self.leaf_frac = []
+
+    def _new_node(self):
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.leaf_frac.append(0.0)
+        return len(self.feature) - 1
+
+    def build(self, idx, depth) -> int:
+        node = self._new_node()
+        y = self.y[idx]
+        frac = float(y.mean())
+        self.leaf_frac[node] = frac
+        if (
+            depth >= self.cfg.max_depth
+            or len(idx) < 2 * self.cfg.min_leaf
+            or frac == 0.0
+            or frac == 1.0
+        ):
+            return node
+        split = self._best_split(idx)
+        if split is None:
+            return node
+        f, thr, left_idx, right_idx = split
+        self.feature[node] = f
+        self.threshold[node] = thr
+        self.left[node] = self.build(left_idx, depth + 1)
+        self.right[node] = self.build(right_idx, depth + 1)
+        return node
+
+    def _best_split(self, idx):
+        X, y = self.X[idx], self.y[idx]
+        n = len(idx)
+        feats = self.rng.choice(self.X.shape[1], size=self.k, replace=False)
+        best = None
+        best_gini = np.inf
+        for f in feats:
+            order = np.argsort(X[:, f], kind="stable")
+            xs = X[order, f]
+            ys = y[order]
+            # valid split positions: between distinct values, honoring min_leaf
+            c1 = np.cumsum(ys)[:-1]          # class-1 counts left of each cut
+            nl = np.arange(1, n)
+            nr = n - nl
+            distinct = xs[1:] != xs[:-1]
+            ok = distinct & (nl >= self.cfg.min_leaf) & (nr >= self.cfg.min_leaf)
+            if not ok.any():
+                continue
+            p1l = c1 / nl
+            p1r = (c1[-1] + ys[-1] - c1) / nr
+            gini = nl * 2 * p1l * (1 - p1l) + nr * 2 * p1r * (1 - p1r)
+            gini = gini / n
+            gini = np.where(ok, gini, np.inf)
+            pos = int(np.argmin(gini))
+            if gini[pos] < best_gini - 1e-15:
+                best_gini = gini[pos]
+                thr = 0.5 * (xs[pos] + xs[pos + 1])
+                best = (int(f), float(thr), idx[order[: pos + 1]], idx[order[pos + 1 :]])
+        # reject splits that do not improve impurity
+        if best is not None:
+            p = y.mean()
+            parent_gini = 2 * p * (1 - p)
+            if best_gini >= parent_gini - 1e-12:
+                return None
+        return best
+
+    def to_tree(self) -> Tree:
+        return Tree(
+            feature=np.asarray(self.feature, dtype=np.int64),
+            threshold=np.asarray(self.threshold, dtype=np.float64),
+            left=np.asarray(self.left, dtype=np.int64),
+            right=np.asarray(self.right, dtype=np.int64),
+            leaf_frac=np.asarray(self.leaf_frac, dtype=np.float64),
+        )
+
+
+def oracle_train_rf(X, y, config, seed):
+    """`train_rf`'s tree loop as it drove `_TreeBuilder`."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+    k = math.ceil(math.sqrt(X.shape[1]))
+    rng = np.random.default_rng(seed)
+    n = X.shape[0]
+    trees = []
+    for _ in range(config.n_trees):
+        boot = rng.integers(0, n, size=n)
+        builder = _TreeBuilder(X, y, config, k, rng)
+        builder.build(boot, 0)
+        trees.append(builder.to_tree())
+    return RFModel(config=config, trees=trees, n_features=X.shape[1], seed=seed,
+                   single_class=bool(y.min() == y.max()))
+
+
+def oracle_datasets():
+    """(name, X, y, config) of the cases the grower must match the oracle on."""
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(600, 7))
+    y = (x[:, 0] + x[:, 1] * x[:, 2] + rng.normal(size=600) > 0).astype(np.int64)
+    tied = np.round(rng.normal(size=(800, 16)), 1)  # few distinct values per feature
+    tied[:, 3] = 0.0  # one feature that never splits
+    tied_y = (tied[:, 0] - tied[:, 5] + 0.5 * rng.normal(size=800) > 0).astype(np.int64)
+    special = x.copy()
+    special[::3, 0] = np.nan
+    special[1::5, 2] = np.inf
+    special[2::7, 1] = -np.inf
+    special[:27, :3] = list(itertools.product([np.nan, np.inf, -np.inf], repeat=3))
+    deep = RFConfig(n_trees=6, max_depth=12, min_leaf=1)
+    return [
+        ("noisy", x, y, RFConfig(n_trees=6, max_depth=9, min_leaf=2)),
+        ("tied values", tied, tied_y, RFConfig(n_trees=5)),
+        ("single class", x, np.ones(600, dtype=np.int64), deep),
+        ("min_leaf blocks every split", x, y, RFConfig(n_trees=4, min_leaf=400)),
+        ("max_depth 1", x, y, RFConfig(n_trees=6, max_depth=1)),
+        ("NaN and infinities", special, y, deep),
+        ("one row", x[:1], y[:1], deep),
+        ("labels as bools", x[:200], y[:200].astype(bool), deep),
+    ]
+
+
+class TestGrowerMatchesOracle:
+    """`_grow` reads the generator in the builder's order, so every forest
+    packs to the builder's bytes."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 42])
+    @pytest.mark.parametrize("case", oracle_datasets(), ids=lambda case: case[0])
+    def test_same_bytes_as_the_builder(self, case, seed):
+        _, x, y, config = case
+        got = train_rf(x, y, config, seed=seed)
+        assert _pack(got.to_state()) == _pack(oracle_train_rf(x, y, config, seed).to_state())
+        for tree in got.trees:
+            assert tree.feature.dtype == tree.left.dtype == tree.right.dtype == np.int64
+            assert tree.threshold.dtype == tree.leaf_frac.dtype == np.float64
+
+    def test_the_cases_reach_every_kind_of_tree(self):
+        """Each case grows the trees it is named for, so the oracle is
+        compared on splits, single leaves and stumps."""
+        sizes = {name: [len(t.feature) for t in train_rf(x, y, config, seed=0).trees]
+                 for name, x, y, config in oracle_datasets()}
+        assert min(sizes["noisy"]) > 20 and min(sizes["NaN and infinities"]) > 20
+        for name in ("single class", "min_leaf blocks every split", "one row"):
+            assert set(sizes[name]) == {1}, name
+        assert set(sizes["max_depth 1"]) == {3}
 
 
 def two_split_state():
